@@ -19,17 +19,16 @@ Exit codes: 0 all verdicts pass; 1 a verdict definitively fails; 2 invalid
 config or unusable paths; 3 non-finite values; 4 breakage demonstration
 inconclusive after the reseed budget.
 
-``REAFUSE_THREADS`` caps the worker threads used to evaluate verify variants
-concurrently (default 1; results are seed-derived and identical either way).
+``verify``, ``oracle`` and ``demo`` only run forward passes, so they run under
+``tensor.no_grad`` and record no autograd graph.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,12 +75,17 @@ __all__ = [
     "run_oracle",
     "run_gradcheck",
     "run_demo",
-    "thread_count",
 ]
 
 
 class ConfigError(ValueError):
     """The configuration file cannot be used as given."""
+
+
+_INT_KEYS = ("seed", "levels", "kernel_channels", "orientations", "reduction",
+             "image_size", "batch", "seeds", "trials", "reseeds")
+_FLOAT_KEYS = ("pass_threshold", "fail_threshold", "oracle_tolerance",
+               "gradcheck_tolerance", "gradcheck_step")
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,10 @@ class HarnessConfig:
             raise ConfigError("seeds and trials must be positive")
         if self.reseeds < 0:
             raise ConfigError(f"reseeds must be non-negative, got {self.reseeds}")
+        for name in _FLOAT_KEYS:
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("pass_threshold", "fail_threshold", "oracle_tolerance",
                      "gradcheck_tolerance"):
             if getattr(self, name) <= 0:
@@ -187,21 +195,11 @@ def load_config(path) -> HarnessConfig:
                 raise ConfigError(f"config key {key} must be a string")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"config key {key} must be a number, got {value!r}")
-    int_keys = {"seed", "levels", "kernel_channels", "orientations", "reduction",
-                "image_size", "batch", "seeds", "trials", "reseeds"}
-    coerced = {
-        k: int(v) if k in int_keys and v is not None else v for k, v in payload.items()
-    }
-    return HarnessConfig(**coerced).validate()
-
-
-def thread_count() -> int:
-    """Worker cap from REAFUSE_THREADS (default 1, minimum 1)."""
-    raw = os.environ.get("REAFUSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"REAFUSE_THREADS must be an integer, got {raw!r}") from exc
+        elif key in _INT_KEYS and isinstance(value, float):
+            if not value.is_integer():
+                raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+            payload[key] = int(value)
+    return HarnessConfig(**payload).validate()
 
 
 @dataclass
@@ -353,11 +351,9 @@ def run_verify(config: HarnessConfig) -> Report:
     """The five-variant equivariance matrix."""
     report = _new_report("verify", config)
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futures = {v: pool.submit(_verify_variant, config, v) for v in VARIANTS}
-        outcomes = {v: f.result() for v, f in futures.items()}
     for variant in VARIANTS:
-        summary = outcomes[variant]
+        with ops.no_grad():
+            summary = _verify_variant(config, variant)
         report.timings[variant] = summary.pop("seconds", 0.0)
         if not summary.get("finite", False):
             report.non_finite = True
@@ -492,7 +488,8 @@ def run_oracle(config: HarnessConfig) -> Report:
         t0 = time.perf_counter()
         worst = 0.0
         for trial in range(config.trials):
-            dev = check(master.derive(f"{name}/{trial}"))
+            with ops.no_grad():
+                dev = check(master.derive(f"{name}/{trial}"))
             if not np.isfinite(dev):
                 report.non_finite = True
                 break
@@ -625,7 +622,8 @@ def run_demo(config: HarnessConfig, out_dir) -> Report:
     image = Tensor(rng.derive("image").uniform(
         (config.batch, 3, config.image_size, config.image_size)))
     params = init_pyramid(config.pyramid_config(config.variant, rng.derive("params").seed))
-    levels = run_pyramid(image, params)
+    with ops.no_grad():
+        levels = run_pyramid(image, params)
     if not _finite(*levels):
         report.non_finite = True
         report.verdicts["pyramid outputs finite"] = False

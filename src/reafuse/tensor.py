@@ -14,11 +14,15 @@ built from the small op set in this module.  Design constraints:
 
 Each op that sees a ``requires_grad`` input records its parents and a closure
 computing parent gradients; ``reafuse.autograd`` replays those records in
-reverse execution order.
+reverse execution order.  Inside ``with no_grad():`` nothing is recorded:
+every op returns a bare leaf (no parents, no closure, ``requires_grad``
+False), so forward-only work neither builds a graph nor keeps its
+intermediates alive.  The values computed are the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 from typing import Callable, Iterable, Sequence
@@ -30,6 +34,7 @@ __all__ = [
     "Rng",
     "ShapeError",
     "DegenerateStatisticsError",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -70,6 +75,10 @@ _EXECUTION_COUNTER = itertools.count()
 # When not None, relu appends a copy of each pre-activation it sees.  Used by
 # gradcheck to detect finite-difference steps that straddle a relu kink.
 _RELU_TRACE: list[np.ndarray] | None = None
+
+# Cleared inside ``no_grad``; process-wide, so no_grad is not for use from
+# several threads at once.
+_GRAD_ENABLED = True
 
 
 class Tensor:
@@ -199,8 +208,23 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording: outputs are leaves with ``requires_grad`` False.
+
+    Nests, and restores the previous mode on exit, also when the block raises.
+    """
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
 def _record(out: Tensor, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = parents
         out.backward_fn = backward_fn
@@ -522,22 +546,35 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> Tensor:
     if b_t is not None and b_t.shape != (cout,):
         raise ShapeError(f"conv2d: bias axis shape {b_t.shape} != ({cout},)")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if pad:
+        xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
+        xp[:, :, pad : pad + h, pad : pad + wd] = x.data
+    else:
+        xp = x.data
 
     def tap(src: np.ndarray, ki: int, kj: int) -> np.ndarray:
         return src[
-            :, :, ki : ki + (out_h - 1) * stride + 1 : stride,
+            ..., ki : ki + (out_h - 1) * stride + 1 : stride,
             kj : kj + (out_w - 1) * stride + 1 : stride,
         ]
 
-    # im2col in documented (kernel-row, kernel-col, in-channel) order
-    cols = np.concatenate(
-        [tap(xp, ki, kj) for ki in range(kh) for kj in range(kw)], axis=1
-    ).reshape(batch, kh * kw * cin, out_h * out_w)
     wf = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = np.matmul(wf, cols).reshape(batch, cout, out_h, out_w)
+    if kh == kw == 1 and stride == 1:
+        # a 1x1 receptive field is the input itself: no im2col copy
+        out = np.matmul(wf, xp.reshape(batch, cin, out_h * out_w))
+    else:
+        # im2col one sample at a time, in documented (kernel-row, kernel-col,
+        # in-channel) order, into one reused column buffer
+        out = np.empty((batch, cout, out_h * out_w))
+        cols = np.empty((kh * kw, cin, out_h, out_w))
+        for s in range(batch):
+            for ki in range(kh):
+                for kj in range(kw):
+                    cols[ki * kw + kj] = tap(xp[s], ki, kj)
+            np.matmul(wf, cols.reshape(kh * kw * cin, out_h * out_w), out=out[s])
+    out = out.reshape(batch, cout, out_h, out_w)
     if b_t is not None:
-        out = out + b_t.data[:, None, None]
+        out += b_t.data[:, None, None]
 
     def backward(g: np.ndarray):
         grad_w = np.empty_like(w.data)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from reafuse import cli
+from reafuse import tensor as ops
+from reafuse.autograd import backward
 from reafuse.harness import (
     ConfigError,
     HarnessConfig,
@@ -14,8 +16,8 @@ from reafuse.harness import (
     run_demo,
     run_oracle,
     run_verify,
-    thread_count,
 )
+from reafuse.tensor import Tensor
 
 TINY = dict(levels=2, kernel_channels=2, orientations=2, reduction=1,
             image_size=8, batch=2, seeds=2, trials=10, seed=5)
@@ -51,6 +53,35 @@ def test_load_config_rejects_bad_types(tmp_path):
     p3.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(p3)
+
+
+@pytest.mark.parametrize("key", ["pass_threshold", "fail_threshold", "oracle_tolerance",
+                                 "gradcheck_tolerance", "gradcheck_step"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_load_config_rejects_non_finite_floats(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_config(tmp_path, **{key: value}))
+
+
+@pytest.mark.parametrize("key,value", [("seed", 7.9), ("levels", 2.7), ("kernel_channels", 2.5),
+                                       ("orientations", 2.2), ("reduction", 1.5),
+                                       ("image_size", 8.5), ("batch", 2.1), ("seeds", 1.5),
+                                       ("trials", 10.5), ("reseeds", 0.5)])
+def test_load_config_rejects_non_integral_integers(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_config(tmp_path, **{key: value}))
+
+
+def test_load_config_accepts_integral_floats(tmp_path):
+    cfg = load_config(write_config(tmp_path, seed=7.0, levels=2.0))
+    assert cfg.seed == 7 and isinstance(cfg.seed, int) and cfg.levels == 2
+
+
+def test_cli_nan_threshold_exits_2(tmp_path, capsys):
+    p = write_config(tmp_path, pass_threshold=float("nan"))
+    assert "NaN" in p.read_text()
+    assert cli.entrypoint(["verify", "--config", str(p)]) == 2
+    assert "pass_threshold" in capsys.readouterr().err
 
 
 def test_indivisible_spatial_size_is_a_config_error(tmp_path):
@@ -114,16 +145,6 @@ def test_run_verify_trivial_group_is_vacuous():
     assert report.results["Baseline"]["worst"] == 0.0
 
 
-def test_run_verify_threads_do_not_change_results(monkeypatch):
-    cfg = HarnessConfig(**{**TINY, "seeds": 1}).validate()
-    monkeypatch.setenv("REAFUSE_THREADS", "1")
-    a = run_verify(cfg)
-    monkeypatch.setenv("REAFUSE_THREADS", "4")
-    b = run_verify(cfg)
-    for variant in a.results:
-        assert a.results[variant]["per_level"] == b.results[variant]["per_level"]
-
-
 def test_run_oracle_tiny_config():
     report = run_oracle(HarnessConfig(**TINY).validate())
     assert report.exit_code == 0
@@ -140,16 +161,14 @@ def test_run_demo_writes_identical_artifacts(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("REAFUSE_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("REAFUSE_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("REAFUSE_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("REAFUSE_THREADS", "many")
-    with pytest.raises(ConfigError):
-        thread_count()
+def test_forward_only_commands_leave_recording_on(tmp_path):
+    cfg = HarnessConfig(**{**TINY, "seeds": 1}).validate()
+    run_verify(cfg)
+    run_oracle(cfg)
+    run_demo(cfg, tmp_path / "demo")
+    x = Tensor(np.random.default_rng(2).normal(size=(2, 3)), requires_grad=True)
+    grads = backward(ops.tsum(ops.mul(x, x)))
+    np.testing.assert_array_equal(grads[id(x)], 2.0 * x.data)
 
 
 # -- command-line front-end ---------------------------------------------------

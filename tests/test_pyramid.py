@@ -147,3 +147,15 @@ def test_config_validation():
         PyramidConfig(seed=-1)
     with pytest.raises(ShapeError):
         PyramidConfig(kernel_channels=0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_grad_forward_is_bit_identical(variant):
+    params = init_pyramid(small_config(variant, seed=4))
+    image = Tensor(Rng(6).uniform((2, 3, 8, 8)))
+    recorded = run_pyramid(image, params)
+    with ops.no_grad():
+        bare = run_pyramid(image, params)
+    assert recorded[0].data.requires_grad and not bare[0].data.requires_grad
+    for a, b in zip(recorded, bare):
+        np.testing.assert_array_equal(a.data.data, b.data.data)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reafuse import tensor as ops
+from reafuse.naive import naive_conv2d
 from reafuse.tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
 
 
@@ -61,6 +62,40 @@ def test_conv2d_matches_loop_oracle():
         want = loop_conv2d(x, w, b, stride)
         worst = max(worst, np.abs(got - want).max())
     assert worst <= 1e-12
+
+
+def padded_concat_conv2d(x, w, b, stride, pad):
+    # reference of the earlier formula: np.pad, one whole-batch im2col
+    # concatenate in (kernel-row, kernel-col, in-channel) order, one matmul
+    bs, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.concatenate(
+        [xp[:, :, ki:ki + (oh - 1) * stride + 1:stride, kj:kj + (ow - 1) * stride + 1:stride]
+         for ki in range(kh) for kj in range(kw)], axis=1,
+    ).reshape(bs, kh * kw * cin, oh * ow)
+    wf = w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    return np.matmul(wf, cols).reshape(bs, cout, oh, ow) + b[:, None, None]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("k,stride,pad", [
+    (1, 1, 0),   # 1x1 stride 1: no im2col
+    (3, 1, 0),   # no padding: the input is used as is
+    (3, 1, 2),   # explicit padding wider than same padding
+    (3, 2, 1),   # stride 2
+    (1, 2, 0),   # 1x1 stride 2 goes through im2col
+])
+def test_conv2d_paths_match_earlier_formula_and_oracle(batch, k, stride, pad):
+    r = Rng(100 + 10 * k + stride + pad).derive(f"b{batch}")
+    x = r.uniform((batch, 5, 8, 8))
+    w = r.uniform((6, 5, k, k))
+    b = r.uniform((6,))
+    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
+    assert np.array_equal(got, padded_concat_conv2d(x, w, b, stride, pad))
+    assert np.abs(got - naive_conv2d(x, w, b, stride=stride, pad=pad)).max() <= 1e-12
 
 
 def test_conv2d_rejects_even_kernel_and_bad_stride():
@@ -220,3 +255,31 @@ def test_values_stay_finite_through_op_chain():
     out = ops.sigmoid(ops.conv2d(ops.relu(x), w))
     out = ops.blockmean2x(ops.upsample_nearest2x(out))
     assert np.all(np.isfinite(out.data))
+
+
+def test_no_grad_returns_bare_outputs():
+    x = Tensor(Rng(13).uniform((2, 3, 4, 4)), requires_grad=True)
+    w = Tensor(Rng(14).uniform((2, 3, 3, 3)), requires_grad=True)
+    with ops.no_grad():
+        outs = [ops.conv2d(x, w), ops.relu(x), ops.add(x, x), ops.tsum(x),
+                ops.batchnorm(x, Tensor(np.ones(3), requires_grad=True),
+                              Tensor.zeros((3,), requires_grad=True), reduce_axes=(0, 2, 3))]
+    for out in outs:
+        assert out.parents == () and out.backward_fn is None
+        assert not out.requires_grad and out.op == "leaf"
+    recorded = ops.conv2d(x, w)
+    assert recorded.requires_grad and recorded.parents == (x, w)
+    np.testing.assert_array_equal(recorded.data, outs[0].data)
+
+
+def test_no_grad_restores_recording_after_nesting_and_errors():
+    x = Tensor.ones((2, 2), requires_grad=True)
+    with ops.no_grad():
+        with ops.no_grad():
+            assert not ops.neg(x).requires_grad
+        assert not ops.neg(x).requires_grad  # the inner exit keeps the outer mode
+    assert ops.neg(x).requires_grad
+    with pytest.raises(ShapeError):
+        with ops.no_grad():
+            ops.matmul(x, Tensor.ones((3, 3)))
+    assert ops.neg(x).requires_grad
