@@ -4,8 +4,8 @@ Ops record themselves onto their output tensors at execution time; ``Tape``
 collects the records reachable from a loss, ordered by the monotone sequence
 number each tensor receives at construction.  ``backward`` replays a finished
 tape strictly in reverse execution order, accumulating gradients by summation,
-and ``gradcheck`` compares those gradients against central finite differences
-on randomly sampled coordinates.
+and ``gradcheck`` compares those gradients against Richardson-extrapolated
+central finite differences on randomly sampled coordinates.
 """
 
 from __future__ import annotations
@@ -116,21 +116,24 @@ class GradcheckReport:
         )
 
 
-def _crosses_kink(plus_trace: list[np.ndarray], minus_trace: list[np.ndarray], window: float) -> bool:
-    """True when the +h/-h evaluations disagree about any relu's active set.
+def _crosses_kink(traces: list[list[np.ndarray]], window: float) -> bool:
+    """True when the perturbed evaluations disagree about any relu's active set.
 
-    A central difference straddling a relu kink measures the slope of neither
-    branch; those coordinates are excluded rather than failed.  Requires both
-    a sign flip and proximity to zero, so activation changes far from the
-    kink (which would indicate a real bug) still count as errors.
+    ``traces`` holds one relu trace per evaluation.  A finite difference
+    straddling a relu kink measures the slope of neither branch; those
+    coordinates are excluded rather than failed.  Requires both a sign flip
+    and proximity to zero, so activation changes far from the kink (which
+    would indicate a real bug) still count as errors.
     """
-    if len(plus_trace) != len(minus_trace):
+    if len({len(trace) for trace in traces}) != 1:
         return True  # control flow changed between evaluations; unreliable
-    for p, m in zip(plus_trace, minus_trace):
-        if p.shape != m.shape:
+    for acts in zip(*traces):
+        if len({a.shape for a in acts}) != 1:
             return True
-        flipped = (p > 0.0) != (m > 0.0)
-        near = np.minimum(np.abs(p), np.abs(m)) < window
+        stacked = np.stack(acts)
+        active = stacked > 0.0
+        flipped = active.any(axis=0) & ~active.all(axis=0)
+        near = np.abs(stacked).min(axis=0) < window
         if np.any(flipped & near):
             return True
     return False
@@ -145,18 +148,29 @@ def gradcheck(
     max_coords: int = 50,
     kink_window: float = 1e-6,
 ) -> GradcheckReport:
-    """Compare analytic gradients of scalar ``fn()`` with central differences.
+    """Compare analytic gradients of scalar ``fn()`` with finite differences.
 
     ``fn`` must be a closure over the tensors in ``wrt`` (it is re-evaluated
     with perturbed parameter values).  Per tensor, at most ``max_coords``
     coordinates are sampled.  Relative error is
     ``|a - n| / max(|a|, |n|, 1)`` so near-zero gradients are judged on
     absolute scale.
+
+    The numeric slope is the Richardson extrapolation of two central
+    differences, ``(4 D(h/2) - D(h)) / 3`` with
+    ``D(s) = (f(x + s) - f(x - s)) / 2s``, which cancels the O(h^2)
+    truncation error that a plain central difference leaves on strongly
+    curved losses.  A coordinate is skipped as a relu kink when its four
+    evaluations disagree about an activation lying within
+    ``max(kink_window, h)`` of zero: the step, not a fixed constant, bounds
+    how far a pre-activation can move.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"gradcheck: step h={h} outside [1e-7, 1e-3]")
     wrt = list(wrt)
     analytic = backward(fn(), wrt=wrt)
+    window = max(kink_window, h)
+    steps = (h, -h, 0.5 * h, -0.5 * h)
 
     report = GradcheckReport(passed=True, max_rel_error=0.0, checked=0, skipped_kinks=0)
 
@@ -168,28 +182,30 @@ def gradcheck(
         for fi in flat_ids:
             fi = int(fi)
             original = flat[fi]
+            values: list[float] = []
+            traces: list[list[np.ndarray]] = []
             try:
-                flat[fi] = original + h
-                plus_trace: list[np.ndarray] = []
-                T._RELU_TRACE = plus_trace
-                f_plus = fn().item()
-                flat[fi] = original - h
-                minus_trace: list[np.ndarray] = []
-                T._RELU_TRACE = minus_trace
-                f_minus = fn().item()
+                for step in steps:
+                    flat[fi] = original + step
+                    trace: list[np.ndarray] = []
+                    T._RELU_TRACE = trace
+                    values.append(fn().item())
+                    traces.append(trace)
             finally:
                 T._RELU_TRACE = None
                 flat[fi] = original
 
-            if not np.isfinite(f_plus) or not np.isfinite(f_minus):
+            if not np.isfinite(values).all():
                 raise FloatingPointError(
                     f"gradcheck: non-finite loss at wrt[{t_index}] flat coord {fi}"
                 )
-            if _crosses_kink(plus_trace, minus_trace, kink_window):
+            if _crosses_kink(traces, window):
                 report.skipped_kinks += 1
                 continue
 
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            d_full = (values[0] - values[1]) / (2.0 * h)
+            d_half = (values[2] - values[3]) / h
+            numeric = (4.0 * d_half - d_full) / 3.0
             a_val = float(a.reshape(-1)[fi])
             rel = abs(a_val - numeric) / max(abs(a_val), abs(numeric), 1.0)
             report.checked += 1

@@ -15,6 +15,7 @@ convolution, bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,20 +152,45 @@ def _orientation_shared_bias(bias: Tensor, n: int) -> Tensor:
     return take(bias, np.repeat(np.arange(k_out), n), axis=0)
 
 
+def _gather(weight: Tensor, index: np.ndarray) -> Tensor:
+    """One ``take`` on the flattened weight, reshaped to ``index.shape``."""
+    flat = take(reshape(weight, (weight.size,)), index.reshape(-1), axis=0)
+    return reshape(flat, index.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarray:
+    """Flat-weight positions of an expanded [K_out*N, K_in*n_in, k, k] kernel.
+
+    Entry (k_out*N + i, k_in*n_in + m, a, b) is where
+    rot90(weight[k_out, k_in, (m - i) mod n_in], i*(4/N))[a, b] sits in the
+    flattened [K_out, K_in, n_in, k, k] weight.  A group conv has n_in = N; a
+    lift has n_in = 1, since a plain image carries no orientation axis.
+    Derived from shapes only, so the cache can never hold stale weights.
+    """
+    pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
+    copies = [
+        np.rot90(pos[:, :, [(m - i) % n_in for m in range(n_in)]], i * (4 // n), axes=(-2, -1))
+        for i in range(n)
+    ]
+    index = np.stack(copies, axis=1).reshape(k_out * n, k_in * n_in, k, k)
+    index.flags.writeable = False
+    return index
+
+
 def lift_conv(x: Tensor, p: LiftConvParams, n: int) -> ReFeatureMap:
     """Convolve a plain image with N rotated copies of each filter.
 
     Orientation i of kernel channel k is conv2d(x, rot90(weight[k], i*(4/N)))
-    + bias[k].  Implemented by expanding the N rotated copies into one big
-    kernel and calling conv2d once; for N=1 this reduces to plain conv2d,
-    bit-for-bit.
+    + bias[k].  The N rotated copies are one gather of the weight into a
+    [K_out*N, C_in, k, k] kernel (a pure copy, so bit-identical to rotating
+    and stacking), applied by one conv2d call; for N=1 this reduces to plain
+    conv2d, bit-for-bit.
     """
     if n not in SUPPORTED_ORIENTATIONS:
         raise ShapeError(f"orientation count {n} not in {SUPPORTED_ORIENTATIONS}")
     k_out, c_in, kh, _ = p.weight.shape
-    quarter = 4 // n
-    copies = [rot90(p.weight, i * quarter) for i in range(n)]
-    big = reshape(stack(copies, axis=1), (k_out * n, c_in, kh, kh))
+    big = _gather(p.weight, _kernel_index(k_out, c_in, 1, n, kh))
     out = conv2d(x, big, _orientation_shared_bias(p.bias, n), stride=1, pad=(kh - 1) // 2)
     return ReFeatureMap(out, k_out, n)
 
@@ -177,8 +203,11 @@ def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatur
     plus bias[k_out].  The relative-orientation indexing plus filter rotation
     is what makes the map commute with g_act.
 
-    Weights are expanded into a single [K_out*N, K_in*N, k, k] kernel so the
-    whole op is one conv2d call; N=1 therefore equals plain conv2d bit-exact.
+    Seen as one matrix over the orientation axis the kernel is
+    block-circulant up to the filter rotations: one gather of the weight
+    builds the whole [K_out*N, K_in*N, k, k] kernel, and one conv2d call
+    applies it.  A gather is a pure copy, so N=1 equals plain conv2d
+    bit-exact.
 
     stride=2 downsamples by averaging 2x2 blocks of the full-resolution
     output (requires even H, W).  A strided sampling lattice is NOT used: on
@@ -194,12 +223,7 @@ def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatur
     if stride not in (1, 2):
         raise ShapeError(f"group_conv: stride {stride} not in (1, 2)")
     k_out, k_in, _, kh, _ = p.weight.shape
-    quarter = 4 // n
-    banks = []
-    for i in range(n):
-        sel = take(p.weight, [(m - i) % n for m in range(n)], axis=2)
-        banks.append(rot90(sel, i * quarter))
-    big = reshape(stack(banks, axis=1), (k_out * n, k_in * n, kh, kh))
+    big = _gather(p.weight, _kernel_index(k_out, k_in, n, n, kh))
     out = conv2d(x.data, big, _orientation_shared_bias(p.bias, n), stride=1, pad=(kh - 1) // 2)
     if stride == 2:
         out = blockmean2x(out)

@@ -62,7 +62,7 @@ from .pyramid import (
     run_pyramid,
 )
 from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
-from .reca import conv_block_a, conv_block_b, init_reca, init_se, reca_forward, se_forward
+from .reca import cyclic_blocks, init_reca, init_se, reca_forward, se_forward
 from .serialization import save_feature_maps
 from .tensor import Rng, Tensor
 
@@ -86,6 +86,14 @@ _INT_KEYS = ("seed", "levels", "kernel_channels", "orientations", "reduction",
              "image_size", "batch", "seeds", "trials", "reseeds")
 _FLOAT_KEYS = ("pass_threshold", "fail_threshold", "oracle_tolerance",
                "gradcheck_tolerance", "gradcheck_step")
+
+# Upper bounds, so that a typo cannot ask for hours of work or gigabytes of
+# memory.  The image cap bounds image_size x batch; at the cap the largest
+# input (256 x 256, batch 2) peaks near 430 MB in ``demo`` at the default
+# widths (8 kernel channels x 4 orientations).
+MAX_SEEDS = 1000
+MAX_TRIALS = 10000
+MAX_IMAGE_SIZE_X_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,15 @@ class HarnessConfig:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.seeds < 1 or self.trials < 1:
             raise ConfigError("seeds and trials must be positive")
+        if self.seeds > MAX_SEEDS:
+            raise ConfigError(f"seeds {self.seeds} above the cap of {MAX_SEEDS}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(f"trials {self.trials} above the cap of {MAX_TRIALS}")
+        if self.image_size * self.batch > MAX_IMAGE_SIZE_X_BATCH:
+            raise ConfigError(
+                f"image_size x batch = {self.image_size} x {self.batch} above the cap "
+                f"of {MAX_IMAGE_SIZE_X_BATCH}"
+            )
         if self.reseeds < 0:
             raise ConfigError(f"reseeds must be non-negative, got {self.reseeds}")
         for name in _FLOAT_KEYS:
@@ -424,30 +441,19 @@ def _oracle_group_conv(rng: Rng) -> float:
     return float(np.abs(fast - ref).max())
 
 
-class _OneBank:
-    """Stand-in exposing just the weight bank conv_block_a/b reads.
+def _oracle_cyclic_blocks(rng: Rng) -> float:
+    """The block-circulant bank path against the loop reference, max-abs.
 
-    The real attention params tie the two stages together through the
-    reduction ratio; oracle trials draw arbitrary rectangular banks, so
-    single-stage checks get this one-field shim instead.
+    Both ReCA stages (``conv_block_a``/``conv_block_b``) are this one
+    function applied to a different bank, so one check covers both.
     """
-
-    def __init__(self, banks: np.ndarray, stage: str):
-        if stage == "a":
-            self.w_a = Tensor(banks)
-        else:
-            self.w_b = Tensor(banks)
-
-
-def _oracle_conv_blocks(rng: Rng, stage: str) -> float:
     n = (1, 2, 4)[rng.integer(0, 3)]
     rows = rng.integer(1, 5)
     cols = rng.integer(1, 5)
     b = rng.integer(1, 4)
     banks = rng.uniform((n, rows, cols))
     blocks = [rng.uniform((b, cols)) for _ in range(n)]
-    fn = conv_block_a if stage == "a" else conv_block_b
-    fast = fn([Tensor(blk) for blk in blocks], _OneBank(banks, stage))
+    fast = cyclic_blocks([Tensor(blk) for blk in blocks], Tensor(banks))
     ref = naive_conv_blocks(blocks, banks)
     return max(float(np.abs(f.data - r).max()) for f, r in zip(fast, ref))
 
@@ -457,14 +463,13 @@ def _oracle_shift_covariance(rng: Rng) -> float:
     n = (2, 4)[rng.integer(0, 2)]
     rows = rng.integer(1, 4)
     cols = rows * rng.integer(1, 3)
-    banks = rng.uniform((n, rows, cols))
+    banks = Tensor(rng.uniform((n, rows, cols)))
     blocks = [Tensor(rng.uniform((2, cols))) for _ in range(n)]
-    params = _OneBank(banks, "a")
-    base = conv_block_a(blocks, params)
+    base = cyclic_blocks(blocks, banks)
     worst = 0.0
     for s in range(n):
         shifted = [blocks[(m - s) % n] for m in range(n)]
-        moved = conv_block_a(shifted, params)
+        moved = cyclic_blocks(shifted, banks)
         for i in range(n):
             dev = float(np.abs(moved[i].data - base[(i - s) % n].data).max())
             worst = max(worst, dev)
@@ -479,8 +484,7 @@ def run_oracle(config: HarnessConfig) -> Report:
         "conv2d": _oracle_conv2d,
         "lift_conv": _oracle_lift_conv,
         "group_conv": _oracle_group_conv,
-        "conv_block_a": lambda r: _oracle_conv_blocks(r, "a"),
-        "conv_block_b": lambda r: _oracle_conv_blocks(r, "b"),
+        "cyclic_blocks": _oracle_cyclic_blocks,
         "shift_covariance": _oracle_shift_covariance,
     }
     master = Rng(config.seed).derive("oracle")

@@ -1,8 +1,8 @@
 """Rotation-equivariant channel attention, plus the plain SE baseline.
 
 The equivariant attention squeezes a re-feature map to per-channel
-descriptors, splits them into N orientation submaps, and runs them through
-two banks of cyclically weight-shared 1x1 blocks:
+descriptors and runs them through two banks of cyclically weight-shared 1x1
+blocks.  Read per orientation submap F_squ(n), block i is
 
     CB_i^a = sum_n  W^a_{(n-i) mod N} (F_squ(n))
 
@@ -14,6 +14,12 @@ channel), relu, a second bank, and a sigmoid, the attention weights permute
 together with the feature channels and the gating commutes with the group
 action.
 
+The blocks are a 1x1 regular C_N group convolution, and that is one
+block-circulant matrix over the whole channel axis (Cohen & Welling, arXiv
+1602.07576).  Each bank is expanded into that matrix by a single gather and
+applied by a single matmul (squeezed) or 1x1 conv2d (per pixel), directly in
+re-feature-map channel order; nothing is split into submaps.
+
 ``se_forward`` is the deliberate control: an ordinary squeeze-excite whose
 full channel-mixing weights ignore orientation structure and therefore break
 equivariance on generic weights.
@@ -21,18 +27,17 @@ equivariance on generic weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groupequiv import ReFeatureMap, _uniform_init, merge_orientations, split_orientations
+from .groupequiv import ReFeatureMap, _gather, _uniform_init
 from .tensor import (
     Rng,
     ShapeError,
     Tensor,
-    add,
     batchnorm,
-    concat,
     conv2d,
     global_avg_pool,
     matmul,
@@ -40,6 +45,7 @@ from .tensor import (
     relu,
     reshape,
     sigmoid,
+    stack,
     take,
     transpose,
 )
@@ -47,6 +53,7 @@ from .tensor import (
 __all__ = [
     "ReCAParams",
     "SEParams",
+    "cyclic_blocks",
     "conv_block_a",
     "conv_block_b",
     "attention_logits",
@@ -65,6 +72,10 @@ class ReCAParams:
     ``w_a``: [N, (C/N)/r, C/N] reduction banks; ``w_b``: [N, C/N, (C/N)/r]
     expansion banks; ``bn_gamma``/``bn_beta``: [(C/N)/r], one pair shared by
     all N blocks (per-block statistics would break the shift covariance).
+
+    Only the N distinct banks are stored.  At use each bank becomes the
+    [out*N, in*N] block-circulant matrix whose block (i, m) is
+    bank[(m - i) mod N], by one gather.
     """
 
     w_a: Tensor
@@ -128,37 +139,59 @@ class SEParams:
         return (self.w1, self.w2)
 
 
-def _bank(banks: Tensor, m: int) -> Tensor:
-    """Select weight matrix m from a [N, out, in] bank tensor."""
-    return reshape(take(banks, [m], axis=0), banks.shape[1:])
+@functools.lru_cache(maxsize=None)
+def _circulant_index(n: int, rows: int, cols: int) -> np.ndarray:
+    """Flat-bank positions of the [rows*N, cols*N] block-circulant matrix.
 
-
-def _apply_bank(block: Tensor, w: Tensor) -> Tensor:
-    """Matrix-apply ``w``: [out, in] along the channel axis of ``block``.
-
-    2-D blocks [B, in] use matmul; 4-D blocks [B, in, H, W] apply the same
-    matrix at every spatial location (a 1x1 convolution).
+    Entry (r*N + i, k*N + m) is where banks[(m - i) mod N, r, k] sits in the
+    flattened [N, rows, cols] bank.  Derived from shapes only.
     """
-    if block.ndim == 2:
-        return matmul(block, transpose(w, (1, 0)))
-    if block.ndim == 4:
-        return conv2d(block, reshape(w, w.shape + (1, 1)))
-    raise ShapeError(f"blocks must have 2 or 4 axes, got {block.shape}")
+    r, i, k, m = np.ix_(range(rows), range(n), range(cols), range(n))
+    index = (((m - i) % n) * rows + r) * cols + k
+    index = index.reshape(rows * n, cols * n)
+    index.flags.writeable = False
+    return index
 
 
-def _cyclic_blocks(blocks: list[Tensor], banks: Tensor) -> list[Tensor]:
-    """Block i = sum over n of bank[(n - i) mod N] applied to blocks[n]."""
+def _circulant(banks: Tensor) -> Tensor:
+    """[N, out, in] bank -> [out*N, in*N] block-circulant matrix, one gather.
+
+    Laid out in re-feature-map channel order: row r*N + i, column k*N + m
+    holds banks[(m - i) mod N, r, k].
+    """
+    n, rows, cols = banks.shape
+    return _gather(banks, _circulant_index(n, rows, cols))
+
+
+def _apply_circulant(x: Tensor, banks: Tensor) -> Tensor:
+    """Apply the block-circulant matrix of ``banks`` along the channel axis.
+
+    2-D inputs [B, in*N] use one matmul; 4-D inputs [B, in*N, H, W] apply
+    the same matrix at every pixel, as one 1x1 convolution.
+    """
+    c = _circulant(banks)
+    if x.ndim == 2:
+        return matmul(x, transpose(c, (1, 0)))
+    if x.ndim == 4:
+        return conv2d(x, reshape(c, c.shape + (1, 1)))
+    raise ShapeError(f"blocks must have 2 or 4 axes, got {x.shape}")
+
+
+def cyclic_blocks(blocks: list[Tensor], banks: Tensor) -> list[Tensor]:
+    """Block i = sum over n of bank[(n - i) mod N] applied to blocks[n].
+
+    The N blocks are interleaved into re-feature-map channel order, mixed by
+    one block-circulant matrix, and split back into N blocks.
+    """
     n = len(blocks)
     if banks.shape[0] != n:
         raise ShapeError(f"{banks.shape[0]} banks for {n} orientation blocks")
-    mats = [_bank(banks, m) for m in range(n)]
-    out = []
-    for i in range(n):
-        acc = _apply_bank(blocks[0], mats[(0 - i) % n])
-        for m in range(1, n):
-            acc = add(acc, _apply_bank(blocks[m], mats[(m - i) % n]))
-        out.append(acc)
-    return out
+    b, cols, *space = blocks[0].shape
+    joined = reshape(stack(blocks, axis=2), [b, cols * n] + space)
+    mixed = _apply_circulant(joined, banks)
+    rows = banks.shape[1]
+    split = reshape(mixed, [b, rows, n] + space)
+    return [reshape(take(split, [i], axis=2), [b, rows] + space) for i in range(n)]
 
 
 def conv_block_a(f_squ: list[Tensor], p: ReCAParams) -> list[Tensor]:
@@ -167,50 +200,50 @@ def conv_block_a(f_squ: list[Tensor], p: ReCAParams) -> list[Tensor]:
     Also accepts unsqueezed [B, C/N, H, W] blocks, applying the same banks
     pointwise (the local-attention variant).
     """
-    return _cyclic_blocks(f_squ, p.w_a)
+    return cyclic_blocks(f_squ, p.w_a)
 
 
 def conv_block_b(cb_a: list[Tensor], p: ReCAParams) -> list[Tensor]:
     """Expansion stage: N blocks of [B, (C/N)/r] -> [B, C/N]; same indexing."""
-    return _cyclic_blocks(cb_a, p.w_b)
+    return cyclic_blocks(cb_a, p.w_b)
 
 
-def _shared_batchnorm(blocks: list[Tensor], gamma: Tensor, beta: Tensor) -> list[Tensor]:
-    """Batch-norm with statistics pooled over batch x blocks (x spatial).
+def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Batch-norm with statistics pooled over batch x orientations (x spatial).
 
-    All N blocks are normalized with the same mean/var and the same
-    gamma/beta, so an orientation shift (a permutation of the blocks)
-    permutes the outputs without changing any value.
+    ``x`` is [B, R*N] or [B, R*N, H, W] in re-feature-map channel order.
+    All N orientation copies of a reduced channel share one mean/var and one
+    gamma/beta, so an orientation shift (a permutation inside each group of
+    N) permutes the outputs without changing any value.
     """
-    b = blocks[0].shape[0]
-    joined = concat(blocks, axis=0)
-    axes = (0,) if joined.ndim == 2 else (0, 2, 3)
-    normed = batchnorm(joined, gamma, beta, reduce_axes=axes)
-    return [take(normed, range(i * b, (i + 1) * b), axis=0) for i in range(len(blocks))]
+    b, c, *space = x.shape
+    grouped = reshape(x, [b, c // n, n] + space)
+    axes = (0,) + tuple(range(2, grouped.ndim))
+    return reshape(batchnorm(grouped, gamma, beta, reduce_axes=axes), x.shape)
 
 
 def attention_logits(x: ReFeatureMap, p: ReCAParams, squeeze: bool = True) -> ReFeatureMap:
     """Pre-sigmoid attention logits in re-feature-map channel layout.
 
-    Pipeline: (squeeze) -> split orientations -> conv blocks a -> shared
-    batch-norm -> relu -> conv blocks b -> merge orientations.  With
-    ``squeeze`` the result is [B, C, 1, 1]; without it the same banks run at
-    every spatial location and the result is [B, C, H, W].
+    Pipeline: (squeeze) -> block-circulant matrix of ``w_a`` -> shared
+    batch-norm -> relu -> block-circulant matrix of ``w_b``, each matrix
+    applied to the whole channel axis at once.  With ``squeeze`` the result
+    is [B, C, 1, 1]; without it the same matrices run at every spatial
+    location (1x1 convolutions) and the result is [B, C, H, W].
     """
     if x.orientations != p.orientations or x.kernel_channels != p.kernel_channels:
         raise ShapeError(
             f"feature map ({x.kernel_channels} kernel channels, {x.orientations} "
             f"orientations) does not match params ({p.kernel_channels}, {p.orientations})"
         )
-    base = x if not squeeze else ReFeatureMap(
-        global_avg_pool(x.data), x.kernel_channels, x.orientations
-    )
-    blocks = split_orientations(base)
-    blocks = conv_block_a(blocks, p)
-    blocks = _shared_batchnorm(blocks, p.bn_gamma, p.bn_beta)
-    blocks = [relu(t) for t in blocks]
-    blocks = conv_block_b(blocks, p)
-    return merge_orientations(blocks)
+    b, c = x.shape[0], x.channels
+    h = reshape(global_avg_pool(x.data), (b, c)) if squeeze else x.data
+    h = _apply_circulant(h, p.w_a)
+    h = relu(_shared_batchnorm(h, p.orientations, p.bn_gamma, p.bn_beta))
+    h = _apply_circulant(h, p.w_b)
+    if squeeze:
+        h = reshape(h, (b, c, 1, 1))
+    return ReFeatureMap(h, x.kernel_channels, x.orientations)
 
 
 def reca_forward(x: ReFeatureMap, p: ReCAParams) -> ReFeatureMap:

@@ -144,3 +144,25 @@ def test_gradient_of_equivariant_map_commutes_with_group_action():
         want = g_act(ReFeatureMap(Tensor(g0), 2, n), s).data.data
         denom = max(np.linalg.norm(g1), 1e-30)
         assert np.linalg.norm(g1 - want) / denom <= 1e-8
+
+
+def test_gradcheck_kink_window_follows_the_step():
+    # x sits 2.8e-6 above a relu kink: the +-h evaluations straddle it while
+    # both pre-activations stay farther than 1e-6 from zero
+    x = Tensor(np.array([2.8e-6, 0.5]), requires_grad=True)
+    report = gradcheck(lambda: ops.tsum(ops.relu(x)), [x], Rng(0), h=1e-5, kink_window=1e-6)
+    assert report.passed, str(report)
+    assert (report.checked, report.skipped_kinks) == (1, 1)
+
+
+def test_gradcheck_extrapolation_removes_curvature_error():
+    # for f = x^3 a central difference is off by exactly h^2; the
+    # extrapolated (4 D(h/2) - D(h)) / 3 cancels that term
+    h = 1e-3
+    x = Tensor(np.array([0.5, -0.25, 0.75]), requires_grad=True)
+    central = ((x.data + h) ** 3 - (x.data - h) ** 3) / (2 * h)
+    plain_rel = np.abs(central - 3 * x.data ** 2) / np.maximum(np.abs(central), 1.0)
+    assert plain_rel.max() > 1e-7
+    report = gradcheck(lambda: ops.tsum(ops.power(x, 3.0)), [x], Rng(0), h=h, tol=1e-9)
+    assert report.passed, str(report)
+    assert report.checked == 3

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reafuse import groupequiv
 from reafuse import tensor as ops
 from reafuse.groupequiv import (
     GroupConvParams,
@@ -236,3 +237,59 @@ def test_g_act_preserves_value_multiset(seed, s):
     moved = g_act(x, s)
     np.testing.assert_array_equal(np.sort(moved.data.data, axis=None),
                                   np.sort(x.data.data, axis=None))
+
+
+def reference_lift_kernel(w, n):
+    """The rotate-and-stack expansion: N rot90 copies stacked per filter."""
+    k_out, c_in, k, _ = w.shape
+    copies = [ops.rot90(w, i * (4 // n)) for i in range(n)]
+    return ops.reshape(ops.stack(copies, axis=1), (k_out * n, c_in, k, k)).data
+
+
+def reference_group_kernel(w, n):
+    """The per-orientation expansion: take relative orientations, rotate, stack."""
+    k_out, k_in, _, k, _ = w.shape
+    banks = [ops.rot90(ops.take(w, [(m - i) % n for m in range(n)], axis=2), i * (4 // n))
+             for i in range(n)]
+    return ops.reshape(ops.stack(banks, axis=1), (k_out * n, k_in * n, k, k)).data
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 3])
+def test_gathered_kernels_equal_rotate_and_stack_expansion(n, k):
+    rng = Rng(400 + 10 * n + k)
+    lw = Tensor(rng.uniform((3, 2, k, k)))
+    gw = Tensor(rng.uniform((3, 2, n, k, k)))
+    lift = groupequiv._gather(lw, groupequiv._kernel_index(3, 2, 1, n, k)).data
+    group = groupequiv._gather(gw, groupequiv._kernel_index(3, 2, n, n, k)).data
+    assert np.array_equal(lift, reference_lift_kernel(lw, n))
+    assert np.array_equal(group, reference_group_kernel(gw, n))
+
+    # and the layers built on them equal one conv2d with the reference kernel
+    x = rng.uniform((2, 2, 5, 5))
+    b = rng.uniform((3,))
+    bias = np.repeat(b, n)
+    got = lift_conv(Tensor(x), LiftConvParams(lw, Tensor(b)), n).data.data
+    want = ops.conv2d(Tensor(x), Tensor(reference_lift_kernel(lw, n)), Tensor(bias)).data
+    assert np.array_equal(got, want)
+    gx = rng.uniform((2, 2 * n, 6, 6))
+    got = group_conv(ReFeatureMap(Tensor(gx), 2, n), GroupConvParams(gw, Tensor(b))).data.data
+    want = ops.conv2d(Tensor(gx), Tensor(reference_group_kernel(gw, n)), Tensor(bias)).data
+    assert np.array_equal(got, want)
+
+
+def test_gather_index_cache_never_goes_stale():
+    # the cached indices depend on shapes only: in-place weight edits (as
+    # gradcheck makes) show up in the next call
+    rng = Rng(450)
+    p = init_group_conv(rng.derive("w"), 2, 2, 4)
+    x = fm(rng.derive("x"), 2, 4, 4)
+    group_conv(x, p)
+    index = groupequiv._kernel_index(2, 2, 4, 4, 3)
+    assert not index.flags.writeable
+    p.weight.data[1, 0, 2, 0, 1] += 0.5
+    got = group_conv(x, p).data.data
+    want = ops.conv2d(x.data, Tensor(reference_group_kernel(p.weight, 4)),
+                      Tensor(np.repeat(p.bias.data, 4))).data
+    assert np.array_equal(got, want)
+    assert groupequiv._kernel_index(2, 2, 4, 4, 3) is index

@@ -1,23 +1,25 @@
 """Config validation, report/exit-code semantics, and CLI behavior."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reafuse import cli
 from reafuse import tensor as ops
-from reafuse.autograd import backward
+from reafuse.autograd import backward, gradcheck
 from reafuse.harness import (
     ConfigError,
     HarnessConfig,
     Report,
+    _gradcheck_cases,
     load_config,
     run_demo,
     run_oracle,
     run_verify,
 )
-from reafuse.tensor import Tensor
+from reafuse.tensor import Rng, Tensor
 
 TINY = dict(levels=2, kernel_channels=2, orientations=2, reduction=1,
             image_size=8, batch=2, seeds=2, trials=10, seed=5)
@@ -75,6 +77,44 @@ def test_load_config_rejects_non_integral_integers(tmp_path, key, value):
 def test_load_config_accepts_integral_floats(tmp_path):
     cfg = load_config(write_config(tmp_path, seed=7.0, levels=2.0))
     assert cfg.seed == 7 and isinstance(cfg.seed, int) and cfg.levels == 2
+
+
+def test_load_config_caps_seeds(tmp_path, capsys):
+    assert load_config(write_config(tmp_path, seeds=1000)).seeds == 1000
+    p = write_config(tmp_path, seeds=1001)
+    with pytest.raises(ConfigError, match="seeds 1001 above the cap"):
+        load_config(p)
+    assert cli.entrypoint(["verify", "--config", str(p)]) == 2
+    assert "seeds" in capsys.readouterr().err
+
+
+def test_load_config_caps_trials(tmp_path, capsys):
+    assert load_config(write_config(tmp_path, trials=10000)).trials == 10000
+    p = write_config(tmp_path, trials=10001)
+    with pytest.raises(ConfigError, match="trials 10001 above the cap"):
+        load_config(p)
+    assert cli.entrypoint(["oracle", "--config", str(p)]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
+    # the largest benchmark config (image_size 128, batch 4) sits at the cap
+    cfg = load_config(write_config(tmp_path, image_size=128, batch=4))
+    assert cfg.image_size * cfg.batch == 512
+    for size, batch in ((128, 5), (256, 4), (1024, 2)):
+        p = write_config(tmp_path, image_size=size, batch=batch)
+        with pytest.raises(ConfigError, match=r"image_size x batch .* above the cap"):
+            load_config(p)
+        assert cli.entrypoint(["demo", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "image_size x batch" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_shipped_configs_within_caps():
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        load_config(path)
 
 
 def test_cli_nan_threshold_exits_2(tmp_path, capsys):
@@ -215,3 +255,26 @@ def test_cli_maps_non_finite_to_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_verify", explode)
     assert cli.entrypoint(["verify", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("seed,case,index", [
+    # a pre-activation 2.8e-6 from a relu kink, outside a fixed 1e-6 window
+    (7539301380088159303, "pyramid 2-level ReAFFPN", 1),
+    # O(h^2) truncation error of 2.6e-6 .. 4.6e-6 in the plain central difference
+    (12247516548737317978, "plain_iaff_forward", 8),
+    (10985569071395579521, "plain_iaff_forward", 0),
+    (9473270733391984511, "plain_iaff_forward", 0),
+])
+def test_gradcheck_regression_seeds(seed, case, index):
+    # the tensor of each case that failed at the default step and tolerance,
+    # checked on every coordinate with the cases the CLI builds for the seed
+    cfg = HarnessConfig(seed=seed).validate()
+    cases = {name: (loss, wrt) for name, loss, wrt in
+             _gradcheck_cases(cfg, Rng(seed).derive("gradcheck").derive("cases"))}
+    loss, wrt = cases[case]
+    tensor = wrt[index]
+    report = gradcheck(loss, [tensor], Rng(0), h=cfg.gradcheck_step,
+                       tol=cfg.gradcheck_tolerance, max_coords=tensor.size)
+    assert report.passed, report.failures
+    assert report.checked + report.skipped_kinks == tensor.size
+    assert report.skipped_kinks == (1 if case.startswith("pyramid") else 0)

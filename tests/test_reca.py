@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reafuse import reca
 from reafuse import tensor as ops
 from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
 from reafuse.naive import naive_se_with_bn
@@ -12,6 +13,7 @@ from reafuse.reca import (
     attention_logits,
     conv_block_a,
     conv_block_b,
+    cyclic_blocks,
     default_reduction,
     init_reca,
     init_se,
@@ -202,3 +204,99 @@ def test_init_validation_and_default_reduction():
     x = ReFeatureMap(Tensor.zeros((2, 12, 4, 4)), 3, 4)
     with pytest.raises(ShapeError):
         reca_forward(x, p)  # param/feature mismatch
+
+
+def interleave(block_major, n, rows, cols):
+    """Reorder a block-major [N*rows, N*cols] matrix (block (i, m) at rows
+    i*rows.., columns m*cols..) into re-feature-map order (r*N + i, k*N + m)."""
+    return block_major.reshape(n, rows, n, cols).transpose(1, 0, 3, 2).reshape(rows * n, cols * n)
+
+
+def shift_permutation(channels, n, s):
+    """P_s: the orientation shift of g_act, (P_s x)[k*N + m] = x[k*N + (m - s) mod N]."""
+    p = np.zeros((channels * n, channels * n))
+    for k in range(channels):
+        for m in range(n):
+            p[k * n + m, k * n + (m - s) % n] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_circulant_equals_assembled_block_matrix(n):
+    rows, cols = 3, 2
+    banks = Rng(130 + n).uniform((n, rows, cols))
+    block_major = np.block([[banks[(m - i) % n] for m in range(n)] for i in range(n)])
+    got = reca._circulant(Tensor(banks)).data
+    assert got.shape == (rows * n, cols * n)
+    assert np.array_equal(got, interleave(block_major, n, rows, cols))
+    for r in range(rows):
+        for i in range(n):
+            for k in range(cols):
+                for m in range(n):
+                    assert got[r * n + i, k * n + m] == banks[(m - i) % n, r, k]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_circulant_commutes_with_orientation_shift(n):
+    rows, cols = 2, 3
+    c = reca._circulant(Tensor(Rng(140 + n).uniform((n, rows, cols)))).data
+    for s in range(n):
+        p_out, p_in = shift_permutation(rows, n, s), shift_permutation(cols, n, s)
+        assert np.array_equal(p_out @ c, c @ p_in)
+
+
+def split_blocks_reference_logits(x, p, squeeze):
+    """The split -> N^2 block products -> pooled batch-norm -> merge path."""
+    n, k = p.orientations, p.kernel_channels
+    w_a, w_b = p.w_a.data, p.w_b.data
+    data = x.data.data.mean(axis=(2, 3)) if squeeze else x.data.data
+    blocks = [data[:, [j * n + m for j in range(k)]] for m in range(n)]
+
+    def stage(blocks, banks):
+        return [sum(np.einsum("oc,bc...->bo...", banks[(m - i) % n], blocks[m])
+                    for m in range(n)) for i in range(n)]
+
+    hidden = stage(blocks, w_a)
+    joined = np.concatenate(hidden, axis=0)
+    axes = (0,) if joined.ndim == 2 else (0, 2, 3)
+    mean = joined.mean(axis=axes, keepdims=True)
+    var = ((joined - mean) ** 2).mean(axis=axes, keepdims=True)
+    shape = [1, -1] + [1] * (joined.ndim - 2)
+    normed = ((joined - mean) / np.sqrt(var + 1e-5) * p.bn_gamma.data.reshape(shape)
+              + p.bn_beta.data.reshape(shape))
+    b = data.shape[0]
+    hidden = [np.maximum(normed[i * b:(i + 1) * b], 0.0) for i in range(n)]
+    out = np.stack(stage(hidden, w_b), axis=2)          # [B, K, N, ...]
+    out = out.reshape((b, k * n) + out.shape[3:])
+    return out.reshape(b, k * n, 1, 1) if squeeze else out
+
+
+@pytest.mark.parametrize("squeeze", [True, False])
+def test_attention_logits_match_split_blocks_reference(squeeze):
+    worst = 0.0
+    for seed, (n, k, r) in enumerate([(1, 4, 2), (2, 4, 2), (4, 4, 2), (4, 2, 1)]):
+        rng = Rng(150 + seed)
+        p = init_reca(rng.derive("p"), k * n, n, r)
+        p = ReCAParams(w_a=p.w_a, w_b=p.w_b, r=r,
+                       bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
+                       bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
+        x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), k, n)
+        got = attention_logits(x, p, squeeze=squeeze).data.data
+        want = split_blocks_reference_logits(x, p, squeeze)
+        assert got.shape == want.shape
+        worst = max(worst, np.abs(got - want).max())
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("spatial", [(), (3, 3)])
+def test_cyclic_blocks_matches_loop_reference(spatial):
+    for n in (1, 2, 4):
+        rng = Rng(160 + n)
+        banks = rng.uniform((n, 3, 2))
+        blocks = [rng.uniform((2, 2) + spatial) for _ in range(n)]
+        got = cyclic_blocks([Tensor(b) for b in blocks], Tensor(banks))
+        for i, out in enumerate(got):
+            want = sum(np.einsum("oc,bc...->bo...", banks[(m - i) % n], blocks[m])
+                       for m in range(n))
+            assert out.shape == want.shape
+            assert np.abs(out.data - want).max() <= 1e-13

@@ -162,6 +162,17 @@ def test_blockmean2x_is_exact_block_average():
         ops.blockmean2x(Tensor.zeros((1, 1, 5, 5)))
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 4, 2, 8), (3, 5, 6, 10),
+                                   (2, 32, 32, 32), (4, 32, 128, 128)])
+def test_blockmean2x_bit_identical_to_reshape_mean(shape):
+    # the corner-sum forward must reproduce the reshape-mean formula exactly,
+    # or the demo artifacts would change; the last shape is the demo-large stem
+    b, c, h, w = shape
+    x = Rng(sum(shape)).uniform(shape, -3.0, 3.0)
+    want = x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    assert np.array_equal(ops.blockmean2x(Tensor(x)).data, want)
+
+
 def test_elementwise_definitions():
     assert ops.sigmoid(Tensor.zeros(())).item() == 0.5
     assert ops.relu(Tensor(np.array(-3.0))).item() == 0.0
