@@ -57,14 +57,16 @@ from .pyramid import (
     EQUIVARIANT_VARIANTS,
     VARIANTS,
     PyramidConfig,
+    build_pyramid,
     init_pyramid,
     named_parameters,
     run_pyramid,
+    toy_backbone,
 )
 from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
 from .reca import cyclic_blocks, init_reca, init_se, reca_forward, se_forward
 from .serialization import save_feature_maps
-from .tensor import Rng, Tensor
+from .tensor import Rng, ShapeError, Tensor
 
 __all__ = [
     "ConfigError",
@@ -121,33 +123,29 @@ class HarnessConfig:
     gradcheck_step: float = 1e-5
 
     def validate(self) -> "HarnessConfig":
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed {self.seed} does not fit in u64")
-        if self.levels < 2:
-            raise ConfigError(f"levels must be at least 2, got {self.levels}")
-        if self.orientations not in (1, 2, 4):
-            raise ConfigError(f"orientations must be 1, 2 or 4, got {self.orientations}")
-        if self.kernel_channels < 1:
-            raise ConfigError(f"kernel_channels must be positive, got {self.kernel_channels}")
+        try:
+            self.pyramid_config(self.variant, self.seed)
+        except ShapeError as exc:
+            raise ConfigError(str(exc)) from None
         if self.reduction is not None:
             if self.reduction < 1 or self.kernel_channels % self.reduction:
                 raise ConfigError(
                     f"reduction {self.reduction} must divide kernel_channels "
                     f"{self.kernel_channels}"
                 )
-        factor = 2 ** (self.levels - 1)
-        if self.image_size < factor or self.image_size % factor:
+        # bit_length() < levels means image_size < 2^(levels-1); checked first,
+        # so that a huge levels never has its power computed
+        if (self.image_size < 1 or self.image_size.bit_length() < self.levels
+                or self.image_size % 2 ** (self.levels - 1)):
             raise ConfigError(
                 f"spatial size not divisible: image_size {self.image_size} must be a "
-                f"positive multiple of 2^(levels-1) = {factor}"
+                f"positive multiple of 2^(levels-1) = 2^{self.levels - 1}"
             )
         if self.batch < 2:
             raise ConfigError(
                 f"batch must be at least 2 (batch statistics over a single sample "
                 f"are degenerate), got {self.batch}"
             )
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.seeds < 1 or self.trials < 1:
             raise ConfigError("seeds and trials must be positive")
         if self.seeds > MAX_SEEDS:
@@ -192,11 +190,11 @@ def load_config(path) -> HarnessConfig:
     """Parse and validate a JSON config; unknown keys are errors."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -292,92 +290,149 @@ def _finite(*feature_maps) -> bool:
 # -- verify -----------------------------------------------------------------------
 
 
-def _residuals_by_level(config: HarnessConfig, variant: str, rng: Rng):
-    """Max equivariance residual per pyramid level over all group elements.
+@dataclass
+class _Tally:
+    """One variant's residuals, accumulated over the seeds."""
 
-    Returns (residuals, finite_flag): fresh parameters and a fresh image are
-    drawn from ``rng``; element s=0 is the identity and contributes zero.
-    """
+    per_level: list[float]
+    per_seed_worst: list[float] = field(default_factory=list)
+    reseeds_used: int = 0
+    undemonstrated: int = 0
+    finite: bool = True
+
+
+def _draw(config: HarnessConfig, rng: Rng) -> tuple[Tensor, int]:
+    """The input image and the parameter seed of one verify draw."""
     image = Tensor(rng.derive("image").uniform(
         (config.batch, 3, config.image_size, config.image_size)))
-    pcfg = config.pyramid_config(variant, rng.derive("params").seed)
-    params = init_pyramid(pcfg)
-    base = run_pyramid(image, params)
+    return image, rng.derive("params").seed
+
+
+def _rotate(config: HarnessConfig, image: Tensor, s: int) -> Tensor:
+    # element s rotates by s * 90 * (4/N) degrees
+    return ops.rot90(image, s * (4 // config.orientations))
+
+
+def _residuals(config: HarnessConfig, levels_of) -> list[float] | None:
+    """Max equivariance residual per pyramid level over all group elements.
+
+    ``levels_of(s)`` computes the pyramid levels from the input rotated by
+    element s; element s is compared with ``g_act`` of element 0's levels.
+    Returns None on non-finite levels.
+    """
+    base = levels_of(0)
     if not _finite(*base):
-        return None, False
+        return None
     residuals = [0.0] * config.levels
-    quarter_turns = 4 // config.orientations  # element s rotates by s * 90 * (4/N) degrees
     for s in range(1, config.orientations):
-        levels = run_pyramid(ops.rot90(image, s * quarter_turns), params)
+        levels = levels_of(s)
         if not _finite(*levels):
-            return None, False
-        for l, got in enumerate(levels):
-            residuals[l] = max(residuals[l], relative_residual(got, g_act(base[l], s)))
-    return residuals, True
+            return None
+        residuals = [max(r, relative_residual(got, g_act(want, s)))
+                     for r, got, want in zip(residuals, levels, base)]
+        del levels  # freed before the next element's levels are built
+    return residuals
 
 
-def _verify_variant(config: HarnessConfig, variant: str) -> dict:
-    """Collect residuals for one variant across the configured seeds."""
+def _residuals_by_level(config: HarnessConfig, variant: str, rng: Rng) -> list[float] | None:
+    """Residuals of one variant alone on a fresh draw from ``rng``: full
+    forward passes, backbone included (used for reseeds)."""
+    image, param_seed = _draw(config, rng)
+    params = init_pyramid(config.pyramid_config(variant, param_seed))
+    return _residuals(config, lambda s: run_pyramid(_rotate(config, image, s), params))
+
+
+def _verify_seed(config: HarnessConfig, rng: Rng, tallies: dict, timings: dict) -> None:
+    """One seed for every still-finite variant: one shared draw, one backbone
+    forward per group element, then each variant's head on those features.
+
+    ``init_pyramid`` derives every layer from the parameter seed and the
+    layer name, so all variants get the same stem and stage weights and the
+    backbone features are the same for all of them; only the attention
+    weights differ.  Everything built here is released on return, before the
+    next seed's backbone runs.
+    """
+    live = [v for v in VARIANTS if tallies[v].finite]
     t0 = time.perf_counter()
-    master = Rng(config.seed)
-    must_break = variant not in EQUIVARIANT_VARIANTS
-    per_level = [0.0] * config.levels
-    per_seed_worst = []
-    reseeds_used = 0
-    undemonstrated = 0
-    for idx in range(config.seeds):
-        rng = master.derive(f"verify/{variant}/{idx}")
-        residuals, finite = _residuals_by_level(config, variant, rng)
-        if not finite:
-            return {"finite": False, "seconds": time.perf_counter() - t0}
-        if must_break and config.orientations > 1:
+    image, param_seed = _draw(config, rng)
+    params = {v: init_pyramid(config.pyramid_config(v, param_seed)) for v in live}
+    feats = [toy_backbone(_rotate(config, image, s), params[live[0]])
+             for s in range(config.orientations)]
+    timings["backbone"] += time.perf_counter() - t0
+    if not all(_finite(*f) for f in feats):
+        for v in live:
+            tallies[v].finite = False
+        return
+    for variant in live:
+        t0 = time.perf_counter()
+        tally = tallies[variant]
+        residuals = _residuals(config, lambda s: build_pyramid(feats[s], params[variant]))
+        if variant not in EQUIVARIANT_VARIANTS and config.orientations > 1:
             # Breakage size depends on the weight draw; replace a seed that
             # happens to land nearly-equivariant, up to the reseed budget.
             attempt = 0
-            while max(residuals) < config.fail_threshold and attempt < config.reseeds:
+            while (residuals is not None and max(residuals) < config.fail_threshold
+                   and attempt < config.reseeds):
                 attempt += 1
-                residuals, finite = _residuals_by_level(
-                    config, variant, rng.derive(f"reseed{attempt}"))
-                if not finite:
-                    return {"finite": False, "seconds": time.perf_counter() - t0}
-            reseeds_used += attempt
-            if max(residuals) < config.fail_threshold:
-                undemonstrated += 1
-        per_seed_worst.append(max(residuals))
-        for l in range(config.levels):
-            per_level[l] = max(per_level[l], residuals[l])
+                residuals = _residuals_by_level(
+                    config, variant, rng.derive(f"reseed/{variant}/{attempt}"))
+            tally.reseeds_used += attempt
+            if residuals is not None and max(residuals) < config.fail_threshold:
+                tally.undemonstrated += 1
+        if residuals is None:
+            tally.finite = False
+        else:
+            tally.per_seed_worst.append(max(residuals))
+            tally.per_level = [max(a, b) for a, b in zip(tally.per_level, residuals)]
+        timings[variant] += time.perf_counter() - t0
+
+
+def _summary(config: HarnessConfig, variant: str, tally: _Tally) -> dict:
+    must_break = variant not in EQUIVARIANT_VARIANTS
     summary = {
         "finite": True,
-        "per_level": per_level,
-        "worst": max(per_level),
+        "per_level": tally.per_level,
+        "worst": max(tally.per_level),
         "seeds": config.seeds,
         "must_break": must_break,
-        "seconds": time.perf_counter() - t0,
     }
     if must_break:
         if config.orientations == 1:
             summary["vacuous"] = True  # the trivial group cannot be broken
         else:
-            summary["weakest"] = min(per_seed_worst)
-            summary["reseeds_used"] = reseeds_used
-            summary["undemonstrated_seeds"] = undemonstrated
+            summary["weakest"] = min(tally.per_seed_worst)
+            summary["reseeds_used"] = tally.reseeds_used
+            summary["undemonstrated_seeds"] = tally.undemonstrated
     return summary
 
 
 def run_verify(config: HarnessConfig) -> Report:
-    """The five-variant equivariance matrix."""
+    """The five-variant equivariance matrix.
+
+    Seeds are the outer loop and variants the inner one: per seed, all
+    variants share the input image and the backbone, as in a fixed-backbone
+    ablation, and every variant is still run end to end on each rotated
+    input.  ``timings[variant]`` is that variant's head time plus its
+    reseeds; ``timings["backbone"]`` is the shared draws, parameter set-up
+    and backbone forwards.
+    """
     report = _new_report("verify", config)
     start = time.perf_counter()
-    for variant in VARIANTS:
-        with ops.no_grad():
-            summary = _verify_variant(config, variant)
-        report.timings[variant] = summary.pop("seconds", 0.0)
-        if not summary.get("finite", False):
+    tallies = {v: _Tally([0.0] * config.levels) for v in VARIANTS}
+    report.timings = {"backbone": 0.0, **dict.fromkeys(VARIANTS, 0.0)}
+    master = Rng(config.seed)
+    with ops.no_grad():
+        for idx in range(config.seeds):
+            if not any(t.finite for t in tallies.values()):
+                break
+            _verify_seed(config, master.derive(f"verify/{idx}"), tallies, report.timings)
+    for variant, tally in tallies.items():
+        if not tally.finite:
             report.non_finite = True
             report.results[variant] = {"finite": False}
             report.verdicts[f"{variant} finite"] = False
             continue
-        report.results[variant] = summary
+        summary = report.results[variant] = _summary(config, variant, tally)
         if not summary["must_break"]:
             report.verdicts[f"{variant} equivariant (<= {config.pass_threshold:g})"] = (
                 summary["worst"] <= config.pass_threshold
@@ -390,7 +445,7 @@ def run_verify(config: HarnessConfig) -> Report:
             report.verdicts[f"{variant} breaks equivariance (>= {config.fail_threshold:g})"] = True
             if summary["undemonstrated_seeds"]:
                 report.inconclusive = True
-                report.results[variant]["inconclusive"] = True
+                summary["inconclusive"] = True
     report.timings["total"] = time.perf_counter() - start
     return report
 

@@ -86,16 +86,18 @@ class PyramidConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ShapeError(f"a pyramid needs at least 2 levels, got {self.levels}")
-        if self.orientations not in (1, 2, 4):
-            raise ShapeError(f"orientation count {self.orientations} not in (1, 2, 4)")
-        if self.kernel_channels < 1:
-            raise ShapeError(f"kernel channel count must be positive, got {self.kernel_channels}")
-        if self.variant not in VARIANTS:
-            raise ShapeError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        # the one place these fields are checked; HarnessConfig.validate
+        # reports the same messages as config errors
         if not 0 <= self.seed < 2**64:
             raise ShapeError(f"seed {self.seed} does not fit in u64")
+        if self.levels < 2:
+            raise ShapeError(f"levels must be at least 2, got {self.levels}")
+        if self.orientations not in (1, 2, 4):
+            raise ShapeError(f"orientations must be 1, 2 or 4, got {self.orientations}")
+        if self.kernel_channels < 1:
+            raise ShapeError(f"kernel_channels must be positive, got {self.kernel_channels}")
+        if self.variant not in VARIANTS:
+            raise ShapeError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
 
     @property
     def channels(self) -> int:
@@ -209,25 +211,32 @@ def build_pyramid(feats: list[ReFeatureMap], params: PyramidParams) -> list[ReFe
     cfg = params.config
     if len(feats) != cfg.levels:
         raise ShapeError(f"got {len(feats)} feature maps for {cfg.levels} levels")
-    laterals = [group_conv(f, params.lateral[l]) for l, f in enumerate(feats)]
+    # each lateral is computed when its level is fused and dropped with the
+    # merge's intermediates before the smoothing conv runs, so a forward-only
+    # pass holds one level's intermediates at a time
     pyramid: list[ReFeatureMap | None] = [None] * cfg.levels
-    pyramid[-1] = laterals[-1]
+    pyramid[-1] = group_conv(feats[-1], params.lateral[-1])
     for l in range(cfg.levels - 2, -1, -1):
-        upper, att = pyramid[l + 1], params.attention[l]
-        if cfg.variant == "PlusSE":
-            upper = _like(upper, se_forward(upper.data, att))
-        elif cfg.variant == "PlusReCA":
-            upper = reca_forward(upper, att)
-        up = _like(upper, upsample_nearest2x(upper.data))
-        low = laterals[l]
-        if cfg.variant == "PlusIAFF":
-            fused = _like(low, plain_iaff_forward(low.data, up.data, att))
-        elif cfg.variant == "ReAFFPN":
-            fused = reaff_forward(low, up, att)
-        else:
-            fused = _like(low, add(low.data, up.data))
+        lateral = group_conv(feats[l], params.lateral[l])
+        fused = _merge(lateral, pyramid[l + 1], params.attention[l], cfg.variant)
+        del lateral
         pyramid[l] = group_conv(fused, params.smooth[l])
+        del fused
     return pyramid
+
+
+def _merge(low: ReFeatureMap, upper: ReFeatureMap, att, variant: str) -> ReFeatureMap:
+    """Fuse a lateral with the (attended, upsampled) level above it."""
+    if variant == "PlusSE":
+        upper = _like(upper, se_forward(upper.data, att))
+    elif variant == "PlusReCA":
+        upper = reca_forward(upper, att)
+    up = _like(upper, upsample_nearest2x(upper.data))
+    if variant == "PlusIAFF":
+        return _like(low, plain_iaff_forward(low.data, up.data, att))
+    if variant == "ReAFFPN":
+        return reaff_forward(low, up, att)
+    return _like(low, add(low.data, up.data))
 
 
 def run_pyramid(image: Tensor, params: PyramidParams) -> list[ReFeatureMap]:

@@ -137,7 +137,9 @@ def reaff_forward(x: ReFeatureMap, y: ReFeatureMap, p: ReAFFParams) -> ReFeature
     k, n = x.kernel_channels, x.orientations
     m1 = rem_fuse(ReFeatureMap(add(x.data, y.data), k, n), p.stage1)
     u = add(mul(m1, x.data), mul(sub(1.0, m1), y.data))
+    del m1  # a forward-only pass frees each full-size map once it is used
     m2 = rem_fuse(ReFeatureMap(u, k, n), p.stage2)
+    del u
     z = add(mul(m2, x.data), mul(sub(1.0, m2), y.data))
     return ReFeatureMap(z, k, n)
 
@@ -208,7 +210,9 @@ def plain_iaff_forward(x: Tensor, y: Tensor, p: PlainIAFFParams) -> Tensor:
         raise ShapeError(f"cannot fuse tensors of shape {x.shape} and {y.shape}")
     m1 = _mscam(add(x, y), p.stage1)
     u = add(mul(m1, x), mul(sub(1.0, m1), y))
+    del m1  # a forward-only pass frees each full-size map once it is used
     m2 = _mscam(u, p.stage2)
+    del u
     return add(mul(m2, x), mul(sub(1.0, m2), y))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -74,11 +75,13 @@ def read_raft(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated extents for rank {rank}")
     shape = struct.unpack_from(f"<{rank}Q", raw, offset)
     offset += 8 * rank
-    count = int(np.prod(shape, dtype=np.uint64)) if rank else 1
-    expected = offset + 8 * count
-    if len(raw) != expected:
+    count = math.prod(shape)  # exact: a product of u64 extents may exceed 2^64
+    if len(raw) != offset + 8 * count:
         raise FormatError(f"{path}: payload is {len(raw) - offset} bytes, expected {8 * count}")
-    return np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64).reshape(shape)
+    try:
+        return np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64).reshape(shape)
+    except ValueError as exc:  # an empty payload with extents numpy cannot index
+        raise FormatError(f"{path}: extents {shape} not representable: {exc}") from exc
 
 
 def write_json(path, payload: dict) -> None:

@@ -553,12 +553,6 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> Tensor:
     if b_t is not None and b_t.shape != (cout,):
         raise ShapeError(f"conv2d: bias axis shape {b_t.shape} != ({cout},)")
 
-    if pad:
-        xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
-        xp[:, :, pad : pad + h, pad : pad + wd] = x.data
-    else:
-        xp = x.data
-
     def tap(src: np.ndarray, ki: int, kj: int) -> np.ndarray:
         return src[
             ..., ki : ki + (out_h - 1) * stride + 1 : stride,
@@ -566,24 +560,36 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> Tensor:
         ]
 
     wf = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    if kh == kw == 1 and stride == 1:
+    if kh == kw == 1 and stride == 1 and pad == 0:
         # a 1x1 receptive field is the input itself: no im2col copy
-        out = np.matmul(wf, xp.reshape(batch, cin, out_h * out_w))
+        out = np.matmul(wf, x.data.reshape(batch, cin, out_h * out_w))
     else:
-        # im2col one sample at a time, in documented (kernel-row, kernel-col,
-        # in-channel) order, into one reused column buffer
+        # pad and im2col one sample at a time, in documented (kernel-row,
+        # kernel-col, in-channel) order, through reused buffers; the padded
+        # buffer's border is written once and stays zero
         out = np.empty((batch, cout, out_h * out_w))
         cols = np.empty((kh * kw, cin, out_h, out_w))
+        padded = np.zeros((cin, h + 2 * pad, wd + 2 * pad)) if pad else None
         for s in range(batch):
+            if padded is None:
+                src = x.data[s]
+            else:
+                padded[:, pad : pad + h, pad : pad + wd] = x.data[s]
+                src = padded
             for ki in range(kh):
                 for kj in range(kw):
-                    cols[ki * kw + kj] = tap(xp[s], ki, kj)
+                    cols[ki * kw + kj] = tap(src, ki, kj)
             np.matmul(wf, cols.reshape(kh * kw * cin, out_h * out_w), out=out[s])
     out = out.reshape(batch, cout, out_h, out_w)
     if b_t is not None:
         out += b_t.data[:, None, None]
 
     def backward(g: np.ndarray):
+        if pad:
+            xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
+            xp[:, :, pad : pad + h, pad : pad + wd] = x.data
+        else:
+            xp = x.data
         grad_w = np.empty_like(w.data)
         grad_xp = np.zeros_like(xp)
         for ki in range(kh):

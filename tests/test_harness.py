@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from reafuse import cli
+from reafuse import cli, harness, pyramid
 from reafuse import tensor as ops
 from reafuse.autograd import backward, gradcheck
+from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
 from reafuse.harness import (
     ConfigError,
     HarnessConfig,
@@ -19,6 +22,7 @@ from reafuse.harness import (
     run_oracle,
     run_verify,
 )
+from reafuse.pyramid import VARIANTS, init_pyramid, run_pyramid
 from reafuse.tensor import Rng, Tensor
 
 TINY = dict(levels=2, kernel_channels=2, orientations=2, reduction=1,
@@ -110,6 +114,49 @@ def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_JSON_SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+                 | st.integers(-(10**30), 10**400))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+_CONFIG_KEYS = st.sampled_from(sorted(HarnessConfig.__dataclass_fields__)) | st.text(max_size=4)
+# mostly plausible values, so that validation gets past the type checks
+_CONFIG_VALUES = (st.integers(-2, 70) | st.sampled_from([1e-12, 1e-5, 1e-2, 0.5, 2.0])
+                  | st.sampled_from(["ReAFFPN", "PlusSE", "Nope"]) | _JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=8)
+       | st.builds(lambda over: {**TINY, **over},
+                   st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=2)))
+def test_load_config_loads_or_raises_config_error(tmp_path, payload):
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(payload))
+    try:
+        cfg = load_config(p)
+    except ConfigError:
+        return
+    assert cfg == cfg.validate()
+
+
+def test_load_config_rejects_huge_levels_without_computing_the_power(tmp_path):
+    with pytest.raises(ConfigError, match="spatial size not divisible"):
+        load_config(write_config(tmp_path, levels=10**400))
+
+
+def test_load_config_rejects_undecodable_files(tmp_path):
+    too_long = tmp_path / "long.json"
+    too_long.write_text('{"seed": ' + "9" * 5000 + "}")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"variant": "\xe9"}')  # not UTF-8
+    for p in (too_long, latin1):
+        with pytest.raises(ConfigError):
+            load_config(p)
+
+
 def test_shipped_configs_within_caps():
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
     assert configs
@@ -183,6 +230,101 @@ def test_run_verify_trivial_group_is_vacuous():
     assert report.exit_code == 0
     assert report.results["PlusSE"].get("vacuous") is True
     assert report.results["Baseline"]["worst"] == 0.0
+
+
+def _reference_residuals(cfg, variant, rng):
+    image = Tensor(rng.derive("image").uniform((cfg.batch, 3, cfg.image_size, cfg.image_size)))
+    params = init_pyramid(cfg.pyramid_config(variant, rng.derive("params").seed))
+    base = run_pyramid(image, params)
+    residuals = [0.0] * cfg.levels
+    for s in range(1, cfg.orientations):
+        got = run_pyramid(ops.rot90(image, s * 4 // cfg.orientations), params)
+        for l in range(cfg.levels):
+            residuals[l] = max(residuals[l], relative_residual(got[l], g_act(base[l], s)))
+    return residuals
+
+
+def _reference_per_level(cfg, variant):
+    """verify's per-level residuals for one variant from full forward passes
+    per seed and group element, with verify's seed derivation and reseeds."""
+    master = Rng(cfg.seed)
+    per_level = [0.0] * cfg.levels
+    with ops.no_grad():
+        for idx in range(cfg.seeds):
+            rng = master.derive(f"verify/{idx}")
+            residuals = _reference_residuals(cfg, variant, rng)
+            attempt = 0
+            while (variant in ("PlusSE", "PlusIAFF") and max(residuals) < cfg.fail_threshold
+                   and attempt < cfg.reseeds):
+                attempt += 1
+                residuals = _reference_residuals(
+                    cfg, variant, rng.derive(f"reseed/{variant}/{attempt}"))
+            per_level = [max(a, b) for a, b in zip(per_level, residuals)]
+    return per_level
+
+
+@pytest.mark.parametrize("cfg", [
+    HarnessConfig(**TINY).validate(),
+    load_config(Path(__file__).resolve().parents[1] / "configs" / "small.json"),
+], ids=["tiny", "small.json"])
+def test_run_verify_shared_backbone_equals_full_forward_passes(cfg):
+    report = run_verify(cfg)
+    assert report.exit_code == 0, report.summary_lines()
+    assert set(report.results) == set(VARIANTS)
+    assert set(report.timings) == {*VARIANTS, "backbone", "total"}
+    for variant in VARIANTS:
+        assert report.results[variant]["per_level"] == _reference_per_level(cfg, variant)
+
+
+def _count_backbone_calls(monkeypatch):
+    calls = []
+    real = pyramid.toy_backbone
+
+    def counted(x, params):
+        calls.append((params.config.variant, params.config.seed))
+        return real(x, params)
+
+    monkeypatch.setattr(harness, "toy_backbone", counted)
+    monkeypatch.setattr(pyramid, "toy_backbone", counted)  # reseeds call run_pyramid
+    return calls
+
+
+def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch):
+    calls = _count_backbone_calls(monkeypatch)
+    cfg = HarnessConfig(**TINY).validate()
+    report = run_verify(cfg)
+    reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
+    # one backbone forward per seed and group element, not one per variant
+    # too; a reseed runs one variant's full forward passes
+    assert len(calls) == (cfg.seeds + reseeds) * cfg.orientations
+
+
+def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch):
+    calls = _count_backbone_calls(monkeypatch)
+    # no draw breaks by 10: every must-break seed spends its whole reseed budget
+    cfg = HarnessConfig(**{**TINY, "fail_threshold": 10.0}).validate()
+    report = run_verify(cfg)
+    assert report.exit_code == 4 and report.inconclusive
+    reseeds = {v: report.results[v]["reseeds_used"] for v in ("PlusSE", "PlusIAFF")}
+    assert reseeds == {"PlusSE": cfg.seeds * cfg.reseeds, "PlusIAFF": cfg.seeds * cfg.reseeds}
+    assert len(calls) == (cfg.seeds + sum(reseeds.values())) * cfg.orientations
+    reseed_draws = {v: {seed for variant, seed in calls if variant == v} for v in reseeds}
+    assert len(reseed_draws["PlusSE"]) == cfg.seeds * cfg.reseeds
+    assert not reseed_draws["PlusSE"] & reseed_draws["PlusIAFF"]
+
+
+def test_run_verify_non_finite_backbone_fails_every_variant(monkeypatch):
+    real = pyramid.toy_backbone
+
+    def poisoned(x, params):
+        return [ReFeatureMap(Tensor(np.full(f.shape, np.nan)), f.kernel_channels, f.orientations)
+                for f in real(x, params)]
+
+    monkeypatch.setattr(harness, "toy_backbone", poisoned)
+    report = run_verify(HarnessConfig(**TINY).validate())
+    assert report.exit_code == 3 and report.non_finite
+    assert report.results == {v: {"finite": False} for v in VARIANTS}
+    assert report.verdicts == {f"{v} finite": False for v in VARIANTS}
 
 
 def test_run_oracle_tiny_config():

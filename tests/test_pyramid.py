@@ -105,6 +105,20 @@ def test_trivial_group_makes_every_variant_equivariant():
         assert all(np.isfinite(lv.data.data).all() for lv in levels)
 
 
+def test_variants_with_one_seed_share_every_non_attention_weight():
+    # verify runs one backbone for all variants of a seed; that is sound only
+    # because init_pyramid draws stem, stage, lateral and smooth weights from
+    # the seed and the layer name alone
+    a = init_pyramid(small_config("PlusSE", levels=3, seed=11))
+    b = init_pyramid(small_config("ReAFFPN", levels=3, seed=11))
+    for name in ("stem", "stages", "lateral", "smooth"):
+        shared_a = named_parameters(getattr(a, name), name)
+        shared_b = named_parameters(getattr(b, name), name)
+        assert [n for n, _ in shared_a] == [n for n, _ in shared_b]
+        for (n, ta), (_, tb) in zip(shared_a, shared_b):
+            assert np.array_equal(ta.data, tb.data), n
+
+
 def test_determinism_same_seed_bit_identical():
     cfg = small_config("ReAFFPN", seed=42)
     x = Tensor(Rng(7).uniform((2, 3, 8, 8)))

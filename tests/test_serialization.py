@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reafuse.pyramid import PyramidConfig, init_pyramid, named_parameters, run_pyramid
 from reafuse.serialization import (
@@ -66,6 +68,60 @@ def test_raft_rejects_corrupt_files(tmp_path):
     tiny.write_bytes(b"RA")
     with pytest.raises(FormatError):
         read_raft(tiny)
+
+
+@pytest.mark.parametrize("extents", [(2**32, 2**32), (2**63, 2**63, 4), (0, 2**63), (0, 2**62)])
+def test_raft_rejects_extents_past_the_address_space(tmp_path, extents):
+    # (2^32, 2^32) wraps to 0 in a u64 product; with no payload it used to
+    # reach numpy's reshape and fail there
+    p = tmp_path / "huge.raft"
+    p.write_bytes(struct.pack("<4sII", b"RAFT", 1, len(extents))
+                  + struct.pack(f"<{len(extents)}Q", *extents))
+    with pytest.raises(FormatError):
+        read_raft(p)
+
+
+_SMALL_ARRAYS = st.lists(st.integers(0, 3), max_size=3).map(
+    lambda shape: np.arange(float(np.prod(shape))).reshape(shape))
+
+
+def _container(tmp_path, arr) -> bytes:
+    p = tmp_path / "src.raft"
+    write_raft(p, arr)
+    return p.read_bytes()
+
+
+def _read_or_format_error(path):
+    try:
+        return read_raft(path)
+    except FormatError:
+        return None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arr=_SMALL_ARRAYS, data=st.data())
+def test_raft_truncated_containers_raise_format_error(tmp_path, arr, data):
+    raw = _container(tmp_path, arr)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    p = tmp_path / "cut.raft"
+    p.write_bytes(raw[:cut])
+    with pytest.raises(FormatError):
+        read_raft(p)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arr=_SMALL_ARRAYS, data=st.data())
+def test_raft_bit_flips_raise_only_format_error(tmp_path, arr, data):
+    raw = bytearray(_container(tmp_path, arr))
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    raw[bit // 8] ^= 1 << (bit % 8)
+    p = tmp_path / "flip.raft"
+    p.write_bytes(bytes(raw))
+    back = _read_or_format_error(p)
+    if bit >= 8 * (len(raw) - 8 * arr.size):  # a payload bit: still a valid container
+        assert back is not None and back.shape == arr.shape
 
 
 def test_pyramid_params_round_trip(tmp_path):
