@@ -20,7 +20,6 @@ from reafuse import (
     init_lift_conv,
     lift_conv,
     relative_residual,
-    split_orientations,
 )
 from reafuse import tensor as ops
 
@@ -65,13 +64,14 @@ print("naive subsample residual (expected to be large):",
       relative_residual(rot_then_sub, moved))
 
 # %% The orientation axis is a genuine group axis: acting by s=1 four times
-# is the identity, and each submap travels to the next slot.
+# is the identity, and each orientation travels to the next slot.  Orientation
+# m of every kernel channel is the channel slice [m::n].
 labels = [f"orientation {i}" for i in range(n)]
 cycled = feat
 for _ in range(n):
     cycled = g_act(cycled, 1)
 print("four quarter-turns return the original map:",
       np.array_equal(cycled.data.data, feat.data.data))
-first_sub = split_orientations(feat)[0].data
-print("submap 0 lands in slot 1 after one step:",
-      np.allclose(split_orientations(g_act(feat, 1))[1].data, np.rot90(first_sub, 1, axes=(-2, -1))))
+first = feat.data.data[:, 0::n]
+print("orientation 0 lands in slot 1 after one step:",
+      np.allclose(g_act(feat, 1).data.data[:, 1::n], np.rot90(first, 1, axes=(-2, -1))))

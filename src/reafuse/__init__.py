@@ -9,67 +9,28 @@ side-by-side verification.  Everything is float64 and deterministic from a
 single u64 seed.
 """
 
-from .autograd import GradcheckReport, Tape, backward, grad_and_value, gradcheck
+from .autograd import backward, grad_and_value, gradcheck
 from .groupequiv import (
-    SUPPORTED_ORIENTATIONS,
-    GroupConvParams,
-    LiftConvParams,
     ReFeatureMap,
     g_act,
     group_conv,
     init_group_conv,
     init_lift_conv,
     lift_conv,
-    merge_orientations,
     relative_residual,
-    split_orientations,
 )
 from .harness import (
     ConfigError,
     HarnessConfig,
-    Report,
     load_config,
     run_demo,
     run_gradcheck,
     run_oracle,
     run_verify,
 )
-from .pyramid import (
-    EQUIVARIANT_VARIANTS,
-    VARIANTS,
-    PyramidConfig,
-    PyramidParams,
-    build_pyramid,
-    init_pyramid,
-    named_parameters,
-    run_pyramid,
-    toy_backbone,
-)
-from .reaff import (
-    ChannelMLPParams,
-    MSCAMParams,
-    PlainIAFFParams,
-    ReAFFParams,
-    ReMParams,
-    init_plain_iaff,
-    init_reaff,
-    init_rem,
-    plain_iaff_forward,
-    reaff_forward,
-    rem_fuse,
-)
-from .reca import (
-    ReCAParams,
-    SEParams,
-    attention_logits,
-    conv_block_a,
-    conv_block_b,
-    default_reduction,
-    init_reca,
-    init_se,
-    reca_forward,
-    se_forward,
-)
+from .pyramid import VARIANTS, PyramidConfig, init_pyramid, run_pyramid
+from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward, rem_fuse
+from .reca import attention_logits, cyclic_blocks, init_reca, init_se, reca_forward, se_forward
 from .serialization import (
     FormatError,
     load_pyramid_params,
@@ -82,22 +43,18 @@ from .tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
 
 __version__ = "0.1.0"
 
+# what the demos and tests use; everything else is imported from its module
 __all__ = [
     "Tensor", "Rng", "ShapeError", "DegenerateStatisticsError",
-    "Tape", "backward", "grad_and_value", "gradcheck", "GradcheckReport",
-    "SUPPORTED_ORIENTATIONS", "ReFeatureMap", "LiftConvParams", "GroupConvParams",
-    "g_act", "lift_conv", "group_conv", "split_orientations", "merge_orientations",
+    "backward", "grad_and_value", "gradcheck",
+    "ReFeatureMap", "g_act", "lift_conv", "group_conv",
     "init_lift_conv", "init_group_conv", "relative_residual",
-    "ReCAParams", "SEParams", "attention_logits", "conv_block_a", "conv_block_b",
-    "reca_forward", "se_forward", "init_reca", "init_se", "default_reduction",
-    "ReMParams", "ReAFFParams", "ChannelMLPParams", "MSCAMParams", "PlainIAFFParams",
-    "rem_fuse", "reaff_forward", "plain_iaff_forward",
-    "init_rem", "init_reaff", "init_plain_iaff",
-    "VARIANTS", "EQUIVARIANT_VARIANTS", "PyramidConfig", "PyramidParams",
-    "init_pyramid", "toy_backbone", "build_pyramid", "run_pyramid", "named_parameters",
+    "attention_logits", "cyclic_blocks", "reca_forward", "se_forward", "init_reca", "init_se",
+    "rem_fuse", "reaff_forward", "plain_iaff_forward", "init_reaff", "init_plain_iaff",
+    "VARIANTS", "PyramidConfig", "init_pyramid", "run_pyramid",
     "FormatError", "write_raft", "read_raft",
     "save_pyramid_params", "load_pyramid_params", "save_feature_maps",
-    "ConfigError", "HarnessConfig", "load_config", "Report",
+    "ConfigError", "HarnessConfig", "load_config",
     "run_verify", "run_oracle", "run_gradcheck", "run_demo",
     "__version__",
 ]

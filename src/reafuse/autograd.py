@@ -50,25 +50,16 @@ class Tape:
         return cls(root=root, nodes=nodes)
 
 
-def backward(
-    loss: Tensor,
-    tape: Tape | None = None,
-    wrt: Iterable[Tensor] | None = None,
-) -> dict[int, np.ndarray]:
+def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[int, np.ndarray]:
     """Gradients of a scalar ``loss`` with respect to every reachable tensor.
 
     Returns a dict keyed by ``id(tensor)``; look up with ``grads[id(param)]``.
     Tensors the loss does not depend on are absent unless listed in ``wrt``,
-    in which case they get zeros so callers can iterate uniformly.  ``tape``
-    defaults to a fresh trace of ``loss``; passing one in is only useful to
-    reuse or inspect the record.
+    in which case they get zeros so callers can iterate uniformly.
     """
     if loss.data.size != 1:
         raise T.ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if tape is None:
-        tape = Tape.trace(loss)
-    elif tape.root is not loss:
-        raise ValueError("backward: tape was recorded for a different loss")
+    tape = Tape.trace(loss)
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):

@@ -60,9 +60,7 @@ def entrypoint(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError(f"--seed {args.seed} does not fit in u64")
-            config = dataclasses.replace(config, seed=args.seed)
+            config = dataclasses.replace(config, seed=args.seed).validate()
         if args.command == "demo":
             if not args.out:
                 raise ConfigError("demo requires --out <dir>")

@@ -28,7 +28,6 @@ from .tensor import (
     conv2d,
     reshape,
     rot90,
-    stack,
     take,
 )
 
@@ -39,8 +38,6 @@ __all__ = [
     "g_act",
     "lift_conv",
     "group_conv",
-    "split_orientations",
-    "merge_orientations",
     "init_lift_conv",
     "init_group_conv",
     "relative_residual",
@@ -191,7 +188,7 @@ def lift_conv(x: Tensor, p: LiftConvParams, n: int) -> ReFeatureMap:
         raise ShapeError(f"orientation count {n} not in {SUPPORTED_ORIENTATIONS}")
     k_out, c_in, kh, _ = p.weight.shape
     big = _gather(p.weight, _kernel_index(k_out, c_in, 1, n, kh))
-    out = conv2d(x, big, _orientation_shared_bias(p.bias, n), stride=1, pad=(kh - 1) // 2)
+    out = conv2d(x, big, _orientation_shared_bias(p.bias, n))
     return ReFeatureMap(out, k_out, n)
 
 
@@ -224,25 +221,10 @@ def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatur
         raise ShapeError(f"group_conv: stride {stride} not in (1, 2)")
     k_out, k_in, _, kh, _ = p.weight.shape
     big = _gather(p.weight, _kernel_index(k_out, k_in, n, n, kh))
-    out = conv2d(x.data, big, _orientation_shared_bias(p.bias, n), stride=1, pad=(kh - 1) // 2)
+    out = conv2d(x.data, big, _orientation_shared_bias(p.bias, n))
     if stride == 2:
         out = blockmean2x(out)
     return ReFeatureMap(out, k_out, n)
-
-
-def split_orientations(x: ReFeatureMap) -> list[Tensor]:
-    """N tensors of shape [B, K, ...]; submap m holds channels {k*N + m}."""
-    n, k = x.orientations, x.kernel_channels
-    return [take(x.data, [j * n + m for j in range(k)], axis=1) for m in range(n)]
-
-
-def merge_orientations(submaps: list[Tensor]) -> ReFeatureMap:
-    """Inverse of split_orientations; round-trips bit-exactly."""
-    n = len(submaps)
-    k = submaps[0].shape[1]
-    stacked = stack(submaps, axis=2)  # [B, K, N, ...]
-    merged = reshape(stacked, (submaps[0].shape[0], k * n) + tuple(submaps[0].shape[2:]))
-    return ReFeatureMap(merged, k, n)
 
 
 # Uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)): variance 2/fan_in, which keeps

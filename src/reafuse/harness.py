@@ -459,12 +459,11 @@ def _oracle_conv2d(rng: Rng) -> float:
     cout = rng.integer(1, 4)
     size = rng.integer(3, 7)
     k = 3 if rng.integer(0, 2) else 1
-    stride = 2 if size % 2 == 0 and rng.integer(0, 2) else 1
     x = rng.uniform((b, cin, size, size))
     w = rng.uniform((cout, cin, k, k))
     bias = rng.uniform((cout,))
-    fast = ops.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride=stride).data
-    ref = naive_conv2d(x, w, bias, stride=stride)
+    fast = ops.conv2d(Tensor(x), Tensor(w), Tensor(bias)).data
+    ref = naive_conv2d(x, w, bias)
     return float(np.abs(fast - ref).max())
 
 
@@ -499,34 +498,35 @@ def _oracle_group_conv(rng: Rng) -> float:
 def _oracle_cyclic_blocks(rng: Rng) -> float:
     """The block-circulant bank path against the loop reference, max-abs.
 
-    Both ReCA stages (``conv_block_a``/``conv_block_b``) are this one
-    function applied to a different bank, so one check covers both.
+    Both ReCA banks are applied by ``cyclic_blocks``, so one check covers
+    both.  Orientation block m of a re-feature-map input is the channel
+    slice ``x[:, m::N]``; the reference takes the N blocks as a list.
     """
     n = (1, 2, 4)[rng.integer(0, 3)]
     rows = rng.integer(1, 5)
     cols = rng.integer(1, 5)
     b = rng.integer(1, 4)
     banks = rng.uniform((n, rows, cols))
-    blocks = [rng.uniform((b, cols)) for _ in range(n)]
-    fast = cyclic_blocks([Tensor(blk) for blk in blocks], Tensor(banks))
-    ref = naive_conv_blocks(blocks, banks)
-    return max(float(np.abs(f.data - r).max()) for f, r in zip(fast, ref))
+    x = rng.uniform((b, cols * n))
+    fast = cyclic_blocks(Tensor(x), Tensor(banks)).data
+    ref = naive_conv_blocks([x[:, m::n] for m in range(n)], banks)
+    return max(float(np.abs(fast[:, i::n] - want).max()) for i, want in enumerate(ref))
 
 
 def _oracle_shift_covariance(rng: Rng) -> float:
-    """CB blocks of a shifted input equal the re-indexed blocks, max-abs."""
+    """Output blocks of an orientation-shifted input re-index by (i - s) mod N, max-abs."""
     n = (2, 4)[rng.integer(0, 2)]
     rows = rng.integer(1, 4)
     cols = rows * rng.integer(1, 3)
     banks = Tensor(rng.uniform((n, rows, cols)))
-    blocks = [Tensor(rng.uniform((2, cols))) for _ in range(n)]
-    base = cyclic_blocks(blocks, banks)
+    x = rng.uniform((2, cols * n))
+    base = cyclic_blocks(Tensor(x), banks).data
     worst = 0.0
     for s in range(n):
-        shifted = [blocks[(m - s) % n] for m in range(n)]
-        moved = cyclic_blocks(shifted, banks)
+        shifted = x[:, [k * n + (m - s) % n for k in range(cols) for m in range(n)]]
+        moved = cyclic_blocks(Tensor(shifted), banks).data
         for i in range(n):
-            dev = float(np.abs(moved[i].data - base[(i - s) % n].data).max())
+            dev = float(np.abs(moved[:, i::n] - base[:, (i - s) % n::n]).max())
             worst = max(worst, dev)
     return worst
 
@@ -574,7 +574,7 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     w = Tensor(rng.derive("w").uniform((4, 3, 3, 3)), requires_grad=True)
     b = Tensor(rng.derive("b").uniform((4,)), requires_grad=True)
     yield ("conv2d",
-           lambda: _sq(ops.conv2d(x, w, b, stride=1)), [x, w, b])
+           lambda: _sq(ops.conv2d(x, w, b)), [x, w, b])
 
     gamma = Tensor(np.ones(3), requires_grad=True)
     beta = Tensor(rng.derive("beta").uniform((3,)), requires_grad=True)

@@ -132,8 +132,11 @@ class PyramidParams:
             raise ShapeError(f"expected {L - 1} smooth convolutions and attention entries")
 
 
-def init_pyramid(config: PyramidConfig, in_channels: int = 3) -> PyramidParams:
-    """Seeded parameter construction; every layer gets a derived rng stream."""
+def init_pyramid(config: PyramidConfig) -> PyramidParams:
+    """Seeded parameter construction for 3-channel images.
+
+    Every layer gets a derived rng stream.
+    """
     rng = Rng(config.seed)
     k, n, c, r = config.kernel_channels, config.orientations, config.channels, config.reduction
     stages = tuple(
@@ -164,7 +167,7 @@ def init_pyramid(config: PyramidConfig, in_channels: int = 3) -> PyramidParams:
             attention.append(None)
     return PyramidParams(
         config=config,
-        stem=init_lift_conv(rng.derive("stem"), k, in_channels, 3),
+        stem=init_lift_conv(rng.derive("stem"), k, 3, 3),
         stages=stages,
         lateral=lateral,
         smooth=smooth,

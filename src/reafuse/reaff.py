@@ -3,8 +3,8 @@
 The equivariant path fuses two re-feature maps with an attention map built
 from two branches sharing the cyclic-bank structure of ``reafuse.reca``:
 
-* a global branch -- squeeze, then the two conv-block stages ([B, C, 1, 1]);
-* a local branch -- the same bank algebra applied at every spatial location
+* a global branch -- squeeze, then the two cyclic banks ([B, C, 1, 1]);
+* a local branch -- the same banks applied at every spatial location
   (1x1 equivariant convolutions, batch-norm pooled over
   batch x orientation x spatial), so fine spatial detail survives.
 
@@ -49,7 +49,6 @@ __all__ = [
     "ChannelMLPParams",
     "MSCAMParams",
     "PlainIAFFParams",
-    "local_logits",
     "rem_fuse",
     "reaff_forward",
     "plain_iaff_forward",
@@ -97,24 +96,15 @@ class ReAFFParams:
         return self.stage1.tensors + self.stage2.tensors
 
 
-def local_logits(x: ReFeatureMap, p: ReMParams) -> ReFeatureMap:
-    """Pre-sigmoid local-branch logits at full spatial extent [B, C, H, W].
-
-    The cyclic-bank pipeline of the global branch evaluated independently at
-    every pixel; on spatially constant input it equals the global logits of
-    the same banks, broadcast.
-    """
-    return attention_logits(x, p.local_att, squeeze=False)
-
-
 def rem_fuse(x: ReFeatureMap, p: ReMParams) -> Tensor:
-    """Attention map M = sigmoid(local_logits + global_logits), in (0,1).
+    """Attention map M = sigmoid(local logits + global logits), in (0,1).
 
-    The global [B, C, 1, 1] logits broadcast over the local [B, C, H, W]
-    ones.  M permutes with the group action of the input.
+    The local branch runs the global branch's pipeline, with its own banks,
+    at every pixel ([B, C, H, W]); the global [B, C, 1, 1] logits broadcast
+    over it.  M permutes with the group action of the input.
     """
     glob = attention_logits(x, p.global_att, squeeze=True)
-    loc = local_logits(x, p)
+    loc = attention_logits(x, p.local_att, squeeze=False)
     return sigmoid(add(loc.data, glob.data))
 
 

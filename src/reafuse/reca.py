@@ -2,23 +2,24 @@
 
 The equivariant attention squeezes a re-feature map to per-channel
 descriptors and runs them through two banks of cyclically weight-shared 1x1
-blocks.  Read per orientation submap F_squ(n), block i is
+weights, CB^a (reduction) and CB^b (expansion).  Call the channels
+{k*N + n : k} orientation block n; output block i of a bank is
 
-    CB_i^a = sum_n  W^a_{(n-i) mod N} (F_squ(n))
+    CB_i = sum_n  W_{(n-i) mod N} (block n)
 
-i.e. block i applies bank (n - i) mod N to submap n and sums.  This indexing
-is the whole trick: shifting the input orientations by s re-indexes the
-blocks by i -> (i - s) mod N instead of changing their values, so after
-batch-norm (statistics pooled over batch x blocks, one gamma/beta per reduced
-channel), relu, a second bank, and a sigmoid, the attention weights permute
-together with the feature channels and the gating commutes with the group
-action.
+i.e. output block i applies bank (n - i) mod N to input block n and sums.
+This indexing is the whole trick: shifting the input orientations by s
+re-indexes the output blocks by i -> (i - s) mod N instead of changing their
+values, so after batch-norm (statistics pooled over batch x blocks, one
+gamma/beta per reduced channel), relu, a second bank, and a sigmoid, the
+attention weights permute together with the feature channels and the gating
+commutes with the group action.
 
-The blocks are a 1x1 regular C_N group convolution, and that is one
+A bank is a 1x1 regular C_N group convolution, and that is one
 block-circulant matrix over the whole channel axis (Cohen & Welling, arXiv
-1602.07576).  Each bank is expanded into that matrix by a single gather and
-applied by a single matmul (squeezed) or 1x1 conv2d (per pixel), directly in
-re-feature-map channel order; nothing is split into submaps.
+1602.07576).  ``cyclic_blocks`` expands a bank into that matrix by a single
+gather and applies it by a single matmul (squeezed) or 1x1 conv2d (per
+pixel), directly in re-feature-map channel order.
 
 ``se_forward`` is the deliberate control: an ordinary squeeze-excite whose
 full channel-mixing weights ignore orientation structure and therefore break
@@ -45,8 +46,6 @@ from .tensor import (
     relu,
     reshape,
     sigmoid,
-    stack,
-    take,
     transpose,
 )
 
@@ -54,8 +53,6 @@ __all__ = [
     "ReCAParams",
     "SEParams",
     "cyclic_blocks",
-    "conv_block_a",
-    "conv_block_b",
     "attention_logits",
     "reca_forward",
     "se_forward",
@@ -163,49 +160,22 @@ def _circulant(banks: Tensor) -> Tensor:
     return _gather(banks, _circulant_index(n, rows, cols))
 
 
-def _apply_circulant(x: Tensor, banks: Tensor) -> Tensor:
-    """Apply the block-circulant matrix of ``banks`` along the channel axis.
+def cyclic_blocks(x: Tensor, banks: Tensor) -> Tensor:
+    """Apply an [N, out, in] bank along the channel axis of ``x``.
 
-    2-D inputs [B, in*N] use one matmul; 4-D inputs [B, in*N, H, W] apply
-    the same matrix at every pixel, as one 1x1 convolution.
+    ``x`` is [B, in*N] or [B, in*N, H, W] in re-feature-map channel order
+    (channel k*N + m); the result has out*N channels in the same order.
+    Output channel r*N + i is the sum over (k, m) of
+    banks[(m - i) mod N, r, k] * x[k*N + m]: the block-circulant matrix of
+    the bank, applied by one matmul to 2-D inputs and at every pixel, as
+    one 1x1 convolution, to 4-D inputs.
     """
     c = _circulant(banks)
     if x.ndim == 2:
         return matmul(x, transpose(c, (1, 0)))
     if x.ndim == 4:
         return conv2d(x, reshape(c, c.shape + (1, 1)))
-    raise ShapeError(f"blocks must have 2 or 4 axes, got {x.shape}")
-
-
-def cyclic_blocks(blocks: list[Tensor], banks: Tensor) -> list[Tensor]:
-    """Block i = sum over n of bank[(n - i) mod N] applied to blocks[n].
-
-    The N blocks are interleaved into re-feature-map channel order, mixed by
-    one block-circulant matrix, and split back into N blocks.
-    """
-    n = len(blocks)
-    if banks.shape[0] != n:
-        raise ShapeError(f"{banks.shape[0]} banks for {n} orientation blocks")
-    b, cols, *space = blocks[0].shape
-    joined = reshape(stack(blocks, axis=2), [b, cols * n] + space)
-    mixed = _apply_circulant(joined, banks)
-    rows = banks.shape[1]
-    split = reshape(mixed, [b, rows, n] + space)
-    return [reshape(take(split, [i], axis=2), [b, rows] + space) for i in range(n)]
-
-
-def conv_block_a(f_squ: list[Tensor], p: ReCAParams) -> list[Tensor]:
-    """Reduction stage: N blocks of [B, C/N] -> [B, (C/N)/r].
-
-    Also accepts unsqueezed [B, C/N, H, W] blocks, applying the same banks
-    pointwise (the local-attention variant).
-    """
-    return cyclic_blocks(f_squ, p.w_a)
-
-
-def conv_block_b(cb_a: list[Tensor], p: ReCAParams) -> list[Tensor]:
-    """Expansion stage: N blocks of [B, (C/N)/r] -> [B, C/N]; same indexing."""
-    return cyclic_blocks(cb_a, p.w_b)
+    raise ShapeError(f"cyclic_blocks: input must have 2 or 4 axes, got {x.shape}")
 
 
 def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -238,9 +208,9 @@ def attention_logits(x: ReFeatureMap, p: ReCAParams, squeeze: bool = True) -> Re
         )
     b, c = x.shape[0], x.channels
     h = reshape(global_avg_pool(x.data), (b, c)) if squeeze else x.data
-    h = _apply_circulant(h, p.w_a)
+    h = cyclic_blocks(h, p.w_a)
     h = relu(_shared_batchnorm(h, p.orientations, p.bn_gamma, p.bn_beta))
-    h = _apply_circulant(h, p.w_b)
+    h = cyclic_blocks(h, p.w_b)
     if squeeze:
         h = reshape(h, (b, c, 1, 1))
     return ReFeatureMap(h, x.kernel_channels, x.orientations)
@@ -272,9 +242,9 @@ def se_forward(x: Tensor, p: SEParams) -> Tensor:
     return mul(x, reshape(gates, (b, c, 1, 1)))
 
 
-def default_reduction(width: int, cap: int = 16) -> int:
-    """Largest divisor of ``width`` not exceeding ``cap`` (16 by default)."""
-    return max(r for r in range(1, min(cap, width) + 1) if width % r == 0)
+def default_reduction(width: int) -> int:
+    """Largest divisor of ``width`` not exceeding 16."""
+    return max(r for r in range(1, min(16, width) + 1) if width % r == 0)
 
 
 def init_reca(rng: Rng, channels: int, n: int, r: int | None = None) -> ReCAParams:

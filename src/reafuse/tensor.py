@@ -172,11 +172,8 @@ class Rng:
     so the stream does not need to match any other implementation.
     """
 
-    def __init__(self, seed: int, algorithm: str = "pcg64"):
-        if algorithm != "pcg64":
-            raise ValueError(f"unknown rng algorithm {algorithm!r}")
+    def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.algorithm = algorithm
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, shape, low: float = -1.0, high: float = 1.0) -> np.ndarray:
@@ -514,13 +511,14 @@ def blockmean2x(a) -> Tensor:
     return _record(Tensor(data), "blockmean2x", (a,), backward)
 
 
-def conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> Tensor:
-    """2-D cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw].
+def conv2d(x, w, bias=None) -> Tensor:
+    """2-D cross-correlation of [B,Cin,H,W] with [Cout,Cin,k,k], same padding.
 
-    ``pad=None`` means same padding, (k-1)/2 on each side.  The receptive
-    field is flattened in (kernel-row, kernel-col, in-channel) order before
-    the contraction, which fixes the accumulation order and makes results
-    reproducible run to run.
+    The kernel is square and odd; the input is zero-padded by (k-1)/2 on
+    each side and the stride is 1, so the output keeps the input's spatial
+    extent.  The receptive field is flattened in (kernel-row, kernel-col,
+    in-channel) order before the contraction, which fixes the accumulation
+    order and makes results reproducible run to run.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 4:
@@ -528,59 +526,38 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> Tensor:
     if w.ndim != 4:
         raise ShapeError(f"conv2d: kernel axis count {w.ndim} != 4 (out, in, kh, kw)")
     batch, cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
+    cout, cin_w, k, kw = w.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d: channel axis mismatch, input has {cin}, kernel expects {cin_w}")
-    if kh % 2 == 0:
-        raise ShapeError(f"conv2d: kernel height axis extent {kh} must be odd")
-    if kw % 2 == 0:
-        raise ShapeError(f"conv2d: kernel width axis extent {kw} must be odd")
-    if stride not in (1, 2):
-        raise ShapeError(f"conv2d: stride {stride} not in (1, 2)")
-    if pad is None:
-        pad = (kh - 1) // 2
-    pad = int(pad)
-    if pad < 0:
-        raise ShapeError(f"conv2d: negative padding {pad}")
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (wd + 2 * pad - kw) // stride + 1
-    if out_h < 1:
-        raise ShapeError(f"conv2d: height axis too small ({h}) for kernel {kh} with pad {pad}")
-    if out_w < 1:
-        raise ShapeError(f"conv2d: width axis too small ({wd}) for kernel {kw} with pad {pad}")
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d: kernel must be square and odd, got {k}x{kw}")
+    pad = (k - 1) // 2
 
     b_t = _wrap(bias) if bias is not None else None
     if b_t is not None and b_t.shape != (cout,):
         raise ShapeError(f"conv2d: bias axis shape {b_t.shape} != ({cout},)")
 
     def tap(src: np.ndarray, ki: int, kj: int) -> np.ndarray:
-        return src[
-            ..., ki : ki + (out_h - 1) * stride + 1 : stride,
-            kj : kj + (out_w - 1) * stride + 1 : stride,
-        ]
+        return src[..., ki : ki + h, kj : kj + wd]
 
-    wf = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    if kh == kw == 1 and stride == 1 and pad == 0:
+    wf = w.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
+    if k == 1:
         # a 1x1 receptive field is the input itself: no im2col copy
-        out = np.matmul(wf, x.data.reshape(batch, cin, out_h * out_w))
+        out = np.matmul(wf, x.data.reshape(batch, cin, h * wd))
     else:
         # pad and im2col one sample at a time, in documented (kernel-row,
         # kernel-col, in-channel) order, through reused buffers; the padded
         # buffer's border is written once and stays zero
-        out = np.empty((batch, cout, out_h * out_w))
-        cols = np.empty((kh * kw, cin, out_h, out_w))
-        padded = np.zeros((cin, h + 2 * pad, wd + 2 * pad)) if pad else None
+        out = np.empty((batch, cout, h * wd))
+        cols = np.empty((k * k, cin, h, wd))
+        padded = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
         for s in range(batch):
-            if padded is None:
-                src = x.data[s]
-            else:
-                padded[:, pad : pad + h, pad : pad + wd] = x.data[s]
-                src = padded
-            for ki in range(kh):
-                for kj in range(kw):
-                    cols[ki * kw + kj] = tap(src, ki, kj)
-            np.matmul(wf, cols.reshape(kh * kw * cin, out_h * out_w), out=out[s])
-    out = out.reshape(batch, cout, out_h, out_w)
+            padded[:, pad : pad + h, pad : pad + wd] = x.data[s]
+            for ki in range(k):
+                for kj in range(k):
+                    cols[ki * k + kj] = tap(padded, ki, kj)
+            np.matmul(wf, cols.reshape(k * k * cin, h * wd), out=out[s])
+    out = out.reshape(batch, cout, h, wd)
     if b_t is not None:
         out += b_t.data[:, None, None]
 
@@ -592,8 +569,8 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> Tensor:
             xp = x.data
         grad_w = np.empty_like(w.data)
         grad_xp = np.zeros_like(xp)
-        for ki in range(kh):
-            for kj in range(kw):
+        for ki in range(k):
+            for kj in range(k):
                 xs = tap(xp, ki, kj)
                 grad_w[:, :, ki, kj] = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))
                 spread = np.tensordot(g, w.data[:, :, ki, kj], axes=([1], [0]))

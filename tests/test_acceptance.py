@@ -16,8 +16,7 @@ from reafuse import (
     ReFeatureMap,
     Rng,
     Tensor,
-    conv_block_a,
-    conv_block_b,
+    cyclic_blocks,
     init_plain_iaff,
     init_reaff,
     init_reca,
@@ -83,15 +82,15 @@ def test_criterion_3_shift_covariance(capsys):
         rng = Rng(314).derive(f"n{n}")
         k, r = 4, 2
         p = init_reca(rng.derive("params"), k * n, n, r)
-        for stage, width in ((conv_block_a, k), (conv_block_b, k // r)):
-            blocks = [Tensor(rng.derive(f"{stage.__name__}/{m}").uniform((3, width)))
-                      for m in range(n)]
-            base = stage(blocks, p)
+        for name, bank, width in (("w_a", p.w_a, k), ("w_b", p.w_b, k // r)):
+            # channel j*N + m of the input is orientation m of channel j
+            x = rng.derive(name).uniform((3, width * n))
+            base = cyclic_blocks(Tensor(x), bank).data
             for s in range(n):
-                shifted = [blocks[(m - s) % n] for m in range(n)]
-                moved = stage(shifted, p)
+                shifted = x[:, [j * n + (m - s) % n for j in range(width) for m in range(n)]]
+                moved = cyclic_blocks(Tensor(shifted), bank).data
                 for i in range(n):
-                    dev = np.abs(moved[i].data - base[(i - s) % n].data).max()
+                    dev = np.abs(moved[:, i::n] - base[:, (i - s) % n::n]).max()
                     worst = max(worst, dev)
     ok = worst <= 1e-12
     report_line(capsys, 3, ok,

@@ -16,9 +16,7 @@ from reafuse.groupequiv import (
     init_group_conv,
     init_lift_conv,
     lift_conv,
-    merge_orientations,
     relative_residual,
-    split_orientations,
 )
 from reafuse.naive import naive_group_conv, naive_lift_conv
 from reafuse.tensor import Rng, ShapeError, Tensor
@@ -65,28 +63,12 @@ def test_refeaturemap_layout_validation():
         ReFeatureMap(Tensor.zeros((2, 6, 4, 4)), 2, 3)  # unsupported N
 
 
-def test_split_layout_definition():
-    # K=2, N=2: channels ordered [k0n0, k0n1, k1n0, k1n1]
-    data = np.arange(4.0).reshape(1, 4, 1, 1)
-    subs = split_orientations(ReFeatureMap(Tensor(data), 2, 2))
-    np.testing.assert_array_equal(subs[0].data.reshape(-1), [0.0, 2.0])
-    np.testing.assert_array_equal(subs[1].data.reshape(-1), [1.0, 3.0])
-
-
-@settings(max_examples=25, deadline=None)
-@given(k=st.integers(1, 4), n=st.sampled_from([1, 2, 4]),
-       size=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-def test_split_merge_roundtrip(k, n, size, seed):
-    x = fm(Rng(seed), k, n, size)
-    back = merge_orientations(split_orientations(x))
-    np.testing.assert_array_equal(back.data.data, x.data.data)
-
-
-def test_split_single_orientation_is_whole_map():
-    x = fm(Rng(2), 3, 1, 4)
-    subs = split_orientations(x)
-    assert len(subs) == 1
-    np.testing.assert_array_equal(subs[0].data, x.data.data)
+def test_g_act_kernel_channel_major_layout():
+    # K=2, N=2, 1x1 spatial: channel k*N + n, so [a,b,c,d] = [k0n0, k0n1, k1n0, k1n1]
+    # and s=1 swaps the orientations inside each kernel channel
+    x = ReFeatureMap(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)), 2, 2)
+    got = g_act(x, 1).data.data.reshape(-1)
+    np.testing.assert_array_equal(got, [2.0, 1.0, 4.0, 3.0])
 
 
 def test_lift_conv_equivariance_20_seeds():
@@ -115,10 +97,9 @@ def test_lift_conv_n1_equals_plain_conv_bit_exact():
 def test_lift_conv_symmetric_kernel_gives_identical_orientations():
     x = Tensor(Rng(6).uniform((1, 2, 6, 6)))
     params = LiftConvParams(Tensor(np.ones((1, 2, 3, 3))), Tensor.zeros((1,)))
-    out = lift_conv(x, params, 4)
-    subs = split_orientations(out)
-    for s in subs[1:]:
-        np.testing.assert_array_equal(s.data, subs[0].data)
+    out = lift_conv(x, params, 4).data.data
+    for m in range(1, 4):
+        np.testing.assert_array_equal(out[:, m::4], out[:, 0::4])
 
 
 def test_group_conv_equivariance_20_seeds_both_strides():

@@ -11,8 +11,6 @@ from reafuse.reca import (
     ReCAParams,
     SEParams,
     attention_logits,
-    conv_block_a,
-    conv_block_b,
     cyclic_blocks,
     default_reduction,
     init_reca,
@@ -23,37 +21,40 @@ from reafuse.reca import (
 from reafuse.tensor import Rng, ShapeError, Tensor
 
 
-def double_loop_blocks(blocks, banks):
-    """Independent reference for block i = sum_n bank[(n-i) % N] @ block[n]."""
-    n = len(blocks)
+def double_loop_blocks(x, banks):
+    """Independent reference for block i = sum_n bank[(n-i) % N] @ block[n].
+
+    Orientation block m of the [B, in*N] input is the channel slice x[:, m::N].
+    """
+    n = banks.shape[0]
     out = []
     for i in range(n):
-        acc = np.zeros((blocks[0].shape[0], banks.shape[1]))
+        acc = np.zeros((x.shape[0], banks.shape[1]))
         for m in range(n):
-            acc += blocks[m] @ banks[(m - i) % n].T
+            acc += x[:, m::n] @ banks[(m - i) % n].T
         out.append(acc)
     return out
 
 
-def test_conv_block_a_n1_is_plain_reduction():
+def test_cyclic_blocks_n1_is_plain_reduction():
     rng = Rng(0)
     p = init_reca(rng, 6, 1, 2)
-    blocks = [Tensor(rng.derive("b").uniform((3, 6)))]
-    out = conv_block_a(blocks, p)
-    assert len(out) == 1
-    np.testing.assert_allclose(out[0].data, blocks[0].data @ p.w_a.data[0].T, atol=1e-14)
+    x = Tensor(rng.derive("b").uniform((3, 6)))
+    out = cyclic_blocks(x, p.w_a)
+    np.testing.assert_allclose(out.data, x.data @ p.w_a.data[0].T, atol=1e-14)
 
 
 def test_conv_blocks_zero_weights_give_zero():
     p = ReCAParams(w_a=Tensor.zeros((4, 2, 4)), w_b=Tensor.zeros((4, 4, 2)),
                    bn_gamma=Tensor.ones((2,)), bn_beta=Tensor.zeros((2,)), r=2)
-    blocks = [Tensor(Rng(i).uniform((2, 4))) for i in range(4)]
-    for blk in conv_block_a(blocks, p):
-        assert np.all(blk.data == 0.0)
+    x = Tensor(Rng(0).uniform((2, 4 * 4)))
+    out = cyclic_blocks(x, p.w_a)
+    assert out.shape == (2, 2 * 4)
+    assert np.all(out.data == 0.0)
 
 
 def test_shift_covariance_against_double_loop():
-    # the algebraic heart: shifted input submaps re-index the outputs exactly
+    # the algebraic heart: shifted input orientations re-index the output blocks exactly
     worst = 0.0
     for n in (2, 4):
         for seed in range(10):
@@ -61,20 +62,15 @@ def test_shift_covariance_against_double_loop():
             rows, r = 3, 2
             cols = rows * r
             banks = rng.uniform((n, rows, cols))
-            blocks = [rng.uniform((2, cols)) for _ in range(n)]
-
-            class Bank:
-                w_a = Tensor(banks)
-
-            base = conv_block_a([Tensor(b) for b in blocks], Bank)
-            ref = double_loop_blocks(blocks, banks)
-            for got, want in zip(base, ref):
-                worst = max(worst, np.abs(got.data - want).max())
+            x = rng.uniform((2, cols * n))
+            base = cyclic_blocks(Tensor(x), Tensor(banks)).data
+            for i, want in enumerate(double_loop_blocks(x, banks)):
+                worst = max(worst, np.abs(base[:, i::n] - want).max())
             for s in range(n):
-                shifted = [Tensor(blocks[(m - s) % n]) for m in range(n)]
-                moved = conv_block_a(shifted, Bank)
+                shifted = x[:, [k * n + (m - s) % n for k in range(cols) for m in range(n)]]
+                moved = cyclic_blocks(Tensor(shifted), Tensor(banks)).data
                 for i in range(n):
-                    dev = np.abs(moved[i].data - base[(i - s) % n].data).max()
+                    dev = np.abs(moved[:, i::n] - base[:, (i - s) % n::n]).max()
                     worst = max(worst, dev)
     assert worst <= 1e-12
 
@@ -86,11 +82,9 @@ def test_identity_wiring_recovers_input():
     eye[0] = np.eye(k)
     p = ReCAParams(w_a=Tensor(eye), w_b=Tensor(eye.copy()),
                    bn_gamma=Tensor.ones((k,)), bn_beta=Tensor.zeros((k,)), r=1)
-    blocks = [Tensor(np.abs(Rng(40 + i).uniform((2, k)))) for i in range(n)]
-    stage_a = conv_block_a(blocks, p)
-    out = conv_block_b([ops.relu(b) for b in stage_a], p)
-    for got, want in zip(out, blocks):
-        np.testing.assert_allclose(got.data, want.data, atol=1e-14)
+    x = Tensor(np.abs(Rng(40).uniform((2, k * n))))
+    out = cyclic_blocks(ops.relu(cyclic_blocks(x, p.w_a)), p.w_b)
+    np.testing.assert_allclose(out.data, x.data, atol=1e-14)
 
 
 def test_attention_logits_shift_covariance_with_bn():
@@ -293,10 +287,12 @@ def test_cyclic_blocks_matches_loop_reference(spatial):
     for n in (1, 2, 4):
         rng = Rng(160 + n)
         banks = rng.uniform((n, 3, 2))
-        blocks = [rng.uniform((2, 2) + spatial) for _ in range(n)]
-        got = cyclic_blocks([Tensor(b) for b in blocks], Tensor(banks))
-        for i, out in enumerate(got):
-            want = sum(np.einsum("oc,bc...->bo...", banks[(m - i) % n], blocks[m])
+        x = rng.uniform((2, 2 * n) + spatial)
+        got = cyclic_blocks(Tensor(x), Tensor(banks)).data
+        assert got.shape == (2, 3 * n) + spatial
+        for i in range(n):
+            want = sum(np.einsum("oc,bc...->bo...", banks[(m - i) % n], x[:, m::n])
                        for m in range(n))
-            assert out.shape == want.shape
-            assert np.abs(out.data - want).max() <= 1e-13
+            assert np.abs(got[:, i::n] - want).max() <= 1e-13
+    with pytest.raises(ShapeError):
+        cyclic_blocks(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((1, 3, 2))))

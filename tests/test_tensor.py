@@ -8,26 +8,24 @@ from reafuse.naive import naive_conv2d
 from reafuse.tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
 
 
-def loop_conv2d(x, w, b, stride=1):
+def loop_conv2d(x, w, b):
     # independent reference: pad, then accumulate in (kernel-row, kernel-col,
     # in-channel) order like the documented contract
     bs, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    xp = np.zeros((bs, cin, h + 2 * ph, wd + 2 * pw))
-    xp[:, :, ph:ph + h, pw:pw + wd] = x
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (wd + 2 * pw - kw) // stride + 1
-    out = np.zeros((bs, cout, oh, ow))
+    cout, _, k, _ = w.shape
+    p = (k - 1) // 2
+    xp = np.zeros((bs, cin, h + 2 * p, wd + 2 * p))
+    xp[:, :, p:p + h, p:p + wd] = x
+    out = np.zeros((bs, cout, h, wd))
     for bi in range(bs):
         for co in range(cout):
-            for i in range(oh):
-                for j in range(ow):
+            for i in range(h):
+                for j in range(wd):
                     acc = 0.0
-                    for ki in range(kh):
-                        for kj in range(kw):
+                    for ki in range(k):
+                        for kj in range(k):
                             for ci in range(cin):
-                                acc += xp[bi, ci, i * stride + ki, j * stride + kj] * w[co, ci, ki, kj]
+                                acc += xp[bi, ci, i + ki, j + kj] * w[co, ci, ki, kj]
                     out[bi, co, i, j] = acc + b[co]
     return out
 
@@ -54,48 +52,39 @@ def test_conv2d_matches_loop_oracle():
         bs, cin, cout = r.integer(1, 3), r.integer(1, 3), r.integer(1, 4)
         size = r.integer(3, 7)
         k = 3 if t % 2 else 1
-        stride = 2 if size % 2 == 0 and t % 3 == 0 else 1
         x = r.uniform((bs, cin, size, size))
         w = r.uniform((cout, cin, k, k))
         b = r.uniform((cout,))
-        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
-        want = loop_conv2d(x, w, b, stride)
+        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        want = loop_conv2d(x, w, b)
         worst = max(worst, np.abs(got - want).max())
     assert worst <= 1e-12
 
 
-def padded_concat_conv2d(x, w, b, stride, pad):
+def padded_concat_conv2d(x, w, b):
     # reference of the earlier formula: np.pad, one whole-batch im2col
     # concatenate in (kernel-row, kernel-col, in-channel) order, one matmul
     bs, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cout, _, k, _ = w.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     cols = np.concatenate(
-        [xp[:, :, ki:ki + (oh - 1) * stride + 1:stride, kj:kj + (ow - 1) * stride + 1:stride]
-         for ki in range(kh) for kj in range(kw)], axis=1,
-    ).reshape(bs, kh * kw * cin, oh * ow)
-    wf = w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    return np.matmul(wf, cols).reshape(bs, cout, oh, ow) + b[:, None, None]
+        [xp[:, :, ki:ki + h, kj:kj + wd] for ki in range(k) for kj in range(k)], axis=1,
+    ).reshape(bs, k * k * cin, h * wd)
+    wf = w.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
+    return np.matmul(wf, cols).reshape(bs, cout, h, wd) + b[:, None, None]
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("k,stride,pad", [
-    (1, 1, 0),   # 1x1 stride 1: no im2col
-    (3, 1, 0),   # no padding: the input is used as is
-    (3, 1, 2),   # explicit padding wider than same padding
-    (3, 2, 1),   # stride 2
-    (1, 2, 0),   # 1x1 stride 2 goes through im2col
-])
-def test_conv2d_paths_match_earlier_formula_and_oracle(batch, k, stride, pad):
-    r = Rng(100 + 10 * k + stride + pad).derive(f"b{batch}")
+@pytest.mark.parametrize("k", [1, 3])  # 1x1 skips im2col; 3x3 pads and runs im2col
+def test_conv2d_paths_match_earlier_formula_and_oracle(batch, k):
+    r = Rng(100 + 10 * k).derive(f"b{batch}")
     x = r.uniform((batch, 5, 8, 8))
     w = r.uniform((6, 5, k, k))
     b = r.uniform((6,))
-    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
-    assert np.array_equal(got, padded_concat_conv2d(x, w, b, stride, pad))
-    assert np.abs(got - naive_conv2d(x, w, b, stride=stride, pad=pad)).max() <= 1e-12
+    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+    assert np.array_equal(got, padded_concat_conv2d(x, w, b))
+    assert np.abs(got - naive_conv2d(x, w, b)).max() <= 1e-12
 
 
 def test_conv2d_rejects_even_kernel_and_bad_stride():
@@ -103,7 +92,9 @@ def test_conv2d_rejects_even_kernel_and_bad_stride():
     with pytest.raises(ShapeError):
         ops.conv2d(x, Tensor.zeros((1, 1, 2, 2)))
     with pytest.raises(ShapeError):
-        ops.conv2d(x, Tensor.zeros((1, 1, 3, 3)), stride=3)
+        ops.conv2d(x, Tensor.zeros((1, 1, 3, 1)))  # not square
+    with pytest.raises(TypeError):
+        ops.conv2d(x, Tensor.zeros((1, 1, 3, 3)), stride=2)  # same padding, stride 1 only
     with pytest.raises(ShapeError):
         ops.conv2d(x, Tensor.zeros((1, 2, 3, 3)))  # channel mismatch
 
