@@ -27,7 +27,7 @@ grads = backward(loss)
 print("dL/dx shape:", grads[id(x)].shape)
 print("dL/dw first row:", grads[id(w)][0])
 
-# grad_and_value is the convenience wrapper used throughout the demos.
+# grad_and_value evaluates a closure and returns its gradients and value.
 g, value = grad_and_value(lambda: ops.tsum(ops.sigmoid(x)), [x])
 print("sigmoid' at x (should be in (0, 0.25]):", g[id(x)].max())
 
@@ -44,10 +44,11 @@ print(f"gradcheck: passed={report.passed} "
       f"coords checked={report.checked}")
 
 # Kinks are the classic finite-difference trap: relu is not differentiable at
-# zero, so coordinates whose +h/-h probes land on different sides of the kink
-# are excluded, not fudged.  The window has to be wider than the probe step to
-# catch a coordinate sitting exactly on the kink.
+# zero, so coordinates whose probes land on different sides of the kink are
+# excluded, not fudged.  gradcheck reads each probe's relu inputs off the
+# graph it records, and counts a sign change within max(1e-6, h) of zero as a
+# kink: the window grows with the step, so a coordinate sitting on the kink
+# is always caught.
 z = Tensor(np.array([[-1.0, 1e-9, 1.0]]), requires_grad=True)
-kinky = gradcheck(lambda: ops.tsum(ops.relu(z)), [z], rng.derive("kink"),
-                  kink_window=1e-4)
+kinky = gradcheck(lambda: ops.tsum(ops.relu(z)), [z], rng.derive("kink"))
 print("coords skipped at the relu kink:", kinky.skipped_kinks)

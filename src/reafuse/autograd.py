@@ -15,8 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import tensor as T
-from .tensor import Rng, Tensor
+from .tensor import Rng, ShapeError, Tensor
 
 __all__ = ["Tape", "backward", "grad_and_value", "gradcheck", "GradcheckReport"]
 
@@ -36,18 +35,23 @@ class Tape:
 
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
-        seen: set[int] = set()
-        nodes: list[Tensor] = []
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if id(t) in seen or t.backward_fn is None:
-                continue
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t.parents)
-        nodes.sort(key=lambda t: t.seq)
-        return cls(root=root, nodes=nodes)
+        return cls(root=root, nodes=_graph_nodes(root))
+
+
+def _graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every op-produced tensor reachable from ``root``, in execution order."""
+    seen: set[int] = set()
+    nodes: list[Tensor] = []
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.backward_fn is None:
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        stack.extend(t.parents)
+    nodes.sort(key=lambda t: t.seq)
+    return nodes
 
 
 def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[int, np.ndarray]:
@@ -58,7 +62,7 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[int, np.
     in which case they get zeros so callers can iterate uniformly.
     """
     if loss.data.size != 1:
-        raise T.ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+        raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = Tape.trace(loss)
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -96,7 +100,6 @@ class GradcheckReport:
     max_rel_error: float
     checked: int
     skipped_kinks: int
-    worst: tuple[str, tuple[int, ...]] | None = None
     failures: list[str] = field(default_factory=list)
 
     def __str__(self) -> str:
@@ -130,6 +133,15 @@ def _crosses_kink(traces: list[list[np.ndarray]], window: float) -> bool:
     return False
 
 
+def _relu_inputs(loss: Tensor) -> list[np.ndarray]:
+    """Copies of the pre-activations of the relus ``loss`` records, in execution order.
+
+    Copies, because a relu that reads a ``wrt`` leaf directly holds the
+    buffer gradcheck perturbs in place.
+    """
+    return [node.parents[0].data.copy() for node in _graph_nodes(loss) if node.op == "relu"]
+
+
 def gradcheck(
     fn: Callable[[], Tensor],
     wrt: Iterable[Tensor],
@@ -137,7 +149,6 @@ def gradcheck(
     h: float = 1e-5,
     tol: float = 1e-6,
     max_coords: int = 50,
-    kink_window: float = 1e-6,
 ) -> GradcheckReport:
     """Compare analytic gradients of scalar ``fn()`` with finite differences.
 
@@ -152,15 +163,16 @@ def gradcheck(
     ``D(s) = (f(x + s) - f(x - s)) / 2s``, which cancels the O(h^2)
     truncation error that a plain central difference leaves on strongly
     curved losses.  A coordinate is skipped as a relu kink when its four
-    evaluations disagree about an activation lying within
-    ``max(kink_window, h)`` of zero: the step, not a fixed constant, bounds
-    how far a pre-activation can move.
+    evaluations disagree about an activation lying within ``max(1e-6, h)``
+    of zero: the step, not a fixed constant, bounds how far a
+    pre-activation can move.  Each evaluation's relu pre-activations are
+    read from the graph that evaluation records.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"gradcheck: step h={h} outside [1e-7, 1e-3]")
     wrt = list(wrt)
     analytic = backward(fn(), wrt=wrt)
-    window = max(kink_window, h)
+    window = max(1e-6, h)
     steps = (h, -h, 0.5 * h, -0.5 * h)
 
     report = GradcheckReport(passed=True, max_rel_error=0.0, checked=0, skipped_kinks=0)
@@ -178,12 +190,10 @@ def gradcheck(
             try:
                 for step in steps:
                     flat[fi] = original + step
-                    trace: list[np.ndarray] = []
-                    T._RELU_TRACE = trace
-                    values.append(fn().item())
-                    traces.append(trace)
+                    loss = fn()
+                    values.append(loss.item())
+                    traces.append(_relu_inputs(loss))
             finally:
-                T._RELU_TRACE = None
                 flat[fi] = original
 
             if not np.isfinite(values).all():
@@ -200,12 +210,10 @@ def gradcheck(
             a_val = float(a.reshape(-1)[fi])
             rel = abs(a_val - numeric) / max(abs(a_val), abs(numeric), 1.0)
             report.checked += 1
-            coord = tuple(int(c) for c in np.unravel_index(fi, t.shape or (1,)))
-            if rel > report.max_rel_error:
-                report.max_rel_error = rel
-                report.worst = (f"wrt[{t_index}]", coord)
+            report.max_rel_error = max(report.max_rel_error, rel)
             if rel > tol:
                 report.passed = False
+                coord = tuple(int(c) for c in np.unravel_index(fi, t.shape or (1,)))
                 report.failures.append(
                     f"wrt[{t_index}] coord {coord}: analytic {a_val:.9e}, "
                     f"numeric {numeric:.9e}, rel {rel:.3e}"

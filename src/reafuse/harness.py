@@ -238,8 +238,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return (not self.non_finite and not self.inconclusive
-                and all(self.verdicts.values()))
+        return self.exit_code == 0
 
     @property
     def exit_code(self) -> int:
@@ -334,39 +333,43 @@ def _residuals(config: HarnessConfig, levels_of) -> list[float] | None:
     return residuals
 
 
-def _residuals_by_level(config: HarnessConfig, variant: str, rng: Rng) -> list[float] | None:
-    """Residuals of one variant alone on a fresh draw from ``rng``: full
-    forward passes, backbone included (used for reseeds)."""
-    image, param_seed = _draw(config, rng)
-    params = init_pyramid(config.pyramid_config(variant, param_seed))
-    return _residuals(config, lambda s: run_pyramid(_rotate(config, image, s), params))
+def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
+                    timings: dict) -> dict[str, list[float] | None]:
+    """Residuals of each of ``variants`` on one draw from ``rng``.
 
-
-def _verify_seed(config: HarnessConfig, rng: Rng, tallies: dict, timings: dict) -> None:
-    """One seed for every still-finite variant: one shared draw, one backbone
-    forward per group element, then each variant's head on those features.
-
-    ``init_pyramid`` derives every layer from the parameter seed and the
-    layer name, so all variants get the same stem and stage weights and the
-    backbone features are the same for all of them; only the attention
-    weights differ.  Everything built here is released on return, before the
-    next seed's backbone runs.
+    One input image, one parameter seed and one backbone forward per group
+    element, shared by every variant listed, then each variant's head on
+    those features.  ``init_pyramid`` derives every layer from the parameter
+    seed and the layer name, so all variants get the same stem and stage
+    weights and the backbone features are the same for all of them; only
+    the attention weights differ.  A non-finite backbone gives None for
+    every variant.  Everything built here is released on return.
     """
-    live = [v for v in VARIANTS if tallies[v].finite]
     t0 = time.perf_counter()
     image, param_seed = _draw(config, rng)
-    params = {v: init_pyramid(config.pyramid_config(v, param_seed)) for v in live}
-    feats = [toy_backbone(_rotate(config, image, s), params[live[0]])
+    params = {v: init_pyramid(config.pyramid_config(v, param_seed)) for v in variants}
+    feats = [toy_backbone(_rotate(config, image, s), params[variants[0]])
              for s in range(config.orientations)]
     timings["backbone"] += time.perf_counter() - t0
     if not all(_finite(*f) for f in feats):
-        for v in live:
-            tallies[v].finite = False
-        return
-    for variant in live:
+        return dict.fromkeys(variants)
+    residuals = {}
+    for variant in variants:
         t0 = time.perf_counter()
+        residuals[variant] = _residuals(
+            config, lambda s: build_pyramid(feats[s], params[variant]))
+        timings[variant] += time.perf_counter() - t0
+    return residuals
+
+
+def _verify_seed(config: HarnessConfig, rng: Rng, tallies: dict, timings: dict) -> None:
+    """One seed for every still-finite variant: one shared draw, then a
+    fresh draw for each reseed of a variant that must break."""
+    live = [v for v in VARIANTS if tallies[v].finite]
+    by_variant = _draw_residuals(config, rng, live, timings)
+    for variant in live:
         tally = tallies[variant]
-        residuals = _residuals(config, lambda s: build_pyramid(feats[s], params[variant]))
+        residuals = by_variant[variant]
         if variant not in EQUIVARIANT_VARIANTS and config.orientations > 1:
             # Breakage size depends on the weight draw; replace a seed that
             # happens to land nearly-equivariant, up to the reseed budget.
@@ -374,8 +377,9 @@ def _verify_seed(config: HarnessConfig, rng: Rng, tallies: dict, timings: dict) 
             while (residuals is not None and max(residuals) < config.fail_threshold
                    and attempt < config.reseeds):
                 attempt += 1
-                residuals = _residuals_by_level(
-                    config, variant, rng.derive(f"reseed/{variant}/{attempt}"))
+                residuals = _draw_residuals(
+                    config, rng.derive(f"reseed/{variant}/{attempt}"), [variant],
+                    timings)[variant]
             tally.reseeds_used += attempt
             if residuals is not None and max(residuals) < config.fail_threshold:
                 tally.undemonstrated += 1
@@ -384,7 +388,6 @@ def _verify_seed(config: HarnessConfig, rng: Rng, tallies: dict, timings: dict) 
         else:
             tally.per_seed_worst.append(max(residuals))
             tally.per_level = [max(a, b) for a, b in zip(tally.per_level, residuals)]
-        timings[variant] += time.perf_counter() - t0
 
 
 def _summary(config: HarnessConfig, variant: str, tally: _Tally) -> dict:
@@ -412,9 +415,9 @@ def run_verify(config: HarnessConfig) -> Report:
     Seeds are the outer loop and variants the inner one: per seed, all
     variants share the input image and the backbone, as in a fixed-backbone
     ablation, and every variant is still run end to end on each rotated
-    input.  ``timings[variant]`` is that variant's head time plus its
-    reseeds; ``timings["backbone"]`` is the shared draws, parameter set-up
-    and backbone forwards.
+    input.  ``timings[variant]`` is that variant's head time, reseeds
+    included; ``timings["backbone"]`` is every draw's parameter set-up and
+    backbone forwards, reseeds included.
     """
     report = _new_report("verify", config)
     start = time.perf_counter()
@@ -603,27 +606,27 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     rx = Tensor(rng.derive("rx").uniform((2, c, 4, 4)), requires_grad=True)
     yield ("reca_forward",
            lambda: _sq(reca_forward(ReFeatureMap(rx, 2, n), rp).data),
-           [*rp.tensors, rx])
+           [*_tensors(rp), rx])
 
     sp = init_se(rng.derive("se"), c, 2)
-    yield ("se_forward", lambda: _sq(se_forward(rx, sp)), [*sp.tensors, rx])
+    yield ("se_forward", lambda: _sq(se_forward(rx, sp)), [*_tensors(sp), rx])
 
     ap = init_reaff(rng.derive("reaff"), c, n, 1)
     ry = Tensor(rng.derive("ry").uniform((2, c, 4, 4)), requires_grad=True)
     yield ("reaff_forward",
            lambda: _sq(reaff_forward(ReFeatureMap(rx, 2, n), ReFeatureMap(ry, 2, n), ap).data),
-           [*ap.tensors, rx, ry])
+           [*_tensors(ap), rx, ry])
 
     ip = init_plain_iaff(rng.derive("iaff"), c, 2)
     yield ("plain_iaff_forward",
-           lambda: _sq(plain_iaff_forward(rx, ry, ip)), [*ip.tensors, rx, ry])
+           lambda: _sq(plain_iaff_forward(rx, ry, ip)), [*_tensors(ip), rx, ry])
 
     pcfg = PyramidConfig(levels=2, kernel_channels=2, orientations=n,
                          reduction=min(r, 2), variant="ReAFFPN",
                          seed=rng.derive("pyramid").seed)
     pp = init_pyramid(pcfg)
     image = Tensor(rng.derive("image").uniform((2, 3, 8, 8)), requires_grad=True)
-    tensors = [t for _, t in named_parameters(pp)] + [image]
+    tensors = _tensors(pp) + [image]
 
     def pyramid_loss():
         levels = run_pyramid(image, pp)
@@ -633,6 +636,10 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
         return total
 
     yield ("pyramid 2-level ReAFFPN", pyramid_loss, tensors)
+
+
+def _tensors(params) -> list[Tensor]:
+    return [t for _, t in named_parameters(params)]
 
 
 def _sq(t: Tensor) -> Tensor:

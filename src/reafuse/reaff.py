@@ -79,10 +79,6 @@ class ReMParams:
                 f"({g.channels}, {g.orientations}, {g.r}) vs ({l.channels}, {l.orientations}, {l.r})"
             )
 
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return self.global_att.tensors + self.local_att.tensors
-
 
 @dataclass(frozen=True)
 class ReAFFParams:
@@ -90,10 +86,6 @@ class ReAFFParams:
 
     stage1: ReMParams
     stage2: ReMParams
-
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return self.stage1.tensors + self.stage2.tensors
 
 
 def rem_fuse(x: ReFeatureMap, p: ReMParams) -> Tensor:
@@ -153,29 +145,17 @@ class ChannelMLPParams:
         if self.bn_gamma.shape != (reduced,) or self.bn_beta.shape != (reduced,):
             raise ShapeError(f"bn parameters must be shaped ({reduced},)")
 
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.w1, self.w2, self.bn_gamma, self.bn_beta)
-
 
 @dataclass(frozen=True)
 class MSCAMParams:
     global_att: ChannelMLPParams
     local_att: ChannelMLPParams
 
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return self.global_att.tensors + self.local_att.tensors
-
 
 @dataclass(frozen=True)
 class PlainIAFFParams:
     stage1: MSCAMParams
     stage2: MSCAMParams
-
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return self.stage1.tensors + self.stage2.tensors
 
 
 def _mlp_logits(x: Tensor, p: ChannelMLPParams) -> Tensor:

@@ -68,7 +68,8 @@ class ReCAParams:
 
     ``w_a``: [N, (C/N)/r, C/N] reduction banks; ``w_b``: [N, C/N, (C/N)/r]
     expansion banks; ``bn_gamma``/``bn_beta``: [(C/N)/r], one pair shared by
-    all N blocks (per-block statistics would break the shift covariance).
+    all N blocks.  Sharing gamma/beta is what the shift covariance needs; see
+    ``_shared_batchnorm`` for the statistics.
 
     Only the N distinct banks are stored.  At use each bank becomes the
     [out*N, in*N] block-circulant matrix whose block (i, m) is
@@ -112,10 +113,6 @@ class ReCAParams:
     def channels(self) -> int:
         return self.w_a.shape[0] * self.w_a.shape[2]
 
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.w_a, self.w_b, self.bn_gamma, self.bn_beta)
-
 
 @dataclass(frozen=True)
 class SEParams:
@@ -130,10 +127,6 @@ class SEParams:
         reduced, c = self.w1.shape
         if self.w2.shape != (c, reduced):
             raise ShapeError(f"w2 shaped {self.w2.shape}, expected ({c}, {reduced})")
-
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.w1, self.w2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,9 +175,12 @@ def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Batch-norm with statistics pooled over batch x orientations (x spatial).
 
     ``x`` is [B, R*N] or [B, R*N, H, W] in re-feature-map channel order.
-    All N orientation copies of a reduced channel share one mean/var and one
-    gamma/beta, so an orientation shift (a permutation inside each group of
-    N) permutes the outputs without changing any value.
+    All N orientation copies of a reduced channel share one gamma/beta, so an
+    orientation shift (a permutation inside each group of N) permutes the
+    outputs without changing any value.  They also share one mean/var, but
+    that is a design choice, not an equivariance requirement: per-channel
+    statistics permute along with the channels, so they commute with the
+    shift as well.
     """
     b, c, *space = x.shape
     grouped = reshape(x, [b, c // n, n] + space)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,17 +38,12 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
     "matmul",
     "relu",
     "sigmoid",
     "power",
-    "affine",
     "reshape",
     "transpose",
-    "concat",
-    "stack",
     "take",
     "tsum",
     "tmean",
@@ -71,10 +66,6 @@ class DegenerateStatisticsError(ValueError):
 
 # Monotone id assigned at construction; reverse ids == reverse execution order.
 _EXECUTION_COUNTER = itertools.count()
-
-# When not None, relu appends a copy of each pre-activation it sees.  Used by
-# gradcheck to detect finite-difference steps that straddle a relu kink.
-_RELU_TRACE: list[np.ndarray] | None = None
 
 # Cleared inside ``no_grad``; process-wide, so no_grad is not for use from
 # several threads at once.
@@ -110,10 +101,6 @@ class Tensor:
     def ones(shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=np.float64), requires_grad)
 
-    @staticmethod
-    def full(shape, value: float, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.full(shape, float(value), dtype=np.float64), requires_grad)
-
     # -- basic introspection ---------------------------------------------------
 
     @property
@@ -136,33 +123,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad}, op={self.op})"
-
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Rng:
@@ -271,25 +231,9 @@ def mul(a, b) -> Tensor:
     return _broadcast_op(a, b, "mul", lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b) -> Tensor:
-    return _broadcast_op(
-        a, b, "div",
-        lambda x, y: x / y,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
-    )
-
-
-def neg(a) -> Tensor:
-    a = _wrap(a)
-    return _record(Tensor(-a.data), "neg", (a,), lambda g: (-g,))
-
-
 def relu(a) -> Tensor:
     """max(0, x); the subgradient at the kink is taken as 0."""
     a = _wrap(a)
-    if _RELU_TRACE is not None:
-        _RELU_TRACE.append(a.data.copy())
     mask = a.data > 0.0
     return _record(Tensor(np.where(mask, a.data, 0.0)), "relu", (a,), lambda g: (g * mask,))
 
@@ -306,11 +250,6 @@ def power(a, exponent: float) -> Tensor:
     p = float(exponent)
     data = a.data ** p
     return _record(Tensor(data), "power", (a,), lambda g: (g * p * a.data ** (p - 1.0),))
-
-
-def affine(x, scale, shift) -> Tensor:
-    """Pointwise scale-and-shift, broadcasting like add/mul."""
-    return add(mul(x, scale), shift)
 
 
 def matmul(a, b) -> Tensor:
@@ -349,39 +288,6 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
         Tensor(np.transpose(a.data, axes)), "transpose", (a,),
         lambda g: (np.transpose(g, inverse),),
     )
-
-
-def concat(tensors: Iterable, axis: int) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
-    try:
-        data = np.concatenate([t.data for t in ts], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in ts]}") from exc
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray):
-        slicer = [slice(None)] * g.ndim
-        outs = []
-        for i in range(len(ts)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            outs.append(g[tuple(slicer)])
-        return outs
-
-    return _record(Tensor(data), "concat", tuple(ts), backward)
-
-
-def stack(tensors: Iterable, axis: int) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
-    try:
-        data = np.stack([t.data for t in ts], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"stack: incompatible shapes {[t.shape for t in ts]}") from exc
-
-    def backward(g: np.ndarray):
-        return [np.take(g, i, axis=axis) for i in range(len(ts))]
-
-    return _record(Tensor(data), "stack", tuple(ts), backward)
 
 
 def take(a, indices, axis: int) -> Tensor:

@@ -6,6 +6,7 @@ import pytest
 from reafuse import tensor as ops
 from reafuse.autograd import Tape, backward, grad_and_value, gradcheck
 from reafuse.groupequiv import ReFeatureMap, g_act, init_group_conv, group_conv
+from reafuse.pyramid import named_parameters
 from reafuse.reca import init_reca, reca_forward
 from reafuse.tensor import Rng, ShapeError, Tensor
 
@@ -25,7 +26,7 @@ def test_grad_of_sigmoid_sum_at_zero_is_quarter():
 def test_backward_linearity_is_exact():
     x = Tensor(np.random.default_rng(1).normal(size=(6,)), requires_grad=True)
     g1 = backward(ops.tsum(ops.mul(x, x)))[id(x)]
-    g3 = backward(ops.affine(ops.tsum(ops.mul(x, x)), 3.0, 0.0))[id(x)]
+    g3 = backward(ops.mul(ops.tsum(ops.mul(x, x)), 3.0))[id(x)]
     np.testing.assert_array_equal(g3, 3.0 * g1)
 
 
@@ -86,7 +87,7 @@ def test_gradcheck_raises_on_non_finite():
     x = Tensor(np.zeros((2,)), requires_grad=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            gradcheck(lambda: ops.tsum(ops.div(Tensor(np.ones(2)), x)), [x], Rng(0))
+            gradcheck(lambda: ops.tsum(ops.power(x, -1.0)), [x], Rng(0))
 
 
 def test_gradcheck_flags_a_wrong_gradient():
@@ -113,7 +114,8 @@ def test_gradcheck_on_reca_small_config():
         out = reca_forward(ReFeatureMap(x, k, n), params)
         return ops.tsum(ops.mul(out.data, out.data))
 
-    report = gradcheck(loss, [*params.tensors, x], rng.derive("coords"), h=1e-5, tol=1e-6)
+    wrt = [t for _, t in named_parameters(params)] + [x]
+    report = gradcheck(loss, wrt, rng.derive("coords"), h=1e-5, tol=1e-6)
     assert report.passed, str(report)
     assert report.checked >= 50
 
@@ -146,9 +148,26 @@ def test_gradcheck_kink_window_follows_the_step():
     # x sits 2.8e-6 above a relu kink: the +-h evaluations straddle it while
     # both pre-activations stay farther than 1e-6 from zero
     x = Tensor(np.array([2.8e-6, 0.5]), requires_grad=True)
-    report = gradcheck(lambda: ops.tsum(ops.relu(x)), [x], Rng(0), h=1e-5, kink_window=1e-6)
+    report = gradcheck(lambda: ops.tsum(ops.relu(x)), [x], Rng(0), h=1e-5)
     assert report.passed, str(report)
     assert (report.checked, report.skipped_kinks) == (1, 1)
+
+
+def test_gradcheck_traces_one_tape_for_its_one_backward(monkeypatch):
+    # the relu pre-activations of every evaluation come from that evaluation's
+    # graph without building a Tape, so Tape.trace counts only replayed tapes
+    real = Tape.__dict__["trace"]
+    roots = []
+
+    def counted(cls, root):
+        roots.append(root)
+        return real.__func__(cls, root)
+
+    monkeypatch.setattr(Tape, "trace", classmethod(counted))
+    x = Tensor(np.array([2.8e-6, 0.5, -0.75]), requires_grad=True)
+    report = gradcheck(lambda: ops.tsum(ops.relu(ops.mul(x, 2.0))), [x], Rng(0))
+    assert (report.checked, report.skipped_kinks) == (2, 1)
+    assert len(roots) == 1
 
 
 def test_gradcheck_extrapolation_removes_curvature_error():

@@ -223,16 +223,16 @@ def test_g_act_preserves_value_multiset(seed, s):
 def reference_lift_kernel(w, n):
     """The rotate-and-stack expansion: N rot90 copies stacked per filter."""
     k_out, c_in, k, _ = w.shape
-    copies = [ops.rot90(w, i * (4 // n)) for i in range(n)]
-    return ops.reshape(ops.stack(copies, axis=1), (k_out * n, c_in, k, k)).data
+    copies = [ops.rot90(w, i * (4 // n)).data for i in range(n)]
+    return np.stack(copies, axis=1).reshape(k_out * n, c_in, k, k)
 
 
 def reference_group_kernel(w, n):
     """The per-orientation expansion: take relative orientations, rotate, stack."""
     k_out, k_in, _, k, _ = w.shape
-    banks = [ops.rot90(ops.take(w, [(m - i) % n for m in range(n)], axis=2), i * (4 // n))
+    banks = [ops.rot90(ops.take(w, [(m - i) % n for m in range(n)], axis=2), i * (4 // n)).data
              for i in range(n)]
-    return ops.reshape(ops.stack(banks, axis=1), (k_out * n, k_in * n, k, k)).data
+    return np.stack(banks, axis=1).reshape(k_out * n, k_in * n, k, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

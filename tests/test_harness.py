@@ -284,8 +284,8 @@ def _count_backbone_calls(monkeypatch):
         calls.append((params.config.variant, params.config.seed))
         return real(x, params)
 
+    # seeds and reseeds share one verify path, which calls harness.toy_backbone
     monkeypatch.setattr(harness, "toy_backbone", counted)
-    monkeypatch.setattr(pyramid, "toy_backbone", counted)  # reseeds call run_pyramid
     return calls
 
 
@@ -295,7 +295,7 @@ def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch):
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
     # one backbone forward per seed and group element, not one per variant
-    # too; a reseed runs one variant's full forward passes
+    # too; a reseed runs one backbone forward per element for its one variant
     assert len(calls) == (cfg.seeds + reseeds) * cfg.orientations
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
+from reafuse.pyramid import named_parameters
 from reafuse.reaff import (
     init_plain_iaff,
     init_reaff,
@@ -15,6 +16,10 @@ from reafuse.reaff import (
     rem_fuse,
 )
 from reafuse.tensor import Rng, ShapeError, Tensor
+
+
+def tensors(params):
+    return [t for _, t in named_parameters(params)]
 
 
 def random_pair(rng, k, n, size, batch=2):
@@ -41,7 +46,7 @@ def test_fuse_zero_params_is_midpoint():
     n, k = 2, 3
     rng = Rng(33)
     p = init_reaff(rng, k * n, n, 1)
-    for t in p.tensors:
+    for t in tensors(p):
         t.data[...] = 0.0
     x, y = random_pair(rng, k, n, 4)
     out = reaff_forward(x, y, p)
@@ -94,7 +99,7 @@ def test_spatially_constant_input_collapses_local_to_global():
     n, k = 2, 3
     rng = Rng(66)
     p = init_rem(rng.derive("p"), k * n, n, 1)
-    for src, dst in zip(p.global_att.tensors, p.local_att.tensors):
+    for src, dst in zip(tensors(p.global_att), tensors(p.local_att)):
         dst.data[...] = src.data
     base = rng.derive("v").uniform((2, k * n, 1, 1))
     x = ReFeatureMap(Tensor(np.broadcast_to(base, (2, k * n, 5, 5)).copy()), k, n)
@@ -111,7 +116,7 @@ def test_plain_iaff_identity_and_midpoint():
     x = Tensor(rng.derive("x").uniform((2, c, 4, 4)))
     y = Tensor(rng.derive("y").uniform((2, c, 4, 4)))
     np.testing.assert_allclose(plain_iaff_forward(x, x, p).data, x.data, atol=1e-12)
-    for t in p.tensors:
+    for t in tensors(p):
         if t.ndim > 1:  # weights only; keep BN gamma at 1 so stats stay usable
             t.data[...] = 0.0
     out = plain_iaff_forward(x, y, p).data

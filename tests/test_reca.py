@@ -103,6 +103,38 @@ def test_attention_logits_shift_covariance_with_bn():
     assert worst <= 1e-10
 
 
+def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
+    # pooling the statistics over orientations is a design choice: per-channel
+    # statistics permute with the channels, so with gamma/beta still shared by
+    # the N copies of a reduced channel the attention still commutes with g_act
+    def per_channel_batchnorm(x, n, gamma, beta):
+        spread = np.repeat(np.arange(gamma.shape[0]), n)  # channel r*N + i -> r
+        axes = (0,) + tuple(range(2, x.ndim))
+        return ops.batchnorm(x, ops.take(gamma, spread, 0), ops.take(beta, spread, 0),
+                             reduce_axes=axes)
+
+    n, k, r = 4, 4, 2
+    rng = Rng(55)
+    p = init_reca(rng.derive("p"), k * n, n, r)
+    p = ReCAParams(w_a=p.w_a, w_b=p.w_b, r=r,
+                   bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
+                   bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
+    x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), k, n)
+    pooled = attention_logits(x, p, squeeze=False).data.data
+    monkeypatch.setattr(reca, "_shared_batchnorm", per_channel_batchnorm)
+    base_logits = attention_logits(x, p, squeeze=False)
+    assert np.abs(base_logits.data.data - pooled).max() > 1e-3  # the patch is live
+    base_gated = reca_forward(x, p)
+    worst = 0.0
+    for s in range(1, n):
+        moved = g_act(x, s)
+        worst = max(worst,
+                    relative_residual(attention_logits(moved, p, squeeze=False),
+                                      g_act(base_logits, s)),
+                    relative_residual(reca_forward(moved, p), g_act(base_gated, s)))
+    assert worst <= 1e-12
+
+
 def test_reca_zero_params_gate_half():
     n, k = 4, 2
     p = ReCAParams(w_a=Tensor.zeros((n, k, k)), w_b=Tensor.zeros((n, k, k)),

@@ -119,7 +119,7 @@ def test_rot90_cycle_and_composition():
 def test_global_avg_pool_values_and_rotation_invariance():
     x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     assert ops.global_avg_pool(x).data.reshape(()) == 2.5
-    const = Tensor.full((2, 3, 5, 5), 7.25)
+    const = Tensor(np.full((2, 3, 5, 5), 7.25))
     assert np.all(ops.global_avg_pool(const).data == 7.25)
     r = Tensor(np.random.default_rng(4).normal(size=(2, 3, 6, 6)))
     base = ops.global_avg_pool(r).data
@@ -203,7 +203,7 @@ def test_batchnorm_statistics():
     np.testing.assert_array_equal(out2, np.broadcast_to(beta2.data[None, :, None, None], x.shape))
 
     # constant input per channel -> zeros under gamma=1, beta=0
-    const = Tensor.full((4, 3, 2, 2), 5.0)
+    const = Tensor(np.full((4, 3, 2, 2), 5.0))
     out3 = ops.batchnorm(const, Tensor(np.ones(3)), Tensor.zeros((3,)), reduce_axes=(0, 2, 3)).data
     assert np.abs(out3).max() <= 1e-12
 
@@ -220,23 +220,18 @@ def test_batchnorm_degenerate_statistics_error():
                       reduce_axes=(0,), eps=0.0)
 
 
-def test_take_concat_stack_roundtrip():
+def test_take_gathers_along_axis_and_checks_range():
     x = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    parts = [ops.take(x, [c], axis=1) for c in range(3)]
-    back = ops.concat(parts, axis=1)
-    np.testing.assert_array_equal(back.data, x.data)
-    stacked = ops.stack([Tensor(np.ones((2, 2))), Tensor.zeros((2, 2))], axis=0)
-    assert stacked.shape == (2, 2, 2)
+    for c in range(3):
+        np.testing.assert_array_equal(ops.take(x, [c], axis=1).data, x.data[:, [c]])
     with pytest.raises(ShapeError):
         ops.take(x, [5], axis=1)
 
 
-def test_matmul_and_affine():
+def test_matmul_matches_numpy():
     a = np.random.default_rng(10).normal(size=(3, 4))
     b = np.random.default_rng(11).normal(size=(4, 5))
     np.testing.assert_allclose(ops.matmul(Tensor(a), Tensor(b)).data, a @ b)
-    y = ops.affine(Tensor(a), 2.0, -1.0).data
-    np.testing.assert_array_equal(y, 2.0 * a - 1.0)
 
 
 def test_rng_determinism_and_derivation_independence():
@@ -278,10 +273,10 @@ def test_no_grad_restores_recording_after_nesting_and_errors():
     x = Tensor.ones((2, 2), requires_grad=True)
     with ops.no_grad():
         with ops.no_grad():
-            assert not ops.neg(x).requires_grad
-        assert not ops.neg(x).requires_grad  # the inner exit keeps the outer mode
-    assert ops.neg(x).requires_grad
+            assert not ops.relu(x).requires_grad
+        assert not ops.relu(x).requires_grad  # the inner exit keeps the outer mode
+    assert ops.relu(x).requires_grad
     with pytest.raises(ShapeError):
         with ops.no_grad():
             ops.matmul(x, Tensor.ones((3, 3)))
-    assert ops.neg(x).requires_grad
+    assert ops.relu(x).requires_grad
