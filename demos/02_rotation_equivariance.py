@@ -11,7 +11,6 @@ and the one place where naive downsampling silently breaks the property.
 import numpy as np
 
 from reafuse import (
-    ReFeatureMap,
     Rng,
     Tensor,
     g_act,

@@ -27,7 +27,7 @@ from reafuse import (
 rng = Rng(5150)
 k, n = 4, 4
 c = k * n
-p = init_reaff(rng.derive("p"), c, n)
+p = init_reaff(rng.derive("p"), c, n, 4)
 
 x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), k, n)
 y = ReFeatureMap(Tensor(rng.derive("y").uniform((2, c, 8, 8))), k, n)

@@ -102,14 +102,14 @@ MAX_IMAGE_SIZE_X_BATCH = 512
 class HarnessConfig:
     """Schema of the JSON config consumed by every command.
 
-    See configs/default.json for a commented walk-through of each knob.
+    The README's "Configuration" section walks through each knob.
     """
 
     seed: int = 20240814
     levels: int = 3
     kernel_channels: int = 8
     orientations: int = 4
-    reduction: int | None = 2
+    reduction: int = 2
     image_size: int = 32
     batch: int = 2
     variant: str = "ReAFFPN"
@@ -127,12 +127,6 @@ class HarnessConfig:
             self.pyramid_config(self.variant, self.seed)
         except ShapeError as exc:
             raise ConfigError(str(exc)) from None
-        if self.reduction is not None:
-            if self.reduction < 1 or self.kernel_channels % self.reduction:
-                raise ConfigError(
-                    f"reduction {self.reduction} must divide kernel_channels "
-                    f"{self.kernel_channels}"
-                )
         # bit_length() < levels means image_size < 2^(levels-1); checked first,
         # so that a huge levels never has its power computed
         if (self.image_size < 1 or self.image_size.bit_length() < self.levels
@@ -203,8 +197,6 @@ def load_config(path) -> HarnessConfig:
     if unknown:
         raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
     for key, value in payload.items():
-        if key == "reduction" and value is None:
-            continue
         if key == "variant":
             if not isinstance(value, str):
                 raise ConfigError(f"config key {key} must be a string")
@@ -251,18 +243,7 @@ class Report:
         return 0
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "config": self.config,
-            "results": self.results,
-            "verdicts": self.verdicts,
-            "timings": self.timings,
-            "non_finite": self.non_finite,
-            "inconclusive": self.inconclusive,
-            "passed": self.passed,
-            "exit_code": self.exit_code,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed, "exit_code": self.exit_code}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -301,7 +282,7 @@ class _Tally:
 
 
 def _draw(config: HarnessConfig, rng: Rng) -> tuple[Tensor, int]:
-    """The input image and the parameter seed of one verify draw."""
+    """The input image and the parameter seed of one verify or demo draw."""
     image = Tensor(rng.derive("image").uniform(
         (config.batch, 3, config.image_size, config.image_size)))
     return image, rng.derive("params").seed
@@ -571,7 +552,6 @@ def run_oracle(config: HarnessConfig) -> Report:
 def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     """Yield (name, loss-closure, wrt) over the differentiable op set."""
     n = config.orientations
-    r = config.reduction if config.reduction is not None else 1
 
     x = Tensor(rng.derive("x").uniform((2, 3, 5, 5)), requires_grad=True)
     w = Tensor(rng.derive("w").uniform((4, 3, 3, 3)), requires_grad=True)
@@ -622,7 +602,7 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
            lambda: _sq(plain_iaff_forward(rx, ry, ip)), [*_tensors(ip), rx, ry])
 
     pcfg = PyramidConfig(levels=2, kernel_channels=2, orientations=n,
-                         reduction=min(r, 2), variant="ReAFFPN",
+                         reduction=min(config.reduction, 2), variant="ReAFFPN",
                          seed=rng.derive("pyramid").seed)
     pp = init_pyramid(pcfg)
     image = Tensor(rng.derive("image").uniform((2, 3, 8, 8)), requires_grad=True)
@@ -684,10 +664,8 @@ def run_demo(config: HarnessConfig, out_dir) -> Report:
     """Build one pyramid, serialize its levels, and echo what was written."""
     report = _new_report("demo", config)
     start = time.perf_counter()
-    rng = Rng(config.seed).derive("demo")
-    image = Tensor(rng.derive("image").uniform(
-        (config.batch, 3, config.image_size, config.image_size)))
-    params = init_pyramid(config.pyramid_config(config.variant, rng.derive("params").seed))
+    image, param_seed = _draw(config, Rng(config.seed).derive("demo"))
+    params = init_pyramid(config.pyramid_config(config.variant, param_seed))
     with ops.no_grad():
         levels = run_pyramid(image, params)
     if not _finite(*levels):

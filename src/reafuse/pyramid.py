@@ -39,23 +39,8 @@ from .groupequiv import (
     init_lift_conv,
     lift_conv,
 )
-from .reaff import (
-    PlainIAFFParams,
-    ReAFFParams,
-    init_plain_iaff,
-    init_reaff,
-    plain_iaff_forward,
-    reaff_forward,
-)
-from .reca import (
-    ReCAParams,
-    SEParams,
-    default_reduction,
-    init_reca,
-    init_se,
-    reca_forward,
-    se_forward,
-)
+from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
+from .reca import init_reca, init_se, reca_forward, se_forward
 from .tensor import Rng, ShapeError, Tensor, add, relu, upsample_nearest2x
 
 __all__ = [
@@ -81,13 +66,16 @@ class PyramidConfig:
     levels: int = 4
     kernel_channels: int = 8
     orientations: int = 4
-    reduction: int | None = None
+    reduction: int = 2
     variant: str = "ReAFFPN"
     seed: int = 0
 
     def __post_init__(self):
         # the one place these fields are checked; HarnessConfig.validate
         # reports the same messages as config errors
+        for name in ("levels", "kernel_channels", "orientations", "reduction", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ShapeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 2**64:
             raise ShapeError(f"seed {self.seed} does not fit in u64")
         if self.levels < 2:
@@ -98,6 +86,10 @@ class PyramidConfig:
             raise ShapeError(f"kernel_channels must be positive, got {self.kernel_channels}")
         if self.variant not in VARIANTS:
             raise ShapeError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.reduction < 1 or self.kernel_channels % self.reduction:
+            raise ShapeError(
+                f"reduction {self.reduction} must divide kernel_channels {self.kernel_channels}"
+            )
 
     @property
     def channels(self) -> int:
@@ -160,7 +152,7 @@ def init_pyramid(config: PyramidConfig) -> PyramidParams:
         elif config.variant == "PlusReCA":
             attention.append(init_reca(arng, c, n, r))
         elif config.variant == "PlusIAFF":
-            attention.append(init_plain_iaff(arng, c, r if r is not None else default_reduction(c)))
+            attention.append(init_plain_iaff(arng, c, r))
         elif config.variant == "ReAFFPN":
             attention.append(init_reaff(arng, c, n, r))
         else:

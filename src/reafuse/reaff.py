@@ -72,12 +72,9 @@ class ReMParams:
     local_att: ReCAParams
 
     def __post_init__(self):
-        g, l = self.global_att, self.local_att
-        if (g.orientations, g.kernel_channels, g.r) != (l.orientations, l.kernel_channels, l.r):
-            raise ShapeError(
-                "global and local branches must share (C, N, r), got "
-                f"({g.channels}, {g.orientations}, {g.r}) vs ({l.channels}, {l.orientations}, {l.r})"
-            )
+        g, l = self.global_att.w_a.shape, self.local_att.w_a.shape
+        if g != l:
+            raise ShapeError(f"global and local banks must share (N, K/r, K), got {g} vs {l}")
 
 
 @dataclass(frozen=True)
@@ -189,14 +186,14 @@ def plain_iaff_forward(x: Tensor, y: Tensor, p: PlainIAFFParams) -> Tensor:
 # -- initializers --------------------------------------------------------------------
 
 
-def init_rem(rng: Rng, channels: int, n: int, r: int | None = None) -> ReMParams:
+def init_rem(rng: Rng, channels: int, n: int, r: int) -> ReMParams:
     return ReMParams(
         global_att=init_reca(rng.derive("global"), channels, n, r),
         local_att=init_reca(rng.derive("local"), channels, n, r),
     )
 
 
-def init_reaff(rng: Rng, channels: int, n: int, r: int | None = None) -> ReAFFParams:
+def init_reaff(rng: Rng, channels: int, n: int, r: int) -> ReAFFParams:
     return ReAFFParams(
         stage1=init_rem(rng.derive("stage1"), channels, n, r),
         stage2=init_rem(rng.derive("stage2"), channels, n, r),

@@ -58,7 +58,6 @@ __all__ = [
     "se_forward",
     "init_reca",
     "init_se",
-    "default_reduction",
 ]
 
 
@@ -80,7 +79,6 @@ class ReCAParams:
     w_b: Tensor
     bn_gamma: Tensor
     bn_beta: Tensor
-    r: int
 
     def __post_init__(self):
         if self.w_a.ndim != 3 or self.w_b.ndim != 3:
@@ -92,10 +90,8 @@ class ReCAParams:
             raise ShapeError(
                 f"expansion banks shaped {self.w_b.shape}, expected ({n}, {k}, {reduced})"
             )
-        if reduced < 1 or k != reduced * self.r:
-            raise ShapeError(
-                f"kernel channel axis {k} must equal reduced axis {reduced} times r={self.r}"
-            )
+        if reduced < 1 or k % reduced:
+            raise ShapeError(f"kernel channel axis {k} not a multiple of reduced axis {reduced}")
         if self.bn_gamma.shape != (reduced,) or self.bn_beta.shape != (reduced,):
             raise ShapeError(
                 f"bn parameter shapes {self.bn_gamma.shape}/{self.bn_beta.shape} != ({reduced},)"
@@ -238,18 +234,11 @@ def se_forward(x: Tensor, p: SEParams) -> Tensor:
     return mul(x, reshape(gates, (b, c, 1, 1)))
 
 
-def default_reduction(width: int) -> int:
-    """Largest divisor of ``width`` not exceeding 16."""
-    return max(r for r in range(1, min(16, width) + 1) if width % r == 0)
-
-
-def init_reca(rng: Rng, channels: int, n: int, r: int | None = None) -> ReCAParams:
+def init_reca(rng: Rng, channels: int, n: int, r: int) -> ReCAParams:
     """Seeded He-uniform weight init; gamma=1, beta=0."""
     if channels % n:
         raise ShapeError(f"channel count {channels} not divisible by {n} orientations")
     k = channels // n
-    if r is None:
-        r = default_reduction(k)
     if r < 1 or k % r:
         raise ShapeError(f"kernel channel axis {k} not divisible by reduction r={r}")
     reduced = k // r
@@ -258,13 +247,10 @@ def init_reca(rng: Rng, channels: int, n: int, r: int | None = None) -> ReCAPara
         w_b=_uniform_init(rng, (n, k, reduced), n * reduced),
         bn_gamma=Tensor(np.ones(reduced), requires_grad=True),
         bn_beta=Tensor(np.zeros(reduced), requires_grad=True),
-        r=r,
     )
 
 
-def init_se(rng: Rng, channels: int, r: int | None = None) -> SEParams:
-    if r is None:
-        r = default_reduction(channels)
+def init_se(rng: Rng, channels: int, r: int) -> SEParams:
     if r < 1 or channels % r:
         raise ShapeError(f"channel count {channels} not divisible by reduction r={r}")
     reduced = channels // r

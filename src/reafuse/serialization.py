@@ -9,10 +9,12 @@ A ``.raft`` file holds one float64 tensor:
     then         payload, float64 row-major little-endian
 
 Manifests are JSON files describing a set of containers -- either a full
-parameter set (layer names, types, orientation counts, kernel sizes,
-reductions) or a demo output (pyramid levels).  All JSON is written with
-sorted keys and no timestamps, so identical inputs produce byte-identical
-files; that is what makes the demo-determinism check meaningful.
+parameter set or a demo output (pyramid levels).  A parameter-set manifest
+holds the ``PyramidConfig`` it was built from and each tensor's dotted name,
+file and shape; the structure and every layer's widths follow from those, so
+it describes no layers of its own.  All JSON is written with sorted keys and
+no timestamps, so identical inputs produce byte-identical files; that is what
+makes the demo-determinism check meaningful.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .groupequiv import GroupConvParams, LiftConvParams, ReFeatureMap
+from .groupequiv import ReFeatureMap
 from .pyramid import PyramidConfig, PyramidParams, init_pyramid, named_parameters
-from .reaff import ChannelMLPParams, MSCAMParams, PlainIAFFParams, ReAFFParams, ReMParams
-from .reca import ReCAParams, SEParams
 from .tensor import Tensor
 
 __all__ = [
@@ -97,40 +97,6 @@ def _tensor_filename(dotted: str) -> str:
     return name.replace("[", ".").replace("]", "") + ".raft"
 
 
-def _layer_records(name: str, obj) -> list[dict]:
-    """Flatten nested parameter objects into manifest layer descriptions."""
-    if obj is None:
-        return []
-    if isinstance(obj, LiftConvParams):
-        k_out, c_in, kh, _ = obj.weight.shape
-        return [{"name": name, "type": "lift_conv", "k_out": k_out, "c_in": c_in,
-                 "kernel_size": kh}]
-    if isinstance(obj, GroupConvParams):
-        k_out, k_in, n, kh, _ = obj.weight.shape
-        return [{"name": name, "type": "group_conv", "k_out": k_out, "k_in": k_in,
-                 "orientations": n, "kernel_size": kh}]
-    if isinstance(obj, ReCAParams):
-        return [{"name": name, "type": "reca", "channels": obj.channels,
-                 "orientations": obj.orientations, "r": obj.r}]
-    if isinstance(obj, SEParams):
-        reduced, c = obj.w1.shape
-        return [{"name": name, "type": "se", "channels": c, "r": c // reduced}]
-    if isinstance(obj, ChannelMLPParams):
-        reduced, c = obj.w1.shape
-        return [{"name": name, "type": "channel_mlp", "channels": c, "r": c // reduced}]
-    if isinstance(obj, (ReMParams, MSCAMParams, ReAFFParams, PlainIAFFParams)):
-        out = []
-        for f in dataclasses.fields(obj):
-            out.extend(_layer_records(f"{name}.{f.name}", getattr(obj, f.name)))
-        return out
-    if isinstance(obj, (tuple, list)):
-        out = []
-        for i, item in enumerate(obj):
-            out.extend(_layer_records(f"{name}[{i}]", item))
-        return out
-    raise FormatError(f"cannot describe parameter object of type {type(obj).__name__}")
-
-
 def save_pyramid_params(params: PyramidParams, out_dir) -> Path:
     """Write every tensor as a container plus one manifest.json; returns the dir."""
     out = Path(out_dir)
@@ -141,14 +107,10 @@ def save_pyramid_params(params: PyramidParams, out_dir) -> Path:
         write_raft(out / filename, tensor)
         entries.append({"name": dotted.removeprefix("params."), "file": filename,
                         "shape": list(tensor.shape)})
-    layers = []
-    for field in ("stem", "stages", "lateral", "smooth", "attention"):
-        layers.extend(_layer_records(field, getattr(params, field)))
     write_json(out / "manifest.json", {
         "kind": "pyramid-params",
         "version": VERSION,
         "config": dataclasses.asdict(params.config),
-        "layers": layers,
         "tensors": entries,
     })
     return out
@@ -158,22 +120,28 @@ def load_pyramid_params(in_dir) -> PyramidParams:
     """Rebuild a parameter set from save_pyramid_params output.
 
     The structure is reconstructed from the config echo, then every tensor is
-    overwritten from its container; a round trip is value-exact.
+    overwritten from its container; a round trip is value-exact.  A manifest
+    or container that cannot be used raises FormatError; a file that cannot
+    be read raises OSError.
     """
     src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != "pyramid-params":
-        raise FormatError(f"{src}: manifest kind {manifest.get('kind')!r}")
-    params = init_pyramid(PyramidConfig(**manifest["config"]))
-    stored = {e["name"]: e["file"] for e in manifest["tensors"]}
+    raw = (src / "manifest.json").read_bytes()
+    try:
+        manifest = json.loads(raw)
+        if manifest.get("kind") != "pyramid-params":
+            raise ValueError(f"manifest kind {manifest.get('kind')!r}")
+        config = PyramidConfig(**manifest["config"])
+        stored = {e["name"]: src / e["file"] for e in manifest["tensors"]}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{src}: unusable manifest: {exc!r}") from exc
+    params = init_pyramid(config)
     for dotted, tensor in named_parameters(params):
         key = dotted.removeprefix("params.")
         if key not in stored:
             raise FormatError(f"{src}: manifest missing tensor {key}")
-        container = src / stored[key]
-        if not container.is_file():
-            raise FormatError(f"{src}: missing container {stored[key]}")
-        arr = read_raft(container)
+        if not stored[key].is_file():
+            raise FormatError(f"{src}: missing container {stored[key].name}")
+        arr = read_raft(stored[key])
         if arr.shape != tensor.shape:
             raise FormatError(
                 f"{src}: tensor {key} shaped {arr.shape}, expected {tensor.shape}"

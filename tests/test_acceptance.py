@@ -9,7 +9,6 @@ a red line green.
 import time
 
 import numpy as np
-import pytest
 
 from reafuse import (
     HarnessConfig,

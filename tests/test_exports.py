@@ -1,7 +1,9 @@
 """Every name a module exports resolves: tools that walk ``__all__`` rely on it."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +18,30 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a file imports but never reads; names in its ``__all__`` count as read."""
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    assert files
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert not unused, unused

@@ -47,10 +47,15 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(p)
 
 
-def test_load_config_rejects_bad_types(tmp_path):
+def test_load_config_rejects_bad_types(tmp_path, capsys):
     p = write_config(tmp_path, levels="three")
     with pytest.raises(ConfigError):
         load_config(p)
+    p1 = write_config(tmp_path, reduction=None)
+    with pytest.raises(ConfigError, match="reduction"):
+        load_config(p1)
+    assert cli.entrypoint(["verify", "--config", str(p1)]) == 2
+    assert "reduction" in capsys.readouterr().err
     p2 = tmp_path / "list.json"
     p2.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
 from reafuse.pyramid import named_parameters
 from reafuse.reaff import (
+    ReMParams,
     init_plain_iaff,
     init_reaff,
     init_rem,
@@ -15,6 +16,7 @@ from reafuse.reaff import (
     reaff_forward,
     rem_fuse,
 )
+from reafuse.reca import init_reca
 from reafuse.tensor import Rng, ShapeError, Tensor
 
 
@@ -35,7 +37,7 @@ def test_fuse_equal_inputs_is_identity():
         rng = Rng(seed)
         n = (1, 2, 4)[seed % 3]
         k = (2, 4)[seed % 2]
-        p = init_reaff(rng.derive("p"), k * n, n, None if seed % 5 else 1)
+        p = init_reaff(rng.derive("p"), k * n, n, 2 if seed % 5 else 1)
         x, _ = random_pair(rng, k, n, 4)
         out = reaff_forward(x, x, p)
         worst = max(worst, np.abs(out.data.data - x.data.data).max())
@@ -166,3 +168,14 @@ def test_shape_mismatch_rejected():
     y = ReFeatureMap(Tensor.zeros((2, 8, 6, 6)), 2, 4)
     with pytest.raises(ShapeError):
         reaff_forward(x, y, p)
+
+
+@pytest.mark.parametrize("local_shape", [(2, 2, 4), (4, 1, 4), (4, 2, 2)],
+                         ids=["orientations", "reduction", "kernel_channels"])
+def test_rem_branches_must_share_bank_shape(local_shape):
+    n, reduced, k = local_shape
+    glob = init_reca(Rng(112), 16, 4, 2)  # banks [4, 2, 4]
+    local = init_reca(Rng(113), k * n, n, k // reduced)
+    with pytest.raises(ShapeError, match="global and local banks must share"):
+        ReMParams(global_att=glob, local_att=local)
+    ReMParams(global_att=glob, local_att=init_reca(Rng(113), 16, 4, 2))

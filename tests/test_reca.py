@@ -12,7 +12,6 @@ from reafuse.reca import (
     SEParams,
     attention_logits,
     cyclic_blocks,
-    default_reduction,
     init_reca,
     init_se,
     reca_forward,
@@ -46,7 +45,7 @@ def test_cyclic_blocks_n1_is_plain_reduction():
 
 def test_conv_blocks_zero_weights_give_zero():
     p = ReCAParams(w_a=Tensor.zeros((4, 2, 4)), w_b=Tensor.zeros((4, 4, 2)),
-                   bn_gamma=Tensor.ones((2,)), bn_beta=Tensor.zeros((2,)), r=2)
+                   bn_gamma=Tensor.ones((2,)), bn_beta=Tensor.zeros((2,)))
     x = Tensor(Rng(0).uniform((2, 4 * 4)))
     out = cyclic_blocks(x, p.w_a)
     assert out.shape == (2, 2 * 4)
@@ -81,7 +80,7 @@ def test_identity_wiring_recovers_input():
     eye = np.zeros((n, k, k))
     eye[0] = np.eye(k)
     p = ReCAParams(w_a=Tensor(eye), w_b=Tensor(eye.copy()),
-                   bn_gamma=Tensor.ones((k,)), bn_beta=Tensor.zeros((k,)), r=1)
+                   bn_gamma=Tensor.ones((k,)), bn_beta=Tensor.zeros((k,)))
     x = Tensor(np.abs(Rng(40).uniform((2, k * n))))
     out = cyclic_blocks(ops.relu(cyclic_blocks(x, p.w_a)), p.w_b)
     np.testing.assert_allclose(out.data, x.data, atol=1e-14)
@@ -116,7 +115,7 @@ def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
     n, k, r = 4, 4, 2
     rng = Rng(55)
     p = init_reca(rng.derive("p"), k * n, n, r)
-    p = ReCAParams(w_a=p.w_a, w_b=p.w_b, r=r,
+    p = ReCAParams(w_a=p.w_a, w_b=p.w_b,
                    bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                    bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
     x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), k, n)
@@ -138,7 +137,7 @@ def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
 def test_reca_zero_params_gate_half():
     n, k = 4, 2
     p = ReCAParams(w_a=Tensor.zeros((n, k, k)), w_b=Tensor.zeros((n, k, k)),
-                   bn_gamma=Tensor.ones((k,)), bn_beta=Tensor.zeros((k,)), r=1)
+                   bn_gamma=Tensor.ones((k,)), bn_beta=Tensor.zeros((k,)))
     x = ReFeatureMap(Tensor(Rng(60).uniform((2, k * n, 4, 4))), k, n)
     out = reca_forward(x, p)
     np.testing.assert_array_equal(out.data.data, 0.5 * x.data.data)
@@ -215,17 +214,16 @@ def test_se_breaks_equivariance_on_generic_weights():
     assert best >= 1e-2
 
 
-def test_init_validation_and_default_reduction():
-    assert default_reduction(8) == 8
-    assert default_reduction(48) == 16
-    assert default_reduction(7) == 7
-    assert default_reduction(1) == 1
+def test_init_validation():
     with pytest.raises(ShapeError):
         init_reca(Rng(0), 9, 4, 1)  # channels not divisible by N
     with pytest.raises(ShapeError):
         init_reca(Rng(0), 8, 4, 3)  # K=2 not divisible by r=3
     with pytest.raises(ShapeError):
         init_se(Rng(0), 8, 3)
+    with pytest.raises(ShapeError, match="not a multiple of reduced axis 3"):
+        ReCAParams(w_a=Tensor.zeros((4, 3, 4)), w_b=Tensor.zeros((4, 4, 3)),
+                   bn_gamma=Tensor.ones((3,)), bn_beta=Tensor.zeros((3,)))
     p = init_reca(Rng(0), 8, 4, 2)
     x = ReFeatureMap(Tensor.zeros((2, 12, 4, 4)), 3, 4)
     with pytest.raises(ShapeError):
@@ -303,7 +301,7 @@ def test_attention_logits_match_split_blocks_reference(squeeze):
     for seed, (n, k, r) in enumerate([(1, 4, 2), (2, 4, 2), (4, 4, 2), (4, 2, 1)]):
         rng = Rng(150 + seed)
         p = init_reca(rng.derive("p"), k * n, n, r)
-        p = ReCAParams(w_a=p.w_a, w_b=p.w_b, r=r,
+        p = ReCAParams(w_a=p.w_a, w_b=p.w_b,
                        bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                        bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
         x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), k, n)
