@@ -91,8 +91,10 @@ _FLOAT_KEYS = ("pass_threshold", "fail_threshold", "oracle_tolerance",
 
 # Upper bounds, so that a typo cannot ask for hours of work or gigabytes of
 # memory.  The image cap bounds image_size x batch; at the cap the largest
-# input (256 x 256, batch 2) peaks near 430 MB in ``demo`` at the default
-# widths (8 kernel channels x 4 orientations).
+# input (256 x 256, batch 2) peaks at 321 MB of resident memory in ``demo``
+# of ReAFFPN at the default widths (8 kernel channels x 4 orientations; 2-core
+# x86_64, OpenBLAS on one thread).  kernel_channels has its own cap,
+# pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
 MAX_TRIALS = 10000
 MAX_IMAGE_SIZE_X_BATCH = 512

@@ -58,6 +58,11 @@ __all__ = [
 VARIANTS = ("Baseline", "PlusSE", "PlusReCA", "PlusIAFF", "ReAFFPN")
 EQUIVARIANT_VARIANTS = ("Baseline", "PlusReCA", "ReAFFPN")
 
+# Upper bound on kernel_channels, so that a typo cannot ask for gigabytes of
+# weights: a 3x3 group-conv weight holds (K*N)^2 * 9 float64s, 4.7 MB at the
+# cap with N = 4.  Activations grow linearly with K as well.
+MAX_KERNEL_CHANNELS = 64
+
 
 @dataclass(frozen=True)
 class PyramidConfig:
@@ -82,8 +87,10 @@ class PyramidConfig:
             raise ShapeError(f"levels must be at least 2, got {self.levels}")
         if self.orientations not in (1, 2, 4):
             raise ShapeError(f"orientations must be 1, 2 or 4, got {self.orientations}")
-        if self.kernel_channels < 1:
-            raise ShapeError(f"kernel_channels must be positive, got {self.kernel_channels}")
+        if not 1 <= self.kernel_channels <= MAX_KERNEL_CHANNELS:
+            raise ShapeError(
+                f"kernel_channels must be in [1, {MAX_KERNEL_CHANNELS}], got {self.kernel_channels}"
+            )
         if self.variant not in VARIANTS:
             raise ShapeError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.reduction < 1 or self.kernel_channels % self.reduction:

@@ -116,13 +116,23 @@ def save_pyramid_params(params: PyramidParams, out_dir) -> Path:
     return out
 
 
+def _container_path(src: Path, entry: dict) -> Path:
+    """The container a manifest entry names: a relative path inside ``src``."""
+    file = entry["file"]
+    path = src / file
+    if Path(file).is_absolute() or not path.resolve().is_relative_to(src.resolve()):
+        raise ValueError(f"tensor {entry['name']!r}: file {file!r} is not inside {src}")
+    return path
+
+
 def load_pyramid_params(in_dir) -> PyramidParams:
     """Rebuild a parameter set from save_pyramid_params output.
 
     The structure is reconstructed from the config echo, then every tensor is
     overwritten from its container; a round trip is value-exact.  A manifest
-    or container that cannot be used raises FormatError; a file that cannot
-    be read raises OSError.
+    or container that cannot be used raises FormatError, and so does a
+    manifest of another version or one naming a file outside ``in_dir``; a
+    file that cannot be read raises OSError.
     """
     src = Path(in_dir)
     raw = (src / "manifest.json").read_bytes()
@@ -130,8 +140,11 @@ def load_pyramid_params(in_dir) -> PyramidParams:
         manifest = json.loads(raw)
         if manifest.get("kind") != "pyramid-params":
             raise ValueError(f"manifest kind {manifest.get('kind')!r}")
+        version = manifest.get("version")
+        if type(version) is not int or version != VERSION:
+            raise ValueError(f"manifest version {version!r}, expected {VERSION}")
         config = PyramidConfig(**manifest["config"])
-        stored = {e["name"]: src / e["file"] for e in manifest["tensors"]}
+        stored = {e["name"]: _container_path(src, e) for e in manifest["tensors"]}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{src}: unusable manifest: {exc!r}") from exc
     params = init_pyramid(config)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -417,6 +418,16 @@ def blockmean2x(a) -> Tensor:
     return _record(Tensor(data), "blockmean2x", (a,), backward)
 
 
+# conv2d's forward runs im2col on bands of about _BAND_PIXELS output pixels,
+# so its column buffer holds k*k*Cin x _BAND_PIXELS float64s, not a whole map.
+# BLAS takes a GEMM's output columns in blocks (8 in OpenBLAS's Haswell DGEMM)
+# and rounds a narrower leftover block differently, depending on the GEMM's
+# size; so bands start and end on multiples of _BAND_ALIGN pixels, where the
+# whole-map GEMM's blocks start too, and the results stay bit-identical.
+_BAND_PIXELS = 1024
+_BAND_ALIGN = 8
+
+
 def conv2d(x, w, bias=None) -> Tensor:
     """2-D cross-correlation of [B,Cin,H,W] with [Cout,Cin,k,k], same padding.
 
@@ -425,6 +436,13 @@ def conv2d(x, w, bias=None) -> Tensor:
     extent.  The receptive field is flattened in (kernel-row, kernel-col,
     in-channel) order before the contraction, which fixes the accumulation
     order and makes results reproducible run to run.
+
+    The forward of a k > 1 kernel runs im2col on one band of output rows at
+    a time, so its scratch is sized by the band, not by the map.  A map of at
+    most ``_BAND_PIXELS`` pixels, or whose pixel count is not a multiple of
+    ``_BAND_ALIGN``, is one band; a larger one is split into
+    ``ceil(H*W / _BAND_PIXELS)`` balanced bands of whole rows.  The output is
+    bit-identical to that of one whole-map GEMM.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 4:
@@ -451,18 +469,36 @@ def conv2d(x, w, bias=None) -> Tensor:
         # a 1x1 receptive field is the input itself: no im2col copy
         out = np.matmul(wf, x.data.reshape(batch, cin, h * wd))
     else:
-        # pad and im2col one sample at a time, in documented (kernel-row,
-        # kernel-col, in-channel) order, through reused buffers; the padded
-        # buffer's border is written once and stays zero
+        # pad and im2col one band of rows of one sample at a time, in
+        # documented (kernel-row, kernel-col, in-channel) order, through
+        # band-sized buffers; each band's GEMM writes straight into its rows
+        # of ``out``.  Bands are balanced in steps of ``step`` rows, the
+        # fewest whole rows that span a multiple of _BAND_ALIGN pixels
+        step = _BAND_ALIGN // math.gcd(wd, _BAND_ALIGN)
+        steps = -(-h // step)
+        nbands = 1 if h * wd % _BAND_ALIGN else min(steps, -(-h * wd // _BAND_PIXELS))
+        bounds = [min(h, step * (i * steps // nbands)) for i in range(nbands + 1)]
+        rows = max(r1 - r0 for r0, r1 in zip(bounds, bounds[1:]))
         out = np.empty((batch, cout, h * wd))
-        cols = np.empty((k * k, cin, h, wd))
-        padded = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
+        col_buf = np.empty(k * k * cin * rows * wd)
+        # the left and right pad columns are never written and stay zero
+        pad_buf = np.zeros((cin, rows + 2 * pad, wd + 2 * pad))
         for s in range(batch):
-            padded[:, pad : pad + h, pad : pad + wd] = x.data[s]
-            for ki in range(k):
-                for kj in range(k):
-                    cols[ki * k + kj] = tap(padded, ki, kj)
-            np.matmul(wf, cols.reshape(k * k * cin, h * wd), out=out[s])
+            for r0, r1 in zip(bounds, bounds[1:]):
+                n = r1 - r0
+                # input rows r0 - pad .. r1 + pad - 1, zero outside the map
+                lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
+                top, bottom = lo - r0 + pad, hi - r0 + pad
+                band = pad_buf[:, : n + 2 * pad]
+                band[:, :top] = 0.0
+                band[:, top:bottom, pad : pad + wd] = x.data[s, :, lo:hi]
+                band[:, bottom:] = 0.0
+                cols = col_buf[: k * k * cin * n * wd].reshape(k * k, cin, n, wd)
+                for ki in range(k):
+                    for kj in range(k):
+                        cols[ki * k + kj] = band[:, ki : ki + n, kj : kj + wd]
+                np.matmul(wf, cols.reshape(k * k * cin, n * wd),
+                          out=out[s, :, r0 * wd : r1 * wd])
     out = out.reshape(batch, cout, h, wd)
     if b_t is not None:
         out += b_t.data[:, None, None]

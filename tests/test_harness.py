@@ -1,6 +1,7 @@
 """Config validation, report/exit-code semantics, and CLI behavior."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,26 @@ def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
         assert cli.entrypoint(["demo", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "image_size x batch" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_load_config_caps_kernel_channels(tmp_path, capsys):
+    cap = pyramid.MAX_KERNEL_CHANNELS
+    assert load_config(write_config(tmp_path, kernel_channels=cap)).kernel_channels == cap
+    p = write_config(tmp_path, kernel_channels=4096, reduction=2)
+    with pytest.raises(ConfigError, match="kernel_channels must be in"):
+        load_config(p)
+    assert cli.entrypoint(["demo", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "kernel_channels" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # rejected by the config check itself, before any weight is drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="kernel_channels"):
+            HarnessConfig(kernel_channels=4096, reduction=2).validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)

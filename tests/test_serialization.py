@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reafuse import serialization
 from reafuse.pyramid import (
     VARIANTS,
     PyramidConfig,
@@ -184,6 +185,51 @@ def test_load_rejects_null_reduction_naming_it(tmp_path):
     manifest["config"]["reduction"] = None  # what an auto-reduction manifest held
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="reduction"):
+        load_pyramid_params(out)
+
+
+def _saved_manifest(tmp_path):
+    cfg = PyramidConfig(levels=2, kernel_channels=2, orientations=2,
+                        reduction=1, variant="Baseline", seed=6)
+    out = save_pyramid_params(init_pyramid(cfg), tmp_path / "m")
+    return out, json.loads((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("file", ["/etc/passwd", "ABSOLUTE", "../x.raft", "sub/../../x.raft"])
+def test_load_rejects_container_paths_outside_the_directory(tmp_path, file):
+    out, manifest = _saved_manifest(tmp_path)
+    entry = manifest["tensors"][0]
+    # a valid container of the right shape, outside the directory
+    outside = tmp_path / "x.raft"
+    write_raft(outside, read_raft(out / entry["file"]))
+    entry["file"] = str(outside) if file == "ABSOLUTE" else file
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"tensor '{entry['name']}'.*not inside"):
+        load_pyramid_params(out)
+
+
+@pytest.mark.parametrize("version", [2, 0, "1", 1.0, True, None])
+def test_load_rejects_other_manifest_versions(tmp_path, version):
+    out, manifest = _saved_manifest(tmp_path)
+    if version is None:
+        del manifest["version"]
+    else:
+        manifest["version"] = version
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="manifest version"):
+        load_pyramid_params(out)
+
+
+def test_load_rejects_kernel_channels_over_the_cap_before_building(tmp_path, monkeypatch):
+    out, manifest = _saved_manifest(tmp_path)
+    manifest["config"]["kernel_channels"] = 4096
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    def no_build(config):
+        raise AssertionError("init_pyramid ran on an over-cap config")
+
+    monkeypatch.setattr(serialization, "init_pyramid", no_build)
+    with pytest.raises(FormatError, match="kernel_channels"):
         load_pyramid_params(out)
 
 

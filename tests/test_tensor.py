@@ -1,5 +1,7 @@
 """Primitive op semantics checked against hand values and in-test loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,18 +63,20 @@ def test_conv2d_matches_loop_oracle():
     assert worst <= 1e-12
 
 
-def padded_concat_conv2d(x, w, b):
-    # reference of the earlier formula: np.pad, one whole-batch im2col
-    # concatenate in (kernel-row, kernel-col, in-channel) order, one matmul
+def whole_map_conv2d(x, w, b):
+    # reference of the whole-map formula: per sample, one [k*k*Cin, H*W]
+    # column matrix in (kernel-row, kernel-col, in-channel) order, one matmul
     bs, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = np.concatenate(
-        [xp[:, :, ki:ki + h, kj:kj + wd] for ki in range(k) for kj in range(k)], axis=1,
-    ).reshape(bs, k * k * cin, h * wd)
     wf = w.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    return np.matmul(wf, cols).reshape(bs, cout, h, wd) + b[:, None, None]
+    out = np.empty((bs, cout, h * wd))
+    for s in range(bs):
+        xp = np.pad(x[s], ((0, 0), (p, p), (p, p)))
+        cols = np.stack([xp[:, ki:ki + h, kj:kj + wd] for ki in range(k) for kj in range(k)])
+        np.matmul(wf, cols.reshape(k * k * cin, h * wd), out=out[s])
+    out = out.reshape(bs, cout, h, wd)
+    return out if b is None else out + b[:, None, None]
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -83,8 +87,52 @@ def test_conv2d_paths_match_earlier_formula_and_oracle(batch, k):
     w = r.uniform((6, 5, k, k))
     b = r.uniform((6,))
     got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-    assert np.array_equal(got, padded_concat_conv2d(x, w, b))
+    assert np.array_equal(got, whole_map_conv2d(x, w, b))
     assert np.abs(got - naive_conv2d(x, w, b)).max() <= 1e-12
+
+
+# 8 and 32: one band; 48, 128, 256: equal bands; 96: bands of 10 and 11 rows
+@pytest.mark.parametrize("width", [8, 32, 48, 96, 128, 256])
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_banded_conv2d_bit_identical_to_whole_map(width, k, batch, with_bias):
+    r = Rng(width).derive(f"k{k}/b{batch}")
+    x = r.uniform((batch, 3, width, width))
+    w = r.uniform((5, 3, k, k))
+    b = r.uniform((5,)) if with_bias else None
+    got = ops.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b)).data
+    assert np.array_equal(got, whole_map_conv2d(x, w, b))
+
+
+@pytest.mark.parametrize("shape", [
+    (2, 32, 64, 64, 32),   # the pyramid's layer widths, 4 equal bands
+    (1, 8, 36, 36, 16),    # 36 px wide: bands in steps of 2 rows
+    (1, 4, 34, 34, 8),     # 1156 px, not a multiple of 8: one band
+    (1, 4, 8, 300, 8),     # 2400 px in 8 rows of 300 px
+], ids=["pyramid-64x64", "36x36", "34x34", "8x300"])
+def test_banded_conv2d_bit_identical_on_odd_shapes(shape):
+    batch, cin, h, wd, cout = shape
+    r = Rng(7).derive(str(shape))
+    x = r.uniform((batch, cin, h, wd))
+    w = r.uniform((cout, cin, 3, 3))
+    b = r.uniform((cout,))
+    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+    assert np.array_equal(got, whole_map_conv2d(x, w, b))
+
+
+def test_banded_conv2d_scratch_is_sized_by_the_band():
+    # whole-map im2col would take a 9*32 x 128*128 column buffer (37.7 MB)
+    tracemalloc.start()
+    try:
+        x = Tensor(Rng(3).uniform((1, 32, 128, 128)))
+        w = Tensor(Rng(4).uniform((32, 32, 3, 3)))
+        with ops.no_grad():
+            out = ops.conv2d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.nbytes + out.data.nbytes + 8 * 2**20
 
 
 def test_conv2d_rejects_even_kernel_and_bad_stride():
