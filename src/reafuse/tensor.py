@@ -438,7 +438,7 @@ def conv2d(x, w, bias=None) -> Tensor:
     order and makes results reproducible run to run.
 
     The forward of a k > 1 kernel runs im2col on one band of output rows at
-    a time, so its scratch is sized by the band, not by the map.  A map of at
+    a time, so its buffers are sized by the band, not by the map.  A map of at
     most ``_BAND_PIXELS`` pixels, or whose pixel count is not a multiple of
     ``_BAND_ALIGN``, is one band; a larger one is split into
     ``ceil(H*W / _BAND_PIXELS)`` balanced bands of whole rows.  The output is

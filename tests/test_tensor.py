@@ -121,7 +121,7 @@ def test_banded_conv2d_bit_identical_on_odd_shapes(shape):
     assert np.array_equal(got, whole_map_conv2d(x, w, b))
 
 
-def test_banded_conv2d_scratch_is_sized_by_the_band():
+def test_banded_conv2d_buffers_are_sized_by_the_band():
     # whole-map im2col would take a 9*32 x 128*128 column buffer (37.7 MB)
     tracemalloc.start()
     try:
