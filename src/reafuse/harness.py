@@ -13,7 +13,8 @@ Four commands, one ``Report`` shape:
 * ``gradcheck`` -- analytic gradients against central finite differences for
                    every differentiable op, up to a full two-level pyramid.
 * ``demo``      -- builds one configured pyramid and serializes its levels;
-                   byte-identical on reruns with the same config and seed.
+                   byte-identical on reruns with the same config, seed and
+                   BLAS thread count.
 
 Exit codes: 0 all verdicts pass; 1 a verdict definitively fails; 2 invalid
 config or unusable paths; 3 non-finite values; 4 breakage demonstration
@@ -59,6 +60,7 @@ from .pyramid import (
     PyramidConfig,
     build_pyramid,
     init_pyramid,
+    lateral_maps,
     named_parameters,
     run_pyramid,
     toy_backbone,
@@ -90,14 +92,17 @@ _FLOAT_KEYS = ("pass_threshold", "fail_threshold", "oracle_tolerance",
                "gradcheck_tolerance", "gradcheck_step")
 
 # Upper bounds, so that a typo cannot ask for hours of work or gigabytes of
-# memory.  The image cap bounds image_size x batch; at the cap the largest
-# input (256 x 256, batch 2) peaks at 321 MB of resident memory in ``demo``
-# of ReAFFPN at the default widths (8 kernel channels x 4 orientations; 2-core
-# x86_64, OpenBLAS on one thread).  kernel_channels has its own cap,
-# pyramid.MAX_KERNEL_CHANNELS.
+# memory.  The image cap bounds image_size x batch.  The activation cap
+# bounds the values of the level-0 feature map, kernel_channels x
+# orientations x image_size^2 x batch, at the default widths (8 kernel
+# channels x 4 orientations) with the largest input (256 x 256, batch 2): a
+# 32 MB map.  That config peaks at 289 MB of resident memory in ``demo`` of
+# ReAFFPN (2-core x86_64, OpenBLAS on one thread).  kernel_channels has its
+# own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
 MAX_TRIALS = 10000
 MAX_IMAGE_SIZE_X_BATCH = 512
+MAX_LEVEL0_VALUES = 8 * 4 * 256 * 256 * 2
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,13 @@ class HarnessConfig:
             raise ConfigError(
                 f"image_size x batch = {self.image_size} x {self.batch} above the cap "
                 f"of {MAX_IMAGE_SIZE_X_BATCH}"
+            )
+        level0 = self.kernel_channels * self.orientations * self.image_size ** 2 * self.batch
+        if level0 > MAX_LEVEL0_VALUES:
+            raise ConfigError(
+                f"kernel_channels x orientations x image_size^2 x batch = "
+                f"{self.kernel_channels} x {self.orientations} x {self.image_size}^2 x "
+                f"{self.batch} = {level0} above the cap of {MAX_LEVEL0_VALUES}"
             )
         if self.reseeds < 0:
             raise ConfigError(f"reseeds must be non-negative, got {self.reseeds}")
@@ -320,27 +332,29 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
                     timings: dict) -> dict[str, list[float] | None]:
     """Residuals of each of ``variants`` on one draw from ``rng``.
 
-    One input image, one parameter seed and one backbone forward per group
-    element, shared by every variant listed, then each variant's head on
-    those features.  ``init_pyramid`` derives every layer from the parameter
-    seed and the layer name, so all variants get the same stem and stage
-    weights and the backbone features are the same for all of them; only
-    the attention weights differ.  A non-finite backbone gives None for
-    every variant.  Everything built here is released on return.
+    One input image, one parameter seed, and one backbone forward and set
+    of laterals per group element, shared by every variant listed, then
+    each variant's head on those laterals.  ``init_pyramid`` derives every
+    layer from the parameter seed and the layer name, so all variants get
+    the same stem, stage and lateral weights and the laterals are the same
+    for all of them; only the attention weights differ.  Non-finite
+    laterals give None for every variant.  Everything built here is
+    released on return.
     """
     t0 = time.perf_counter()
     image, param_seed = _draw(config, rng)
     params = {v: init_pyramid(config.pyramid_config(v, param_seed)) for v in variants}
-    feats = [toy_backbone(_rotate(config, image, s), params[variants[0]])
-             for s in range(config.orientations)]
+    shared = params[variants[0]]
+    laterals = [lateral_maps(toy_backbone(_rotate(config, image, s), shared), shared)
+                for s in range(config.orientations)]
     timings["backbone"] += time.perf_counter() - t0
-    if not all(_finite(*f) for f in feats):
+    if not all(_finite(*lat) for lat in laterals):
         return dict.fromkeys(variants)
     residuals = {}
     for variant in variants:
         t0 = time.perf_counter()
         residuals[variant] = _residuals(
-            config, lambda s: build_pyramid(feats[s], params[variant]))
+            config, lambda s: build_pyramid(laterals[s], params[variant]))
         timings[variant] += time.perf_counter() - t0
     return residuals
 
@@ -396,11 +410,11 @@ def run_verify(config: HarnessConfig) -> Report:
     """The five-variant equivariance matrix.
 
     Seeds are the outer loop and variants the inner one: per seed, all
-    variants share the input image and the backbone, as in a fixed-backbone
-    ablation, and every variant is still run end to end on each rotated
-    input.  ``timings[variant]`` is that variant's head time, reseeds
-    included; ``timings["backbone"]`` is every draw's parameter set-up and
-    backbone forwards, reseeds included.
+    variants share the input image, the backbone and the laterals, as in a
+    fixed-backbone ablation, and every variant is still run end to end on
+    each rotated input.  ``timings[variant]`` is that variant's head time,
+    reseeds included; ``timings["backbone"]`` is every draw's parameter
+    set-up, backbone forwards and laterals, reseeds included.
     """
     report = _new_report("verify", config)
     start = time.perf_counter()

@@ -15,6 +15,15 @@ PlusIAFF   none                        two-stage plain fusion
 ReAFFPN    none                        two-stage equiv. fusion
 =========  ==========================  =======================
 
+The forward runs in three stages: ``toy_backbone`` (image to bottom-up
+features), ``lateral_maps`` (one 1x1 group convolution per level) and
+``build_pyramid`` (the top-down merges and smoothing, the only stage that
+depends on the variant).  ``init_pyramid`` draws the backbone and lateral
+weights from the seed and the layer name alone, so the variants built from
+one seed share the first two stages: ``verify`` runs the backbone and the
+laterals once per seed and group element and hands the laterals to all five
+heads.
+
 Baseline, PlusReCA, and ReAFFPN are exactly rotation-equivariant end to end;
 PlusSE and PlusIAFF break equivariance on generic weights.  That five-way
 contrast is the main thing the verification harness measures.
@@ -50,6 +59,7 @@ __all__ = [
     "PyramidParams",
     "init_pyramid",
     "toy_backbone",
+    "lateral_maps",
     "build_pyramid",
     "run_pyramid",
     "named_parameters",
@@ -79,8 +89,9 @@ class PyramidConfig:
         # the one place these fields are checked; HarnessConfig.validate
         # reports the same messages as config errors
         for name in ("levels", "kernel_channels", "orientations", "reduction", "seed"):
-            if not isinstance(getattr(self, name), int):
-                raise ShapeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ShapeError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ShapeError(f"seed {self.seed} does not fit in u64")
         if self.levels < 2:
@@ -203,25 +214,30 @@ def toy_backbone(x: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
     return feats
 
 
-def build_pyramid(feats: list[ReFeatureMap], params: PyramidParams) -> list[ReFeatureMap]:
-    """Top-down merge of backbone features into pyramid levels, finest first.
+def lateral_maps(feats: list[ReFeatureMap], params: PyramidParams) -> list[ReFeatureMap]:
+    """The 1x1 lateral projection of every backbone level, finest first."""
+    if len(feats) != params.config.levels:
+        raise ShapeError(f"got {len(feats)} feature maps for {params.config.levels} levels")
+    return [group_conv(f, conv) for f, conv in zip(feats, params.lateral)]
 
-    The coarsest level is its lateral projection; every other level fuses
-    its lateral with the (attended, upsampled) level above and is then
-    smoothed by a 3x3 group convolution.
+
+def build_pyramid(laterals: list[ReFeatureMap], params: PyramidParams) -> list[ReFeatureMap]:
+    """Top-down merge of lateral projections into pyramid levels, finest first.
+
+    The coarsest level is its lateral, ``laterals[-1]`` itself; every other
+    level fuses its lateral with the (attended, upsampled) level above and is
+    then smoothed by a 3x3 group convolution.  ``laterals`` is only read, so
+    one set of laterals can feed the heads of several variants.
     """
     cfg = params.config
-    if len(feats) != cfg.levels:
-        raise ShapeError(f"got {len(feats)} feature maps for {cfg.levels} levels")
-    # each lateral is computed when its level is fused and dropped with the
-    # merge's intermediates before the smoothing conv runs, so a forward-only
-    # pass holds one level's intermediates at a time
+    if len(laterals) != cfg.levels:
+        raise ShapeError(f"got {len(laterals)} lateral maps for {cfg.levels} levels")
+    # each merge's intermediates are dropped before its smoothing conv runs,
+    # so a forward-only pass holds one level's intermediates at a time
     pyramid: list[ReFeatureMap | None] = [None] * cfg.levels
-    pyramid[-1] = group_conv(feats[-1], params.lateral[-1])
+    pyramid[-1] = laterals[-1]
     for l in range(cfg.levels - 2, -1, -1):
-        lateral = group_conv(feats[l], params.lateral[l])
-        fused = _merge(lateral, pyramid[l + 1], params.attention[l], cfg.variant)
-        del lateral
+        fused = _merge(laterals[l], pyramid[l + 1], params.attention[l], cfg.variant)
         pyramid[l] = group_conv(fused, params.smooth[l])
         del fused
     return pyramid
@@ -242,8 +258,12 @@ def _merge(low: ReFeatureMap, upper: ReFeatureMap, att, variant: str) -> ReFeatu
 
 
 def run_pyramid(image: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
-    """Full forward pass: image -> backbone -> pyramid levels."""
-    return build_pyramid(toy_backbone(image, params), params)
+    """Full forward pass: image -> backbone -> laterals -> pyramid levels.
+
+    The backbone features are released once their laterals exist, before
+    the top-down merges run.
+    """
+    return build_pyramid(lateral_maps(toy_backbone(image, params), params), params)
 
 
 def _like(reference: ReFeatureMap, data: Tensor) -> ReFeatureMap:

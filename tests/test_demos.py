@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion against the package sources."""
+"""Every script under demos/ and every python block in README.md runs to
+completion against the package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(
+    encoding="utf-8"), re.S | re.M)
+
+
+def _run(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _run([str(demo)], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block, tmp_path):
+    done = _run(["-c", block], tmp_path)
     assert done.returncode == 0, done.stderr

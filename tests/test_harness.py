@@ -1,5 +1,6 @@
 """Config validation, report/exit-code semantics, and CLI behavior."""
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -117,6 +118,31 @@ def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
             load_config(p)
         assert cli.entrypoint(["demo", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "image_size x batch" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_config_caps_level0_activations(tmp_path, capsys):
+    # the cap is the default width (8 x 4) at the largest input, 256 x 256, batch 2
+    cap = harness.MAX_LEVEL0_VALUES
+    assert HarnessConfig(image_size=256, batch=2).validate().image_size == 256
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for path in sorted(configs.glob("*.json")):
+        cfg = load_config(path)
+        assert cfg.kernel_channels * cfg.orientations * cfg.image_size ** 2 * cfg.batch <= cap
+    # demo-large: configs/default.json as Baseline at 128 x 128, batch 4, half the cap
+    large = dataclasses.replace(load_config(configs / "default.json"), variant="Baseline",
+                                image_size=128, batch=4).validate()
+    assert large.kernel_channels * large.orientations * 128 ** 2 * 4 == 2_097_152 == cap // 2
+    with pytest.raises(ConfigError, match=r"kernel_channels x orientations x image_size\^2 "
+                                          r"x batch = 64 x 4 x 256\^2 x 2 = 33554432 above"):
+        HarnessConfig(kernel_channels=64, image_size=256, batch=2).validate()
+    for k, n, size, batch in ((12, 4, 256, 2), (64, 2, 128, 4), (64, 1, 256, 2)):
+        p = write_config(tmp_path, kernel_channels=k, orientations=n, reduction=2,
+                         image_size=size, batch=batch)
+        with pytest.raises(ConfigError, match="above the cap"):
+            load_config(p)
+        assert cli.entrypoint(["demo", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "kernel_channels x orientations x image_size^2 x batch" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -322,6 +348,22 @@ def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch):
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
     # one backbone forward per seed and group element, not one per variant
     # too; a reseed runs one backbone forward per element for its one variant
+    assert len(calls) == (cfg.seeds + reseeds) * cfg.orientations
+
+
+def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch):
+    calls = []
+    real = pyramid.lateral_maps
+
+    def counted(feats, params):
+        calls.append((params.config.variant, params.config.seed))
+        return real(feats, params)
+
+    monkeypatch.setattr(harness, "lateral_maps", counted)
+    cfg = HarnessConfig(**TINY).validate()
+    report = run_verify(cfg)
+    reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
+    # the five heads of a seed share one set of laterals per group element
     assert len(calls) == (cfg.seeds + reseeds) * cfg.orientations
 
 

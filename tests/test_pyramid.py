@@ -1,5 +1,7 @@
 """Pyramid assembly: shapes, wiring, variant equivariance matrix, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from reafuse.pyramid import (
     PyramidConfig,
     build_pyramid,
     init_pyramid,
+    lateral_maps,
     named_parameters,
     run_pyramid,
     toy_backbone,
@@ -29,8 +32,11 @@ def test_backbone_and_pyramid_shapes():
     x = Tensor(Rng(1).uniform((2, 3, 8, 8)))
     feats = toy_backbone(x, params)
     assert [f.shape for f in feats] == [(2, 8, 8, 8), (2, 8, 4, 4)]
-    levels = build_pyramid(feats, params)
+    laterals = lateral_maps(feats, params)
+    assert [p.shape for p in laterals] == [(2, 8, 8, 8), (2, 8, 4, 4)]
+    levels = build_pyramid(laterals, params)
     assert [p.shape for p in levels] == [(2, 8, 8, 8), (2, 8, 4, 4)]
+    assert levels[-1] is laterals[-1]  # the coarsest level is its lateral
     # three levels halve twice
     cfg3 = small_config(levels=3)
     out = run_pyramid(Tensor(Rng(2).uniform((2, 3, 16, 16))), init_pyramid(cfg3))
@@ -58,7 +64,7 @@ def test_baseline_wiring_definition():
     up = ops.upsample_nearest2x(lat_high.data)
     fused = ReFeatureMap(ops.add(lat_low.data, up), 2, 4)
     want = group_conv(fused, params.smooth[0]).data.data
-    got = build_pyramid([c_low, c_high], params)[0].data.data
+    got = build_pyramid(lateral_maps([c_low, c_high], params), params)[0].data.data
     np.testing.assert_array_equal(got, want)
 
 
@@ -75,7 +81,7 @@ def test_reaff_identity_propagates_through_fusion_level():
         conv.bias.data[...] = 0.0
     c_high = ReFeatureMap(Tensor(Rng(5).uniform((2, k * n, 4, 4))), k, n)
     c_low = ReFeatureMap(ops.upsample_nearest2x(c_high.data), k, n)
-    levels = build_pyramid([c_low, c_high], params)
+    levels = build_pyramid(lateral_maps([c_low, c_high], params), params)
     assert np.abs(levels[0].data.data - c_low.data.data).max() <= 1e-12
 
 
@@ -147,6 +153,8 @@ def test_backbone_input_validation():
     with pytest.raises(ShapeError):
         toy_backbone(Tensor.zeros((3, 8, 8)), params)  # missing batch axis
     with pytest.raises(ShapeError):
+        lateral_maps([], params)
+    with pytest.raises(ShapeError):
         build_pyramid([], params)
 
 
@@ -161,6 +169,8 @@ def test_config_validation():
         PyramidConfig(seed=-1)
     with pytest.raises(ShapeError):
         PyramidConfig(kernel_channels=0)
+    with pytest.raises(ShapeError, match="kernel_channels must be an integer"):
+        PyramidConfig(kernel_channels=True)  # a bool is not a width
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -173,3 +183,26 @@ def test_no_grad_forward_is_bit_identical(variant):
     assert recorded[0].data.requires_grad and not bare[0].data.requires_grad
     for a, b in zip(recorded, bare):
         np.testing.assert_array_equal(a.data.data, b.data.data)
+
+
+def test_forward_releases_the_backbone_before_the_merges():
+    # demo-large's pyramid: Baseline, 3 levels, 8 x 4 channels, [4, 3, 128, 128]
+    params = init_pyramid(PyramidConfig(levels=3, kernel_channels=8, orientations=4,
+                                        reduction=2, variant="Baseline", seed=0))
+    image = Tensor(Rng(1).uniform((4, 3, 128, 128)))
+    level0 = 4 * 32 * 128 * 128 * 8  # bytes of one level-0 map
+    with ops.no_grad():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            levels = run_pyramid(image, params)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert kept - start >= 1.3 * level0  # the pyramid itself: 1 + 1/4 + 1/16
+    # Above the returned pyramid, the forward holds at most the level-0
+    # lateral, the fused map and the smoothing conv's band buffers (2.42
+    # maps).  A forward that keeps the backbone features through the merges
+    # peaks at 3.31 maps.
+    assert peak - kept <= 2.5 * level0, (peak - kept) / level0
+    assert len(levels) == 3
