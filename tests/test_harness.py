@@ -328,21 +328,21 @@ def test_run_verify_shared_backbone_equals_full_forward_passes(cfg):
         assert report.results[variant]["per_level"] == _reference_per_level(cfg, variant)
 
 
-def _count_backbone_calls(monkeypatch):
+def _count_calls(monkeypatch, stage="toy_backbone"):
     calls = []
-    real = pyramid.toy_backbone
+    real = getattr(pyramid, stage)
 
     def counted(x, params):
         calls.append((params.config.variant, params.config.seed))
         return real(x, params)
 
-    # seeds and reseeds share one verify path, which calls harness.toy_backbone
-    monkeypatch.setattr(harness, "toy_backbone", counted)
+    # seeds and reseeds share one verify path, which calls the harness's names
+    monkeypatch.setattr(harness, stage, counted)
     return calls
 
 
 def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch):
-    calls = _count_backbone_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     cfg = HarnessConfig(**TINY).validate()
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
@@ -352,14 +352,7 @@ def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch):
 
 
 def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch):
-    calls = []
-    real = pyramid.lateral_maps
-
-    def counted(feats, params):
-        calls.append((params.config.variant, params.config.seed))
-        return real(feats, params)
-
-    monkeypatch.setattr(harness, "lateral_maps", counted)
+    calls = _count_calls(monkeypatch, "lateral_maps")
     cfg = HarnessConfig(**TINY).validate()
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
@@ -368,7 +361,7 @@ def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch):
 
 
 def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch):
-    calls = _count_backbone_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     # no draw breaks by 10: every must-break seed spends its whole reseed budget
     cfg = HarnessConfig(**{**TINY, "fail_threshold": 10.0}).validate()
     report = run_verify(cfg)
