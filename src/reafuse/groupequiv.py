@@ -162,8 +162,11 @@ def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarra
     Entry (k_out*N + i, k_in*n_in + m, a, b) is where
     rot90(weight[k_out, k_in, (m - i) mod n_in], i*(4/N))[a, b] sits in the
     flattened [K_out, K_in, n_in, k, k] weight.  A group conv has n_in = N; a
-    lift has n_in = 1, since a plain image carries no orientation axis.
-    Derived from shapes only, so the cache can never hold stale weights.
+    lift has n_in = 1, since a plain image carries no orientation axis.  A
+    ReCA attention bank is the group conv with k = 1, where every rotation
+    is the identity.  This is the one place outside ``naive`` that encodes
+    the C_N weight-sharing rule (m - i) mod N.  Derived from shapes only,
+    so the cache can never hold stale weights.
     """
     pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
     copies = [

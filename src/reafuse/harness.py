@@ -100,6 +100,10 @@ _FLOAT_KEYS = ("pass_threshold", "fail_threshold", "oracle_tolerance",
 # ReAFFPN (2-core x86_64, OpenBLAS on one thread).  kernel_channels has its
 # own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
+# Each reseed is a fresh pyramid draw, made per seed for each variant that
+# must break, so at MAX_SEEDS the cap bounds verify at 2 x 1000 x 100 extra
+# draws however high fail_threshold is set.
+MAX_RESEEDS = 100
 MAX_TRIALS = 10000
 MAX_IMAGE_SIZE_X_BATCH = 512
 MAX_LEVEL0_VALUES = 8 * 4 * 256 * 256 * 2
@@ -130,18 +134,21 @@ class HarnessConfig:
     gradcheck_step: float = 1e-5
 
     def validate(self) -> "HarnessConfig":
-        try:
-            self.pyramid_config(self.variant, self.seed)
-        except ShapeError as exc:
-            raise ConfigError(str(exc)) from None
-        # bit_length() < levels means image_size < 2^(levels-1); checked first,
-        # so that a huge levels never has its power computed
-        if (self.image_size < 1 or self.image_size.bit_length() < self.levels
+        # Runs before the pyramid checks: the image cap implies the pyramid's
+        # levels cap, and a too-deep pyramid is a spatial-size error here.
+        # bit_length() < levels means image_size < 2^(levels-1); checked
+        # first, so that a huge levels never has its power computed.
+        if isinstance(self.levels, int) and self.levels >= 2 and (
+                self.image_size < 1 or self.image_size.bit_length() < self.levels
                 or self.image_size % 2 ** (self.levels - 1)):
             raise ConfigError(
                 f"spatial size not divisible: image_size {self.image_size} must be a "
                 f"positive multiple of 2^(levels-1) = 2^{self.levels - 1}"
             )
+        try:
+            self.pyramid_config(self.variant, self.seed)
+        except ShapeError as exc:
+            raise ConfigError(str(exc)) from None
         if self.batch < 2:
             raise ConfigError(
                 f"batch must be at least 2 (batch statistics over a single sample "
@@ -167,6 +174,8 @@ class HarnessConfig:
             )
         if self.reseeds < 0:
             raise ConfigError(f"reseeds must be non-negative, got {self.reseeds}")
+        if self.reseeds > MAX_RESEEDS:
+            raise ConfigError(f"reseeds {self.reseeds} above the cap of {MAX_RESEEDS}")
         for name in _FLOAT_KEYS:
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -498,9 +507,12 @@ def _oracle_group_conv(rng: Rng) -> float:
 def _oracle_cyclic_blocks(rng: Rng) -> float:
     """The block-circulant bank path against the loop reference, max-abs.
 
-    Both ReCA banks are applied by ``cyclic_blocks``, so one check covers
-    both.  Orientation block m of a re-feature-map input is the channel
-    slice ``x[:, m::N]``; the reference takes the N blocks as a list.
+    Both ReCA banks are applied by ``cyclic_blocks``, which expands a bank
+    as the k = 1 case of the group-conv gather, so this check tests the
+    index rule that lift and group convolutions share against
+    ``naive_conv_blocks``.  Orientation block m of a re-feature-map input is
+    the channel slice ``x[:, m::N]``; the reference takes the N blocks as a
+    list.
     """
     n = (1, 2, 4)[rng.integer(0, 3)]
     rows = rng.integer(1, 5)

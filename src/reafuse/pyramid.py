@@ -40,6 +40,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .groupequiv import (
+    SUPPORTED_ORIENTATIONS,
     GroupConvParams,
     LiftConvParams,
     ReFeatureMap,
@@ -73,6 +74,13 @@ EQUIVARIANT_VARIANTS = ("Baseline", "PlusReCA", "ReAFFPN")
 # cap with N = 4.  Activations grow linearly with K as well.
 MAX_KERNEL_CHANNELS = 64
 
+# Upper bound on levels, so that a manifest cannot make load_pyramid_params
+# build an arbitrarily deep pyramid before it reads a single tensor.  Nine is
+# the deepest pyramid the harness allows: image_size x batch <= 512 with
+# batch >= 2 caps image_size at 256 = 2^8, and image_size must be a multiple
+# of 2^(levels - 1).
+MAX_LEVELS = 9
+
 
 @dataclass(frozen=True)
 class PyramidConfig:
@@ -94,9 +102,9 @@ class PyramidConfig:
                 raise ShapeError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ShapeError(f"seed {self.seed} does not fit in u64")
-        if self.levels < 2:
-            raise ShapeError(f"levels must be at least 2, got {self.levels}")
-        if self.orientations not in (1, 2, 4):
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise ShapeError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
+        if self.orientations not in SUPPORTED_ORIENTATIONS:
             raise ShapeError(f"orientations must be 1, 2 or 4, got {self.orientations}")
         if not 1 <= self.kernel_channels <= MAX_KERNEL_CHANNELS:
             raise ShapeError(

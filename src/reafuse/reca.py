@@ -15,11 +15,14 @@ gamma/beta per reduced channel), relu, a second bank, and a sigmoid, the
 attention weights permute together with the feature channels and the gating
 commutes with the group action.
 
-A bank is a 1x1 regular C_N group convolution, and that is one
-block-circulant matrix over the whole channel axis (Cohen & Welling, arXiv
-1602.07576).  ``cyclic_blocks`` expands a bank into that matrix by a single
-gather and applies it by a single matmul (squeezed) or 1x1 conv2d (per
-pixel), directly in re-feature-map channel order.
+A bank is a 1x1 regular C_N group convolution (Cohen & Welling, arXiv
+1602.07576): the k = 1 case of ``groupequiv.group_conv``, whose filter
+rotations are all the identity, so its expanded kernel is one
+block-circulant matrix over the whole channel axis.  ``cyclic_blocks``
+expands a bank by the group-conv gather, ``groupequiv._kernel_index``, and
+applies it by a single matmul (squeezed) or 1x1 conv2d (per pixel),
+directly in re-feature-map channel order.  The index rule above is written
+once, in ``groupequiv``.
 
 ``se_forward`` is the deliberate control: an ordinary squeeze-excite whose
 full channel-mixing weights ignore orientation structure and therefore break
@@ -28,12 +31,11 @@ equivariance on generic weights.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groupequiv import ReFeatureMap, _gather, _uniform_init
+from .groupequiv import ReFeatureMap, _gather, _kernel_index, _uniform_init
 from .tensor import (
     Rng,
     ShapeError,
@@ -70,9 +72,10 @@ class ReCAParams:
     all N blocks.  Sharing gamma/beta is what the shift covariance needs; see
     ``_shared_batchnorm`` for the statistics.
 
-    Only the N distinct banks are stored.  At use each bank becomes the
-    [out*N, in*N] block-circulant matrix whose block (i, m) is
-    bank[(m - i) mod N], by one gather.
+    Only the N distinct banks are stored.  Read as [out, in, N], a bank is
+    the weight of a 1x1 group convolution; at use the group-conv gather
+    expands it into the [out*N, in*N] block-circulant matrix whose block
+    (i, m) is bank[(m - i) mod N].
     """
 
     w_a: Tensor
@@ -105,10 +108,6 @@ class ReCAParams:
     def kernel_channels(self) -> int:
         return self.w_a.shape[2]
 
-    @property
-    def channels(self) -> int:
-        return self.w_a.shape[0] * self.w_a.shape[2]
-
 
 @dataclass(frozen=True)
 class SEParams:
@@ -125,45 +124,23 @@ class SEParams:
             raise ShapeError(f"w2 shaped {self.w2.shape}, expected ({c}, {reduced})")
 
 
-@functools.lru_cache(maxsize=None)
-def _circulant_index(n: int, rows: int, cols: int) -> np.ndarray:
-    """Flat-bank positions of the [rows*N, cols*N] block-circulant matrix.
-
-    Entry (r*N + i, k*N + m) is where banks[(m - i) mod N, r, k] sits in the
-    flattened [N, rows, cols] bank.  Derived from shapes only.
-    """
-    r, i, k, m = np.ix_(range(rows), range(n), range(cols), range(n))
-    index = (((m - i) % n) * rows + r) * cols + k
-    index = index.reshape(rows * n, cols * n)
-    index.flags.writeable = False
-    return index
-
-
-def _circulant(banks: Tensor) -> Tensor:
-    """[N, out, in] bank -> [out*N, in*N] block-circulant matrix, one gather.
-
-    Laid out in re-feature-map channel order: row r*N + i, column k*N + m
-    holds banks[(m - i) mod N, r, k].
-    """
-    n, rows, cols = banks.shape
-    return _gather(banks, _circulant_index(n, rows, cols))
-
-
 def cyclic_blocks(x: Tensor, banks: Tensor) -> Tensor:
     """Apply an [N, out, in] bank along the channel axis of ``x``.
 
     ``x`` is [B, in*N] or [B, in*N, H, W] in re-feature-map channel order
     (channel k*N + m); the result has out*N channels in the same order.
-    Output channel r*N + i is the sum over (k, m) of
-    banks[(m - i) mod N, r, k] * x[k*N + m]: the block-circulant matrix of
-    the bank, applied by one matmul to 2-D inputs and at every pixel, as
-    one 1x1 convolution, to 4-D inputs.
+    Read as [out, in, N], the bank is the weight of a 1x1 group convolution,
+    so the group-conv gather expands it into the [out*N, in*N, 1, 1] kernel
+    whose entry (r*N + i, k*N + m) is banks[(m - i) mod N, r, k].  That
+    kernel is applied by one 1x1 conv2d to 4-D inputs and, with its 1x1
+    axes reshaped away, by one matmul to 2-D inputs.
     """
-    c = _circulant(banks)
+    n, rows, cols = banks.shape
+    kernel = _gather(transpose(banks, (1, 2, 0)), _kernel_index(rows, cols, n, n, 1))
     if x.ndim == 2:
-        return matmul(x, transpose(c, (1, 0)))
+        return matmul(x, transpose(reshape(kernel, (rows * n, cols * n)), (1, 0)))
     if x.ndim == 4:
-        return conv2d(x, reshape(c, c.shape + (1, 1)))
+        return conv2d(x, kernel)
     raise ShapeError(f"cyclic_blocks: input must have 2 or 4 axes, got {x.shape}")
 
 

@@ -92,16 +92,6 @@ class Tensor:
         self.op = "leaf"
         self.seq = next(_EXECUTION_COUNTER)
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float64), requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=np.float64), requires_grad)
-
     # -- basic introspection ---------------------------------------------------
 
     @property

@@ -18,7 +18,7 @@ def test_grad_of_sum_is_ones():
 
 
 def test_grad_of_sigmoid_sum_at_zero_is_quarter():
-    x = Tensor.zeros((4, 4), requires_grad=True)
+    x = Tensor(np.zeros((4, 4)), requires_grad=True)
     grads = backward(ops.tsum(ops.sigmoid(x)))
     np.testing.assert_allclose(grads[id(x)], np.full((4, 4), 0.25), rtol=0, atol=1e-15)
 

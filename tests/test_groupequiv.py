@@ -58,9 +58,9 @@ def test_g_act_validates_element_range():
 
 def test_refeaturemap_layout_validation():
     with pytest.raises(ShapeError):
-        ReFeatureMap(Tensor.zeros((2, 7, 4, 4)), 2, 4)  # 7 != 2*4
+        ReFeatureMap(Tensor(np.zeros((2, 7, 4, 4))), 2, 4)  # 7 != 2*4
     with pytest.raises(ValueError):
-        ReFeatureMap(Tensor.zeros((2, 6, 4, 4)), 2, 3)  # unsupported N
+        ReFeatureMap(Tensor(np.zeros((2, 6, 4, 4))), 2, 3)  # unsupported N
 
 
 def test_g_act_kernel_channel_major_layout():
@@ -96,7 +96,7 @@ def test_lift_conv_n1_equals_plain_conv_bit_exact():
 
 def test_lift_conv_symmetric_kernel_gives_identical_orientations():
     x = Tensor(Rng(6).uniform((1, 2, 6, 6)))
-    params = LiftConvParams(Tensor(np.ones((1, 2, 3, 3))), Tensor.zeros((1,)))
+    params = LiftConvParams(Tensor(np.ones((1, 2, 3, 3))), Tensor(np.zeros((1,))))
     out = lift_conv(x, params, 4).data.data
     for m in range(1, 4):
         np.testing.assert_array_equal(out[:, m::4], out[:, 0::4])
@@ -131,7 +131,7 @@ def test_group_conv_delta_kernel_identity_wiring():
     n = 4
     w = np.zeros((1, 1, n, 1, 1))
     w[0, 0, 0, 0, 0] = 1.0
-    params = GroupConvParams(Tensor(w), Tensor.zeros((1,)))
+    params = GroupConvParams(Tensor(w), Tensor(np.zeros((1,))))
     x = fm(Rng(8), 1, n, 5)
     out = group_conv(x, params)
     np.testing.assert_array_equal(out.data.data, x.data.data)
@@ -191,11 +191,11 @@ def test_blockmean_subsampling_is_equivariant():
 
 def test_param_validation():
     with pytest.raises(ShapeError):
-        LiftConvParams(Tensor.zeros((2, 3, 2, 2)), Tensor.zeros((2,)))  # even kernel
+        LiftConvParams(Tensor(np.zeros((2, 3, 2, 2))), Tensor(np.zeros((2,))))  # even kernel
     with pytest.raises(ShapeError):
-        LiftConvParams(Tensor.zeros((2, 3, 3, 5)), Tensor.zeros((2,)))  # non-square
+        LiftConvParams(Tensor(np.zeros((2, 3, 3, 5))), Tensor(np.zeros((2,))))  # non-square
     with pytest.raises(ShapeError):
-        GroupConvParams(Tensor.zeros((2, 2, 4, 3, 3)), Tensor.zeros((3,)))  # bias len
+        GroupConvParams(Tensor(np.zeros((2, 2, 4, 3, 3))), Tensor(np.zeros((3,))))  # bias len
     p = init_group_conv(Rng(11), 2, 2, 4)
     x = fm(Rng(12), 2, 2, 4)
     with pytest.raises(ShapeError):

@@ -108,6 +108,27 @@ def test_load_config_caps_trials(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_load_config_caps_reseeds(tmp_path, capsys):
+    cap = harness.MAX_RESEEDS
+    assert load_config(write_config(tmp_path, reseeds=cap)).reseeds == cap
+    p = write_config(tmp_path, reseeds=cap + 1)
+    with pytest.raises(ConfigError, match=f"reseeds {cap + 1} above the cap"):
+        load_config(p)
+    assert cli.entrypoint(["verify", "--config", str(p)]) == 2
+    assert "reseeds" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="reseeds 1000000000000 above the cap"):
+        HarnessConfig(reseeds=10**12).validate()
+
+
+def test_pyramid_levels_cap_is_the_deepest_the_image_cap_allows():
+    deepest = pyramid.MAX_LEVELS
+    # the smallest image of that depth, at the smallest batch, fills the image cap
+    assert 2 ** (deepest - 1) * 2 == harness.MAX_IMAGE_SIZE_X_BATCH
+    assert HarnessConfig(levels=deepest, image_size=256, batch=2).validate().levels == deepest
+    with pytest.raises(ConfigError, match="spatial size not divisible"):
+        HarnessConfig(levels=deepest + 1, image_size=256, batch=2).validate()
+
+
 def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
     # the largest benchmark config (image_size 128, batch 4) sits at the cap
     cfg = load_config(write_config(tmp_path, image_size=128, batch=4))

@@ -9,6 +9,7 @@ from reafuse import tensor as ops
 from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
 from reafuse.pyramid import (
     EQUIVARIANT_VARIANTS,
+    MAX_LEVELS,
     VARIANTS,
     PyramidConfig,
     build_pyramid,
@@ -47,7 +48,7 @@ def test_zero_input_gives_zero_levels():
     # all biases are zero-initialized, and zero logits gate by exactly 0.5
     for variant in ("Baseline", "ReAFFPN"):
         params = init_pyramid(small_config(variant))
-        levels = run_pyramid(Tensor.zeros((2, 3, 8, 8)), params)
+        levels = run_pyramid(Tensor(np.zeros((2, 3, 8, 8))), params)
         for lv in levels:
             assert np.all(lv.data.data == 0.0)
 
@@ -147,11 +148,11 @@ def test_named_parameters_unique_and_trainable():
 def test_backbone_input_validation():
     params = init_pyramid(small_config(levels=3))
     with pytest.raises(ShapeError, match="spatial size not divisible"):
-        toy_backbone(Tensor.zeros((1, 3, 10, 10)), params)
+        toy_backbone(Tensor(np.zeros((1, 3, 10, 10))), params)
     with pytest.raises(ShapeError):
-        toy_backbone(Tensor.zeros((1, 3, 8, 4)), params)  # not square
+        toy_backbone(Tensor(np.zeros((1, 3, 8, 4))), params)  # not square
     with pytest.raises(ShapeError):
-        toy_backbone(Tensor.zeros((3, 8, 8)), params)  # missing batch axis
+        toy_backbone(Tensor(np.zeros((3, 8, 8))), params)  # missing batch axis
     with pytest.raises(ShapeError):
         lateral_maps([], params)
     with pytest.raises(ShapeError):
@@ -161,6 +162,9 @@ def test_backbone_input_validation():
 def test_config_validation():
     with pytest.raises(ShapeError):
         PyramidConfig(levels=1)
+    assert PyramidConfig(levels=MAX_LEVELS).levels == MAX_LEVELS
+    with pytest.raises(ShapeError, match=r"levels must be in \[2, 9\], got 10"):
+        PyramidConfig(levels=MAX_LEVELS + 1)
     with pytest.raises(ShapeError):
         PyramidConfig(orientations=3)
     with pytest.raises(ShapeError):

@@ -164,8 +164,8 @@ def test_n1_collapse_to_plain_iaff():
 def test_shape_mismatch_rejected():
     rng = Rng(111)
     p = init_reaff(rng, 8, 4, 1)
-    x = ReFeatureMap(Tensor.zeros((2, 8, 4, 4)), 2, 4)
-    y = ReFeatureMap(Tensor.zeros((2, 8, 6, 6)), 2, 4)
+    x = ReFeatureMap(Tensor(np.zeros((2, 8, 4, 4))), 2, 4)
+    y = ReFeatureMap(Tensor(np.zeros((2, 8, 6, 6))), 2, 4)
     with pytest.raises(ShapeError):
         reaff_forward(x, y, p)
 

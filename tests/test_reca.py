@@ -44,8 +44,8 @@ def test_cyclic_blocks_n1_is_plain_reduction():
 
 
 def test_conv_blocks_zero_weights_give_zero():
-    p = ReCAParams(w_a=Tensor.zeros((4, 2, 4)), w_b=Tensor.zeros((4, 4, 2)),
-                   bn_gamma=Tensor.ones((2,)), bn_beta=Tensor.zeros((2,)))
+    p = ReCAParams(w_a=Tensor(np.zeros((4, 2, 4))), w_b=Tensor(np.zeros((4, 4, 2))),
+                   bn_gamma=Tensor(np.ones((2,))), bn_beta=Tensor(np.zeros((2,))))
     x = Tensor(Rng(0).uniform((2, 4 * 4)))
     out = cyclic_blocks(x, p.w_a)
     assert out.shape == (2, 2 * 4)
@@ -80,7 +80,7 @@ def test_identity_wiring_recovers_input():
     eye = np.zeros((n, k, k))
     eye[0] = np.eye(k)
     p = ReCAParams(w_a=Tensor(eye), w_b=Tensor(eye.copy()),
-                   bn_gamma=Tensor.ones((k,)), bn_beta=Tensor.zeros((k,)))
+                   bn_gamma=Tensor(np.ones((k,))), bn_beta=Tensor(np.zeros((k,))))
     x = Tensor(np.abs(Rng(40).uniform((2, k * n))))
     out = cyclic_blocks(ops.relu(cyclic_blocks(x, p.w_a)), p.w_b)
     np.testing.assert_allclose(out.data, x.data, atol=1e-14)
@@ -136,8 +136,8 @@ def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
 
 def test_reca_zero_params_gate_half():
     n, k = 4, 2
-    p = ReCAParams(w_a=Tensor.zeros((n, k, k)), w_b=Tensor.zeros((n, k, k)),
-                   bn_gamma=Tensor.ones((k,)), bn_beta=Tensor.zeros((k,)))
+    p = ReCAParams(w_a=Tensor(np.zeros((n, k, k))), w_b=Tensor(np.zeros((n, k, k))),
+                   bn_gamma=Tensor(np.ones((k,))), bn_beta=Tensor(np.zeros((k,))))
     x = ReFeatureMap(Tensor(Rng(60).uniform((2, k * n, 4, 4))), k, n)
     out = reca_forward(x, p)
     np.testing.assert_array_equal(out.data.data, 0.5 * x.data.data)
@@ -181,7 +181,7 @@ def test_reca_n1_equals_se_with_shared_bn():
 
 
 def test_se_zero_weights_gate_half():
-    p = SEParams(w1=Tensor.zeros((2, 8)), w2=Tensor.zeros((8, 2)))
+    p = SEParams(w1=Tensor(np.zeros((2, 8))), w2=Tensor(np.zeros((8, 2))))
     x = Tensor(Rng(100).uniform((2, 8, 4, 4)))
     np.testing.assert_array_equal(se_forward(x, p).data, 0.5 * x.data)
 
@@ -222,10 +222,10 @@ def test_init_validation():
     with pytest.raises(ShapeError):
         init_se(Rng(0), 8, 3)
     with pytest.raises(ShapeError, match="not a multiple of reduced axis 3"):
-        ReCAParams(w_a=Tensor.zeros((4, 3, 4)), w_b=Tensor.zeros((4, 4, 3)),
-                   bn_gamma=Tensor.ones((3,)), bn_beta=Tensor.zeros((3,)))
+        ReCAParams(w_a=Tensor(np.zeros((4, 3, 4))), w_b=Tensor(np.zeros((4, 4, 3))),
+                   bn_gamma=Tensor(np.ones((3,))), bn_beta=Tensor(np.zeros((3,))))
     p = init_reca(Rng(0), 8, 4, 2)
-    x = ReFeatureMap(Tensor.zeros((2, 12, 4, 4)), 3, 4)
+    x = ReFeatureMap(Tensor(np.zeros((2, 12, 4, 4))), 3, 4)
     with pytest.raises(ShapeError):
         reca_forward(x, p)  # param/feature mismatch
 
@@ -245,12 +245,22 @@ def shift_permutation(channels, n, s):
     return p
 
 
+def bank_matrix(banks):
+    """The [out*N, in*N] matrix ``cyclic_blocks`` applies, read off its output.
+
+    Applied to the identity, every input is one-hot, so the output is the
+    matrix transposed, exactly.
+    """
+    n, _, cols = banks.shape
+    return cyclic_blocks(Tensor(np.eye(cols * n)), Tensor(banks)).data.T
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_circulant_equals_assembled_block_matrix(n):
     rows, cols = 3, 2
     banks = Rng(130 + n).uniform((n, rows, cols))
     block_major = np.block([[banks[(m - i) % n] for m in range(n)] for i in range(n)])
-    got = reca._circulant(Tensor(banks)).data
+    got = bank_matrix(banks)
     assert got.shape == (rows * n, cols * n)
     assert np.array_equal(got, interleave(block_major, n, rows, cols))
     for r in range(rows):
@@ -263,7 +273,7 @@ def test_circulant_equals_assembled_block_matrix(n):
 @pytest.mark.parametrize("n", [2, 4])
 def test_circulant_commutes_with_orientation_shift(n):
     rows, cols = 2, 3
-    c = reca._circulant(Tensor(Rng(140 + n).uniform((n, rows, cols)))).data
+    c = bank_matrix(Rng(140 + n).uniform((n, rows, cols)))
     for s in range(n):
         p_out, p_in = shift_permutation(rows, n, s), shift_permutation(cols, n, s)
         assert np.array_equal(p_out @ c, c @ p_in)

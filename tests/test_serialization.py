@@ -233,6 +233,19 @@ def test_load_rejects_kernel_channels_over_the_cap_before_building(tmp_path, mon
         load_pyramid_params(out)
 
 
+def test_load_rejects_levels_over_the_cap_before_building(tmp_path, monkeypatch):
+    out, manifest = _saved_manifest(tmp_path)
+    manifest["config"]["levels"] = 40
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    def no_build(config):
+        raise AssertionError("init_pyramid ran on an over-cap config")
+
+    monkeypatch.setattr(serialization, "init_pyramid", no_build)
+    with pytest.raises(FormatError, match=r"levels must be in \[2, 9\], got 40"):
+        load_pyramid_params(out)
+
+
 def _tree_paths(node, path=()):
     """Every position in a JSON tree, as the key/index path leading to it."""
     yield path

@@ -33,9 +33,9 @@ def loop_conv2d(x, w, b):
 
 
 def test_conv2d_zero_input_gives_zero_output():
-    x = Tensor.zeros((1, 1, 4, 4))
+    x = Tensor(np.zeros((1, 1, 4, 4)))
     w = Tensor(np.random.default_rng(0).normal(size=(2, 1, 3, 3)))
-    out = ops.conv2d(x, w, Tensor.zeros((2,)))
+    out = ops.conv2d(x, w, Tensor(np.zeros((2,))))
     assert np.all(out.data == 0.0)
 
 
@@ -136,15 +136,15 @@ def test_banded_conv2d_buffers_are_sized_by_the_band():
 
 
 def test_conv2d_rejects_even_kernel_and_bad_stride():
-    x = Tensor.zeros((1, 1, 4, 4))
+    x = Tensor(np.zeros((1, 1, 4, 4)))
     with pytest.raises(ShapeError):
-        ops.conv2d(x, Tensor.zeros((1, 1, 2, 2)))
+        ops.conv2d(x, Tensor(np.zeros((1, 1, 2, 2))))
     with pytest.raises(ShapeError):
-        ops.conv2d(x, Tensor.zeros((1, 1, 3, 1)))  # not square
+        ops.conv2d(x, Tensor(np.zeros((1, 1, 3, 1))))  # not square
     with pytest.raises(TypeError):
-        ops.conv2d(x, Tensor.zeros((1, 1, 3, 3)), stride=2)  # same padding, stride 1 only
+        ops.conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), stride=2)  # same padding, stride 1 only
     with pytest.raises(ShapeError):
-        ops.conv2d(x, Tensor.zeros((1, 2, 3, 3)))  # channel mismatch
+        ops.conv2d(x, Tensor(np.zeros((1, 2, 3, 3))))  # channel mismatch
 
 
 def test_rot90_quarter_turn_convention():
@@ -198,7 +198,7 @@ def test_blockmean2x_is_exact_block_average():
     want = np.array([[[[2.5, 4.5], [10.5, 12.5]]]])
     np.testing.assert_array_equal(got, want)
     with pytest.raises(ShapeError):
-        ops.blockmean2x(Tensor.zeros((1, 1, 5, 5)))
+        ops.blockmean2x(Tensor(np.zeros((1, 1, 5, 5))))
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 4, 2, 8), (3, 5, 6, 10),
@@ -213,11 +213,11 @@ def test_blockmean2x_bit_identical_to_reshape_mean(shape):
 
 
 def test_elementwise_definitions():
-    assert ops.sigmoid(Tensor.zeros(())).item() == 0.5
+    assert ops.sigmoid(Tensor(np.zeros(()))).item() == 0.5
     assert ops.relu(Tensor(np.array(-3.0))).item() == 0.0
     assert ops.relu(Tensor(np.array(3.0))).item() == 3.0
     x = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
-    np.testing.assert_array_equal(ops.add(x, Tensor.zeros((3, 4))).data, x.data)
+    np.testing.assert_array_equal(ops.add(x, Tensor(np.zeros((3, 4)))).data, x.data)
 
 
 def test_sigmoid_extremes_stay_finite():
@@ -233,38 +233,39 @@ def test_broadcast_is_restricted_to_trailing_spatial_dims():
     out = ops.mul(x, gate)
     np.testing.assert_allclose(out.data, x.data * gate.data)
     with pytest.raises(ShapeError):
-        ops.add(Tensor.zeros((2, 3)), Tensor.zeros((3, 2)))
+        ops.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 def test_batchnorm_statistics():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(2.0, 3.0, size=(8, 4, 6, 6)))
     gamma = Tensor(np.ones(4))
-    beta = Tensor.zeros((4,))
+    beta = Tensor(np.zeros((4,)))
     out = ops.batchnorm(x, gamma, beta, reduce_axes=(0, 2, 3)).data
     assert np.abs(out.mean(axis=(0, 2, 3))).max() <= 1e-10
     assert np.abs(out.var(axis=(0, 2, 3)) - 1.0).max() <= 1e-3  # eps-regularized
 
     # gamma=0 kills the signal entirely
     beta2 = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
-    out2 = ops.batchnorm(x, Tensor.zeros((4,)), beta2, reduce_axes=(0, 2, 3)).data
+    out2 = ops.batchnorm(x, Tensor(np.zeros((4,))), beta2, reduce_axes=(0, 2, 3)).data
     np.testing.assert_array_equal(out2, np.broadcast_to(beta2.data[None, :, None, None], x.shape))
 
     # constant input per channel -> zeros under gamma=1, beta=0
     const = Tensor(np.full((4, 3, 2, 2), 5.0))
-    out3 = ops.batchnorm(const, Tensor(np.ones(3)), Tensor.zeros((3,)), reduce_axes=(0, 2, 3)).data
+    out3 = ops.batchnorm(const, Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                         reduce_axes=(0, 2, 3)).data
     assert np.abs(out3).max() <= 1e-12
 
 
 def test_batchnorm_degenerate_statistics_error():
-    x = Tensor.zeros((1, 3))
+    x = Tensor(np.zeros((1, 3)))
     with pytest.raises(DegenerateStatisticsError):
-        ops.batchnorm(x, Tensor(np.ones(3)), Tensor.zeros((3,)), reduce_axes=(0,))
+        ops.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros((3,))), reduce_axes=(0,))
     with pytest.raises(ShapeError):
-        ops.batchnorm(Tensor.zeros((4, 3, 2, 2)), Tensor(np.ones(3)), Tensor.zeros((3,)),
+        ops.batchnorm(Tensor(np.zeros((4, 3, 2, 2))), Tensor(np.ones(3)), Tensor(np.zeros((3,))),
                       reduce_axes=(0,))  # must leave exactly one axis
     with pytest.raises(ValueError):
-        ops.batchnorm(Tensor.zeros((4, 3)), Tensor(np.ones(3)), Tensor.zeros((3,)),
+        ops.batchnorm(Tensor(np.zeros((4, 3))), Tensor(np.ones(3)), Tensor(np.zeros((3,))),
                       reduce_axes=(0,), eps=0.0)
 
 
@@ -308,7 +309,7 @@ def test_no_grad_returns_bare_outputs():
     with ops.no_grad():
         outs = [ops.conv2d(x, w), ops.relu(x), ops.add(x, x), ops.tsum(x),
                 ops.batchnorm(x, Tensor(np.ones(3), requires_grad=True),
-                              Tensor.zeros((3,), requires_grad=True), reduce_axes=(0, 2, 3))]
+                              Tensor(np.zeros((3,)), requires_grad=True), reduce_axes=(0, 2, 3))]
     for out in outs:
         assert out.parents == () and out.backward_fn is None
         assert not out.requires_grad and out.op == "leaf"
@@ -318,7 +319,7 @@ def test_no_grad_returns_bare_outputs():
 
 
 def test_no_grad_restores_recording_after_nesting_and_errors():
-    x = Tensor.ones((2, 2), requires_grad=True)
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
     with ops.no_grad():
         with ops.no_grad():
             assert not ops.relu(x).requires_grad
@@ -326,5 +327,5 @@ def test_no_grad_restores_recording_after_nesting_and_errors():
     assert ops.relu(x).requires_grad
     with pytest.raises(ShapeError):
         with ops.no_grad():
-            ops.matmul(x, Tensor.ones((3, 3)))
+            ops.matmul(x, Tensor(np.ones((3, 3))))
     assert ops.relu(x).requires_grad
