@@ -96,7 +96,7 @@ _FLOAT_KEYS = ("pass_threshold", "fail_threshold", "oracle_tolerance",
 # bounds the values of the level-0 feature map, kernel_channels x
 # orientations x image_size^2 x batch, at the default widths (8 kernel
 # channels x 4 orientations) with the largest input (256 x 256, batch 2): a
-# 32 MB map.  That config peaks at 289 MB of resident memory in ``demo`` of
+# 32 MB map.  That config peaks at 242 MB of resident memory in ``demo`` of
 # ReAFFPN (2-core x86_64, OpenBLAS on one thread).  kernel_channels has its
 # own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
@@ -343,7 +343,8 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
 
     One input image, one parameter seed, and one backbone forward and set
     of laterals per group element, shared by every variant listed, then
-    each variant's head on those laterals.  ``init_pyramid`` derives every
+    each variant's head on its own copy of the laterals list (the head
+    consumes the list, never the maps).  ``init_pyramid`` derives every
     layer from the parameter seed and the layer name, so all variants get
     the same stem, stage and lateral weights and the laterals are the same
     for all of them; only the attention weights differ.  Non-finite
@@ -363,7 +364,7 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
     for variant in variants:
         t0 = time.perf_counter()
         residuals[variant] = _residuals(
-            config, lambda s: build_pyramid(laterals[s], params[variant]))
+            config, lambda s: build_pyramid(list(laterals[s]), params[variant]))
         timings[variant] += time.perf_counter() - t0
     return residuals
 

@@ -21,8 +21,10 @@ features), ``lateral_maps`` (one 1x1 group convolution per level) and
 depends on the variant).  ``init_pyramid`` draws the backbone and lateral
 weights from the seed and the layer name alone, so the variants built from
 one seed share the first two stages: ``verify`` runs the backbone and the
-laterals once per seed and group element and hands the laterals to all five
-heads.
+laterals once per seed and group element and hands each of the five heads
+its own copy of the laterals list.  ``build_pyramid`` consumes the list it
+gets, popping each lateral into its merge, so the maps themselves are only
+read and a lateral that no caller holds is freed before its smoothing conv.
 
 Baseline, PlusReCA, and ReAFFPN are exactly rotation-equivariant end to end;
 PlusSE and PlusIAFF break equivariance on generic weights.  That five-way
@@ -51,7 +53,7 @@ from .groupequiv import (
 )
 from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
 from .reca import init_reca, init_se, reca_forward, se_forward
-from .tensor import Rng, ShapeError, Tensor, add, relu, upsample_nearest2x
+from .tensor import Rng, ShapeError, Tensor, add, relu, reshape, upsample_nearest2x
 
 __all__ = [
     "VARIANTS",
@@ -234,42 +236,56 @@ def build_pyramid(laterals: list[ReFeatureMap], params: PyramidParams) -> list[R
 
     The coarsest level is its lateral, ``laterals[-1]`` itself; every other
     level fuses its lateral with the (attended, upsampled) level above and is
-    then smoothed by a 3x3 group convolution.  ``laterals`` is only read, so
-    one set of laterals can feed the heads of several variants.
+    then smoothed by a 3x3 group convolution.  ``laterals`` is consumed: each
+    lateral is popped off the list into its merge, so the list is empty on
+    return and a lateral nobody else holds is freed before its smoothing
+    conv runs.  A caller that reuses its laterals, as ``verify`` does for the
+    heads of several variants, passes a copy, ``list(laterals)``.
     """
     cfg = params.config
     if len(laterals) != cfg.levels:
         raise ShapeError(f"got {len(laterals)} lateral maps for {cfg.levels} levels")
-    # each merge's intermediates are dropped before its smoothing conv runs,
-    # so a forward-only pass holds one level's intermediates at a time
+    # each merge's lateral and intermediates are dropped before its
+    # smoothing conv runs, so a forward-only pass holds the fused map and
+    # the smoothing output of one level at a time
     pyramid: list[ReFeatureMap | None] = [None] * cfg.levels
-    pyramid[-1] = laterals[-1]
+    pyramid[-1] = laterals.pop()
     for l in range(cfg.levels - 2, -1, -1):
-        fused = _merge(laterals[l], pyramid[l + 1], params.attention[l], cfg.variant)
+        fused = _merge(laterals.pop(), pyramid[l + 1], params.attention[l], cfg.variant)
         pyramid[l] = group_conv(fused, params.smooth[l])
         del fused
     return pyramid
 
 
 def _merge(low: ReFeatureMap, upper: ReFeatureMap, att, variant: str) -> ReFeatureMap:
-    """Fuse a lateral with the (attended, upsampled) level above it."""
+    """Fuse a lateral with the (attended, upsampled) level above it.
+
+    The additive variants broadcast each upper pixel over its 2x2 block of
+    ``low`` instead of materializing the upsampled map: the same additions,
+    so the same bits.  The two fusion variants read the upsampled map three
+    times and build it once.
+    """
     if variant == "PlusSE":
         upper = _like(upper, se_forward(upper.data, att))
     elif variant == "PlusReCA":
         upper = reca_forward(upper, att)
-    up = _like(upper, upsample_nearest2x(upper.data))
     if variant == "PlusIAFF":
-        return _like(low, plain_iaff_forward(low.data, up.data, att))
+        return _like(low, plain_iaff_forward(low.data, upsample_nearest2x(upper.data), att))
     if variant == "ReAFFPN":
-        return reaff_forward(low, up, att)
-    return _like(low, add(low.data, up.data))
+        return reaff_forward(low, _like(upper, upsample_nearest2x(upper.data)), att)
+    b, c, h, w = upper.shape
+    blocks = add(reshape(low.data, (b, c, h, 2, w, 2)), reshape(upper.data, (b, c, h, 1, w, 1)))
+    return _like(low, reshape(blocks, low.shape))
 
 
 def run_pyramid(image: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
     """Full forward pass: image -> backbone -> laterals -> pyramid levels.
 
     The backbone features are released once their laterals exist, before
-    the top-down merges run.
+    the top-down merges run, and each lateral once its merge has run,
+    before its smoothing conv: ``build_pyramid`` owns the laterals list.
+    So the level-0 smoothing conv holds two level-0 maps, the fused map and
+    its own output, plus its band buffers.
     """
     return build_pyramid(lateral_maps(toy_backbone(image, params), params), params)
 

@@ -58,7 +58,7 @@ def write_raft(path, value) -> None:
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.tobytes())
+        f.write(arr.reshape(-1).view(np.uint8))  # the array's own buffer, no copy
 
 
 def read_raft(path) -> np.ndarray:

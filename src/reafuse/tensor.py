@@ -223,16 +223,24 @@ def mul(a, b) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """max(0, x); the subgradient at the kink is taken as 0."""
+    """max(0, x); the subgradient at the kink is taken as 0.
+
+    NaN and -0.0 map to +0.0, as ``np.where(x > 0, x, 0.0)`` maps them.
+    """
     a = _wrap(a)
-    mask = a.data > 0.0
-    return _record(Tensor(np.where(mask, a.data, 0.0)), "relu", (a,), lambda g: (g * mask,))
+    out = np.fmax(a.data, 0.0)  # fmax drops NaN in favour of 0.0
+    out += 0.0  # fmax may keep -0.0; -0.0 + 0.0 is +0.0
+    return _record(Tensor(out), "relu", (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    # tanh form avoids exp overflow for large negative inputs
-    s = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    # 0.5 * (tanh(0.5 * x) + 1) in one buffer; the tanh form avoids exp
+    # overflow for large negative inputs
+    s = np.multiply(a.data, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
     return _record(Tensor(s), "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 

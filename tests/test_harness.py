@@ -381,6 +381,31 @@ def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch):
     assert len(calls) == (cfg.seeds + reseeds) * cfg.orientations
 
 
+def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
+    # build_pyramid consumes the list it is given; every head gets a copy,
+    # so the shared list keeps its maps and the maps keep their bytes
+    shared = []
+    real = pyramid.lateral_maps
+
+    def recorded(feats, params):
+        laterals = real(feats, params)
+        shared.append((laterals, list(laterals), [lat.data.data.copy() for lat in laterals]))
+        return laterals
+
+    monkeypatch.setattr(harness, "lateral_maps", recorded)
+    cfg = HarnessConfig(**TINY).validate()
+    timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
+    with ops.no_grad():
+        residuals = harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
+    assert all(residuals[v] is not None for v in VARIANTS)
+    assert len(shared) == cfg.orientations
+    for laterals, objects, before in shared:
+        assert len(laterals) == cfg.levels
+        assert all(lat is obj for lat, obj in zip(laterals, objects))
+        for lat, data in zip(laterals, before):
+            assert lat.data.data.tobytes() == data.tobytes()
+
+
 def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch):
     calls = _count_calls(monkeypatch)
     # no draw breaks by 10: every must-break seed spends its whole reseed budget

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reafuse import tensor as ops
+from reafuse.autograd import backward
 from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
 from reafuse.pyramid import (
     EQUIVARIANT_VARIANTS,
@@ -15,10 +16,12 @@ from reafuse.pyramid import (
     build_pyramid,
     init_pyramid,
     lateral_maps,
+    _merge,
     named_parameters,
     run_pyramid,
     toy_backbone,
 )
+from reafuse.reca import reca_forward, se_forward
 from reafuse.tensor import Rng, ShapeError, Tensor
 
 
@@ -35,9 +38,11 @@ def test_backbone_and_pyramid_shapes():
     assert [f.shape for f in feats] == [(2, 8, 8, 8), (2, 8, 4, 4)]
     laterals = lateral_maps(feats, params)
     assert [p.shape for p in laterals] == [(2, 8, 8, 8), (2, 8, 4, 4)]
+    coarsest = laterals[-1]
     levels = build_pyramid(laterals, params)
     assert [p.shape for p in levels] == [(2, 8, 8, 8), (2, 8, 4, 4)]
-    assert levels[-1] is laterals[-1]  # the coarsest level is its lateral
+    assert levels[-1] is coarsest  # the coarsest level is its lateral
+    assert laterals == []  # build_pyramid consumes the list it is given
     # three levels halve twice
     cfg3 = small_config(levels=3)
     out = run_pyramid(Tensor(Rng(2).uniform((2, 3, 16, 16))), init_pyramid(cfg3))
@@ -67,6 +72,32 @@ def test_baseline_wiring_definition():
     want = group_conv(fused, params.smooth[0]).data.data
     got = build_pyramid(lateral_maps([c_low, c_high], params), params)[0].data.data
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["Baseline", "PlusSE", "PlusReCA"])
+def test_additive_merge_is_add_of_the_upsampled_map(variant):
+    # the broadcast add over 2x2 blocks makes the same additions as adding
+    # the materialized upsampled map, in values and in recorded gradients
+    params = init_pyramid(small_config(variant, seed=6))
+    att = params.attention[0]
+    rng = Rng(6)
+    low = ReFeatureMap(Tensor(rng.derive("low").uniform((2, 8, 8, 8)), requires_grad=True), 2, 4)
+    upper = ReFeatureMap(Tensor(rng.derive("up").uniform((2, 8, 4, 4)), requires_grad=True), 2, 4)
+    got = _merge(low, upper, att, variant)
+    attended = {
+        "Baseline": lambda: upper.data,
+        "PlusSE": lambda: se_forward(upper.data, att),
+        "PlusReCA": lambda: reca_forward(upper, att).data,
+    }[variant]()
+    want = ops.add(low.data, ops.upsample_nearest2x(attended))
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.data.data, want.data)
+    weights = Tensor(rng.derive("w").uniform(want.shape))
+    leaves = [low.data, upper.data] + [t for _, t in named_parameters(att)]
+    grads_got = backward(ops.tsum(ops.mul(got.data, weights)), leaves)
+    grads_want = backward(ops.tsum(ops.mul(want, weights)), leaves)
+    for leaf in leaves:
+        np.testing.assert_array_equal(grads_got[id(leaf)], grads_want[id(leaf)])
 
 
 def test_reaff_identity_propagates_through_fusion_level():
@@ -204,9 +235,10 @@ def test_forward_releases_the_backbone_before_the_merges():
         finally:
             tracemalloc.stop()
     assert kept - start >= 1.3 * level0  # the pyramid itself: 1 + 1/4 + 1/16
-    # Above the returned pyramid, the forward holds at most the level-0
-    # lateral, the fused map and the smoothing conv's band buffers (2.42
-    # maps).  A forward that keeps the backbone features through the merges
-    # peaks at 3.31 maps.
-    assert peak - kept <= 2.5 * level0, (peak - kept) / level0
+    # Above the returned pyramid, the forward holds at most the fused map
+    # and the smoothing conv's band buffers (1.32 maps).  A forward that
+    # keeps the level-0 lateral through the smoothing conv or builds the
+    # upsampled map peaks at 2.42 maps, one that keeps the backbone features
+    # through the merges at 3.31.
+    assert peak - kept <= 1.4 * level0, (peak - kept) / level0
     assert len(levels) == 3

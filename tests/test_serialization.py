@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,13 +30,26 @@ from reafuse.tensor import Rng, Tensor
 
 def test_raft_round_trip_various_ranks(tmp_path):
     rng = np.random.default_rng(0)
-    for shape in ((), (5,), (2, 3), (2, 3, 4, 5)):
+    for i, shape in enumerate(((), (5,), (2, 3), (2, 3, 4, 5), (0,), (2, 0, 3))):
         arr = rng.normal(size=shape)
-        p = tmp_path / f"r{len(shape)}.raft"
+        p = tmp_path / f"r{i}.raft"
         write_raft(p, arr)
         back = read_raft(p)
         assert back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
+
+
+def test_write_raft_writes_the_payload_without_copying_it(tmp_path):
+    arr = np.random.default_rng(1).normal(size=(256, 1024))  # 2 MB
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_raft(tmp_path / "big.raft", arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < arr.nbytes // 8, (peak - start) / arr.nbytes
+    np.testing.assert_array_equal(read_raft(tmp_path / "big.raft"), arr)
 
 
 def test_raft_exact_byte_layout(tmp_path):

@@ -135,6 +135,50 @@ def test_banded_conv2d_buffers_are_sized_by_the_band():
     assert peak < x.data.nbytes + out.data.nbytes + 8 * 2**20
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+_SPECIAL_VALUES = np.array([
+    np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+    2.2250738585072014e-308, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300,
+])
+
+
+def test_relu_and_sigmoid_match_their_reference_formulas_bitwise():
+    rng = np.random.default_rng(11)
+    inputs = (_SPECIAL_VALUES, rng.normal(scale=10.0, size=(3, 4, 5, 6)),
+              rng.uniform(-1e-300, 1e-300, size=257))
+    for x in inputs:
+        g = rng.normal(size=x.shape)
+        t = Tensor(x, requires_grad=True)
+        relu, sigmoid = ops.relu(t), ops.sigmoid(t)
+        want_relu = np.where(x > 0, x, 0.0)
+        want_sigmoid = 0.5 * (np.tanh(0.5 * x) + 1.0)
+        assert np.array_equal(_bits(relu.data), _bits(want_relu))
+        assert np.array_equal(_bits(sigmoid.data), _bits(want_sigmoid))
+        (g_relu,) = relu.backward_fn(g)
+        (g_sigmoid,) = sigmoid.backward_fn(g)
+        assert np.array_equal(_bits(g_relu), _bits(g * (x > 0.0)))
+        assert np.array_equal(_bits(g_sigmoid), _bits(g * want_sigmoid * (1.0 - want_sigmoid)))
+
+
+@pytest.mark.parametrize("op", [ops.relu, ops.sigmoid])
+def test_relu_and_sigmoid_allocate_only_their_output(op):
+    # np.where(x > 0, x, 0.0) also holds a boolean mask (1/8 of the map);
+    # 0.5 * (tanh(0.5 * x) + 1.0) holds two temporaries of the map's size
+    x = Tensor(Rng(5).uniform((256, 1024), -4.0, 4.0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with ops.no_grad():
+            out = op(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= out.data.nbytes + 64 * 2**10, (peak - start) / out.data.nbytes
+
+
 def test_conv2d_rejects_even_kernel_and_bad_stride():
     x = Tensor(np.zeros((1, 1, 4, 4)))
     with pytest.raises(ShapeError):
