@@ -84,11 +84,11 @@ def test_additive_merge_is_add_of_the_upsampled_map(variant):
     low = ReFeatureMap(Tensor(rng.derive("low").uniform((2, 8, 8, 8)), requires_grad=True), 2, 4)
     upper = ReFeatureMap(Tensor(rng.derive("up").uniform((2, 8, 4, 4)), requires_grad=True), 2, 4)
     got = _merge(low, upper, att, variant)
-    attended = {
-        "Baseline": lambda: upper.data,
-        "PlusSE": lambda: se_forward(upper.data, att),
-        "PlusReCA": lambda: reca_forward(upper, att).data,
-    }[variant]()
+    attended = upper.data
+    if variant == "PlusSE":
+        attended = se_forward(upper.data, att)
+    elif variant == "PlusReCA":
+        attended = reca_forward(upper, att).data
     want = ops.add(low.data, ops.upsample_nearest2x(attended))
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.data.data, want.data)
