@@ -1,7 +1,8 @@
 """Rotation-equivariant channel attention and attentional feature fusion.
 
 A small, self-contained numpy stack for studying *exact* rotation
-equivariance under the cyclic groups C1/C2/C4: a recording tensor with
+equivariance under the cyclic groups C1/C2/C4 (the attention and fusion
+blocks, which only shift orientations, take any C_N): a recording tensor with
 reverse-mode gradients, group-lifting and group convolutions, cyclic-weight
 channel attention, a two-stage attentional fusion block, and a feature
 pyramid that wires five variants (equivariant and deliberately broken) for

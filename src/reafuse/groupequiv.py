@@ -8,9 +8,12 @@ shifting the orientation index ``n -> (n + s) mod N`` inside every kernel
 channel.  Every op in this module commutes with that action; the residual
 helper at the bottom is how all equivariance tests measure failure.
 
-Only N in {1, 2, 4} is supported: those are the cyclic groups whose filter
-rotation is an exact pixel permutation.  N=1 degenerates to ordinary
-convolution, bit-for-bit.
+Only what rotates pixels needs N in {1, 2, 4}, the cyclic groups whose
+rotation is an exact pixel permutation: ``g_act``, ``lift_conv`` and group
+convolutions with k > 1 check it through ``quarter_turns``.  A re-feature
+map, a 1x1 group convolution and the attention built on them act on
+orientations only by a cyclic shift, so they take any N >= 1.  N=1
+degenerates to ordinary convolution, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "ReFeatureMap",
     "LiftConvParams",
     "GroupConvParams",
+    "quarter_turns",
     "g_act",
     "lift_conv",
     "group_conv",
@@ -42,9 +46,6 @@ __all__ = [
     "init_group_conv",
     "relative_residual",
 ]
-
-SUPPORTED_ORIENTATIONS = (1, 2, 4)
-
 
 @dataclass(frozen=True)
 class ReFeatureMap:
@@ -55,10 +56,8 @@ class ReFeatureMap:
     orientations: int
 
     def __post_init__(self):
-        if self.orientations not in SUPPORTED_ORIENTATIONS:
-            raise ShapeError(
-                f"orientation count {self.orientations} not in {SUPPORTED_ORIENTATIONS}"
-            )
+        if self.orientations < 1:
+            raise ShapeError(f"orientation count must be at least 1, got {self.orientations}")
         if self.data.ndim != 4:
             raise ShapeError(f"re-feature map needs 4 axes, got shape {self.data.shape}")
         expected = self.kernel_channels * self.orientations
@@ -112,9 +111,7 @@ class GroupConvParams:
     def __post_init__(self):
         if self.weight.ndim != 5:
             raise ShapeError(f"group weight needs 5 axes, got {self.weight.shape}")
-        k_out, _, n, kh, kw = self.weight.shape
-        if n not in SUPPORTED_ORIENTATIONS:
-            raise ShapeError(f"orientation count {n} not in {SUPPORTED_ORIENTATIONS}")
+        k_out, _, _, kh, kw = self.weight.shape
         if kh != kw or kh % 2 == 0:
             raise ShapeError(f"group kernel must be square and odd, got {kh}x{kw}")
         if self.bias.shape != (k_out,):
@@ -123,6 +120,13 @@ class GroupConvParams:
     @property
     def orientations(self) -> int:
         return self.weight.shape[2]
+
+
+def quarter_turns(n: int) -> int:
+    """Quarter turns of the generator of C_N: the one check that N divides 4."""
+    if n < 1 or 4 % n:
+        raise ShapeError(f"orientations must be 1, 2 or 4, got {n}")
+    return 4 // n
 
 
 def g_act(x: ReFeatureMap, s: int) -> ReFeatureMap:
@@ -137,7 +141,7 @@ def g_act(x: ReFeatureMap, s: int) -> ReFeatureMap:
     b, c, h, w = x.shape
     if h != w:
         raise ShapeError(f"group action needs square spatial axes, got {h}x{w}")
-    rotated = rot90(x.data, s * (4 // n))
+    rotated = rot90(x.data, s * quarter_turns(n))
     perm = [k * n + (m - s) % n for k in range(x.kernel_channels) for m in range(n)]
     shifted = take(rotated, perm, axis=1)
     return ReFeatureMap(shifted, x.kernel_channels, n)
@@ -166,11 +170,13 @@ def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarra
     ReCA attention bank is the group conv with k = 1, where every rotation
     is the identity.  This is the one place outside ``naive`` that encodes
     the C_N weight-sharing rule (m - i) mod N.  Derived from shapes only,
-    so the cache can never hold stale weights.
+    so the cache can never hold stale weights.  A 1x1 filter is its own
+    rotation, so only k > 1 needs N to divide 4.
     """
     pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
+    turns = quarter_turns(n) if k > 1 else 0
     copies = [
-        np.rot90(pos[:, :, [(m - i) % n_in for m in range(n_in)]], i * (4 // n), axes=(-2, -1))
+        np.rot90(pos[:, :, [(m - i) % n_in for m in range(n_in)]], i * turns, axes=(-2, -1))
         for i in range(n)
     ]
     index = np.stack(copies, axis=1).reshape(k_out * n, k_in * n_in, k, k)
@@ -187,8 +193,6 @@ def lift_conv(x: Tensor, p: LiftConvParams, n: int) -> ReFeatureMap:
     and stacking), applied by one conv2d call; for N=1 this reduces to plain
     conv2d, bit-for-bit.
     """
-    if n not in SUPPORTED_ORIENTATIONS:
-        raise ShapeError(f"orientation count {n} not in {SUPPORTED_ORIENTATIONS}")
     k_out, c_in, kh, _ = p.weight.shape
     big = _gather(p.weight, _kernel_index(k_out, c_in, 1, n, kh))
     out = conv2d(x, big, _orientation_shared_bias(p.bias, n))

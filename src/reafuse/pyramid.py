@@ -42,7 +42,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from .groupequiv import (
-    SUPPORTED_ORIENTATIONS,
     GroupConvParams,
     LiftConvParams,
     ReFeatureMap,
@@ -50,6 +49,7 @@ from .groupequiv import (
     init_group_conv,
     init_lift_conv,
     lift_conv,
+    quarter_turns,
 )
 from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
 from .reca import init_reca, init_se, reca_forward, se_forward
@@ -106,8 +106,7 @@ class PyramidConfig:
             raise ShapeError(f"seed {self.seed} does not fit in u64")
         if not 2 <= self.levels <= MAX_LEVELS:
             raise ShapeError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
-        if self.orientations not in SUPPORTED_ORIENTATIONS:
-            raise ShapeError(f"orientations must be 1, 2 or 4, got {self.orientations}")
+        quarter_turns(self.orientations)  # the stem and stages rotate pixels
         if not 1 <= self.kernel_channels <= MAX_KERNEL_CHANNELS:
             raise ShapeError(
                 f"kernel_channels must be in [1, {MAX_KERNEL_CHANNELS}], got {self.kernel_channels}"

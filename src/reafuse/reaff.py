@@ -158,7 +158,7 @@ class PlainIAFFParams:
 def _mlp_logits(x: Tensor, p: ChannelMLPParams) -> Tensor:
     """1x1 conv -> batch-norm (stats over batch and space) -> relu -> 1x1 conv."""
     hidden = conv2d(x, reshape(p.w1, p.w1.shape + (1, 1)))
-    hidden = relu(batchnorm(hidden, p.bn_gamma, p.bn_beta, reduce_axes=(0, 2, 3)))
+    hidden = relu(batchnorm(hidden, p.bn_gamma, p.bn_beta))
     return conv2d(hidden, reshape(p.w2, p.w2.shape + (1, 1)))
 
 

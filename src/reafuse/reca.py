@@ -156,9 +156,7 @@ def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
     shift as well.
     """
     b, c, *space = x.shape
-    grouped = reshape(x, [b, c // n, n] + space)
-    axes = (0,) + tuple(range(2, grouped.ndim))
-    return reshape(batchnorm(grouped, gamma, beta, reduce_axes=axes), x.shape)
+    return reshape(batchnorm(reshape(x, [b, c // n, n] + space), gamma, beta), x.shape)
 
 
 def attention_logits(x: ReFeatureMap, p: ReCAParams, squeeze: bool = True) -> ReFeatureMap:

@@ -47,7 +47,6 @@ __all__ = [
     "transpose",
     "take",
     "tsum",
-    "tmean",
     "rot90",
     "global_avg_pool",
     "upsample_nearest2x",
@@ -322,17 +321,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _record(Tensor(data), "sum", (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, int):
-        count = a.shape[axis]
-    else:
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 # -- spatial ops -------------------------------------------------------------------
 
 
@@ -525,43 +513,32 @@ def conv2d(x, w, bias=None) -> Tensor:
     return _record(Tensor(out), "conv2d", parents, backward)
 
 
-def batchnorm(x, gamma, beta, eps: float = 1e-5, reduce_axes: Sequence[int] = (0,)) -> Tensor:
-    """Normalize over ``reduce_axes``, then scale/shift per remaining channel.
+_BN_EPS = 1e-5
+
+
+def batchnorm(x, gamma, beta) -> Tensor:
+    """Normalize channel axis 1 over every other axis, then scale/shift per channel.
 
     Statistics are always the batch statistics of the given tensor (there is
-    no running-average mode).  Exactly one axis must be left out of
-    ``reduce_axes``; ``gamma`` and ``beta`` index that channel axis.
+    no running-average mode); ``gamma`` and ``beta`` index axis 1.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    if eps <= 0:
-        raise ValueError(f"batchnorm: eps must be positive, got {eps}")
-    axes = tuple(int(ax) % x.ndim for ax in reduce_axes)
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"batchnorm: repeated reduce axis in {reduce_axes}")
-    channel_axes = [ax for ax in range(x.ndim) if ax not in axes]
-    if len(channel_axes) != 1:
+    if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError(
-            f"batchnorm: reduce axes {axes} must leave exactly one channel axis "
-            f"of {x.ndim}, left {channel_axes}"
+            f"batchnorm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match "
+            f"channel axis 1 of {x.shape}"
         )
-    channel_axis = channel_axes[0]
-    c = x.shape[channel_axis]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"batchnorm: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},) "
-            f"for channel axis {channel_axis}"
-        )
-    count = int(np.prod([x.shape[ax] for ax in axes]))
+    axes = (0,) + tuple(range(2, x.ndim))
+    count = math.prod(x.shape[:1] + x.shape[2:])
     if count < 2:
         raise DegenerateStatisticsError(
-            f"batchnorm: statistics over a single element (reduce axes {axes} of shape {x.shape})"
+            f"batchnorm: statistics over a single element (shape {x.shape})"
         )
 
-    m = tmean(x, axis=axes, keepdims=True)
+    m = mul(tsum(x, axis=axes, keepdims=True), 1.0 / count)
     centered = sub(x, m)
-    var = tmean(mul(centered, centered), axis=axes, keepdims=True)
-    inv = power(add(var, eps), -0.5)
+    var = mul(tsum(mul(centered, centered), axis=axes, keepdims=True), 1.0 / count)
+    inv = power(add(var, _BN_EPS), -0.5)
     normed = mul(centered, inv)
-    bshape = [1] * x.ndim
-    bshape[channel_axis] = c
+    bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     return add(mul(normed, reshape(gamma, bshape)), reshape(beta, bshape))

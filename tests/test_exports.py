@@ -45,3 +45,33 @@ def test_no_unused_imports():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _group_order_divisions(path: Path) -> list[str]:
+    """Floor divisions with a literal 4 operand outside ``groupequiv.quarter_turns``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "quarter_turns"
+               and path.name == "groupequiv.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv):
+            operands = (node.value,)
+        else:
+            continue
+        if (any(isinstance(o, ast.Constant) and o.value == 4 for o in operands)
+                and not any(node.lineno in lines for lines in allowed)):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_group_order_is_derived_in_one_place():
+    # pixels rotate by 4/N quarter turns; only quarter_turns may work that out,
+    # so that the check that N divides 4 cannot be skipped.  naive.py is the
+    # independent reference and keeps its own copy of the rule.
+    files = sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "naive.py")
+    assert any(p.name == "groupequiv.py" for p in files)
+    found = [entry for path in files for entry in _group_order_divisions(path)]
+    assert not found, found

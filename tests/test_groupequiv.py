@@ -59,8 +59,8 @@ def test_g_act_validates_element_range():
 def test_refeaturemap_layout_validation():
     with pytest.raises(ShapeError):
         ReFeatureMap(Tensor(np.zeros((2, 7, 4, 4))), 2, 4)  # 7 != 2*4
-    with pytest.raises(ValueError):
-        ReFeatureMap(Tensor(np.zeros((2, 6, 4, 4))), 2, 3)  # unsupported N
+    with pytest.raises(ShapeError):
+        ReFeatureMap(Tensor(np.zeros((2, 0, 4, 4))), 2, 0)  # no orientations
 
 
 def test_g_act_kernel_channel_major_layout():

@@ -244,6 +244,13 @@ def test_cli_nan_threshold_exits_2(tmp_path, capsys):
     assert "pass_threshold" in capsys.readouterr().err
 
 
+def test_cli_unsupported_orientations_exits_2(tmp_path, capsys):
+    # the stem and the stages rotate pixels, so the pyramid needs N | 4
+    p = write_config(tmp_path, orientations=3)
+    assert cli.entrypoint(["verify", "--config", str(p)]) == 2
+    assert "orientations must be 1, 2 or 4, got 3" in capsys.readouterr().err
+
+
 def test_indivisible_spatial_size_is_a_config_error(tmp_path):
     p = write_config(tmp_path, image_size=9, levels=3)
     with pytest.raises(ConfigError, match="spatial size not divisible"):
@@ -255,7 +262,7 @@ def test_threshold_and_range_validation():
         HarnessConfig(pass_threshold=1e-2, fail_threshold=1e-10).validate()
     with pytest.raises(ConfigError):
         HarnessConfig(batch=1).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="orientations must be 1, 2 or 4, got 3"):
         HarnessConfig(orientations=3).validate()
     with pytest.raises(ConfigError):
         HarnessConfig(gradcheck_step=1e-9).validate()

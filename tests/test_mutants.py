@@ -1,25 +1,63 @@
 """Mutation checks: a deliberately broken fast path must turn a verdict red.
 
 Each test patches one rule of the fast path to a plausible wrong variant and
-asserts that the harness notices.  A mutant that still passes marks a blind
-spot of the checks, not of the code.
+asserts which check notices: ``verify`` (an equivariant variant fails) or,
+failing that, ``oracle`` (a fast path departs from its reference).  A mutant
+that no check catches marks a blind spot of the checks, not of the code.
 """
 
 import numpy as np
 
-from reafuse import groupequiv, reca
-from reafuse.harness import HarnessConfig, run_verify
+from reafuse import groupequiv, harness, pyramid, reca
+from reafuse import tensor as ops
+from reafuse.groupequiv import ReFeatureMap
+from reafuse.harness import HarnessConfig, run_oracle, run_verify
 from reafuse.pyramid import EQUIVARIANT_VARIANTS
+
+CONFIG = HarnessConfig(levels=2, kernel_channels=2, orientations=4, reduction=1,
+                       image_size=8, batch=2, seeds=3).validate()
+
+
+def broken_variants(report) -> set[str]:
+    """The equivariant variants whose verify verdict failed."""
+    return {v for name, passed in report.verdicts.items() for v in EQUIVARIANT_VARIANTS
+            if name.startswith(f"{v} equivariant") and not passed}
 
 
 def _added_kernel_index(k_out, k_in, n_in, n, k):
     """``groupequiv._kernel_index`` with (m + i) mod N in place of (m - i) mod N."""
     pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
+    turns = groupequiv.quarter_turns(n) if k > 1 else 0
     copies = [
-        np.rot90(pos[:, :, [(m + i) % n_in for m in range(n_in)]], i * (4 // n), axes=(-2, -1))
+        np.rot90(pos[:, :, [(m + i) % n_in for m in range(n_in)]], i * turns, axes=(-2, -1))
         for i in range(n)
     ]
     return np.stack(copies, axis=1).reshape(k_out * n, k_in * n_in, k, k)
+
+
+def _added_g_act(x, s):
+    """``groupequiv.g_act`` with the orientation shift (m + s) mod N."""
+    n = x.orientations
+    rotated = ops.rot90(x.data, s * groupequiv.quarter_turns(n))
+    perm = [k * n + (m + s) % n for k in range(x.kernel_channels) for m in range(n)]
+    return ReFeatureMap(ops.take(rotated, perm, axis=1), x.kernel_channels, n)
+
+
+def _strided_blockmean2x(a):
+    """``blockmean2x`` replaced by sampling the even rows and columns."""
+    h, w = a.shape[2:]
+    return ops.take(ops.take(a, np.arange(0, h, 2), axis=2), np.arange(0, w, 2), axis=3)
+
+
+def _rolled_upsample_nearest2x(a):
+    """``upsample_nearest2x`` shifted right by one pixel, wrapping around."""
+    up = ops.upsample_nearest2x(a)
+    return ops.take(up, np.roll(np.arange(up.shape[3]), 1), axis=3)
+
+
+def _tiled_bias(bias, n):
+    """``_orientation_shared_bias`` with np.tile for np.repeat: a bias per orientation."""
+    return ops.take(bias, np.tile(np.arange(bias.shape[0]), n), axis=0)
 
 
 def test_shared_index_mutant_fails_every_equivariant_verdict(monkeypatch):
@@ -27,12 +65,44 @@ def test_shared_index_mutant_fails_every_equivariant_verdict(monkeypatch):
     # through the one index rule; the uncached mutant replaces it everywhere
     for module in (groupequiv, reca):
         monkeypatch.setattr(module, "_kernel_index", _added_kernel_index)
-    cfg = HarnessConfig(levels=2, kernel_channels=2, orientations=4, reduction=1,
-                        image_size=8, batch=2, seeds=1).validate()
-    report = run_verify(cfg)
-    equivariant = {
-        v: passed for name, passed in report.verdicts.items()
-        for v in EQUIVARIANT_VARIANTS if name.startswith(f"{v} equivariant")
-    }
-    assert equivariant == dict.fromkeys(EQUIVARIANT_VARIANTS, False)
+    report = run_verify(CONFIG)
+    assert broken_variants(report) == set(EQUIVARIANT_VARIANTS)
+    assert report.exit_code == 1
+
+
+def test_g_act_shift_sign_mutant_is_caught_by_verify(monkeypatch):
+    # the comparison side rotates one way and shifts the other
+    for module in (groupequiv, harness):
+        monkeypatch.setattr(module, "g_act", _added_g_act)
+    report = run_verify(CONFIG)
+    assert broken_variants(report) == set(EQUIVARIANT_VARIANTS)
+    assert report.exit_code == 1
+
+
+def test_strided_downsampling_mutant_is_caught_by_verify(monkeypatch):
+    # on an even grid rot90 swaps pixel parities, so no lattice subsampling
+    # commutes with it; every stride-2 backbone stage feeds every variant
+    monkeypatch.setattr(groupequiv, "blockmean2x", _strided_blockmean2x)
+    report = run_verify(CONFIG)
+    assert broken_variants(report) == set(EQUIVARIANT_VARIANTS)
+    assert report.exit_code == 1
+
+
+def test_shifted_upsampling_mutant_is_caught_by_verify(monkeypatch):
+    # the additive merges broadcast without upsampling, so only the fusion
+    # merges (ReAFFPN, and PlusIAFF, which breaks anyway) see the shift
+    monkeypatch.setattr(pyramid, "upsample_nearest2x", _rolled_upsample_nearest2x)
+    report = run_verify(CONFIG)
+    assert broken_variants(report) == {"ReAFFPN"}
+    assert report.exit_code == 1
+
+
+def test_per_orientation_bias_mutant_is_caught_by_oracle_only(monkeypatch):
+    # every bias is initialised to zero, so verify's pyramids never see the
+    # bias wiring; the oracle draws random biases for both convolutions
+    monkeypatch.setattr(groupequiv, "_orientation_shared_bias", _tiled_bias)
+    assert run_verify(CONFIG).exit_code == 0
+    report = run_oracle(CONFIG)
+    failed = {name.split()[0] for name, passed in report.verdicts.items() if not passed}
+    assert failed == {"lift_conv", "group_conv"}
     assert report.exit_code == 1

@@ -196,7 +196,7 @@ def test_config_validation():
     assert PyramidConfig(levels=MAX_LEVELS).levels == MAX_LEVELS
     with pytest.raises(ShapeError, match=r"levels must be in \[2, 9\], got 10"):
         PyramidConfig(levels=MAX_LEVELS + 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="orientations must be 1, 2 or 4, got 3"):
         PyramidConfig(orientations=3)
     with pytest.raises(ShapeError):
         PyramidConfig(variant="FancyNet")

@@ -108,9 +108,7 @@ def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
     # the N copies of a reduced channel the attention still commutes with g_act
     def per_channel_batchnorm(x, n, gamma, beta):
         spread = np.repeat(np.arange(gamma.shape[0]), n)  # channel r*N + i -> r
-        axes = (0,) + tuple(range(2, x.ndim))
-        return ops.batchnorm(x, ops.take(gamma, spread, 0), ops.take(beta, spread, 0),
-                             reduce_axes=axes)
+        return ops.batchnorm(x, ops.take(gamma, spread, 0), ops.take(beta, spread, 0))
 
     n, k, r = 4, 4, 2
     rng = Rng(55)

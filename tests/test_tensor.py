@@ -285,32 +285,27 @@ def test_batchnorm_statistics():
     x = Tensor(rng.normal(2.0, 3.0, size=(8, 4, 6, 6)))
     gamma = Tensor(np.ones(4))
     beta = Tensor(np.zeros((4,)))
-    out = ops.batchnorm(x, gamma, beta, reduce_axes=(0, 2, 3)).data
+    out = ops.batchnorm(x, gamma, beta).data
     assert np.abs(out.mean(axis=(0, 2, 3))).max() <= 1e-10
     assert np.abs(out.var(axis=(0, 2, 3)) - 1.0).max() <= 1e-3  # eps-regularized
 
     # gamma=0 kills the signal entirely
     beta2 = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
-    out2 = ops.batchnorm(x, Tensor(np.zeros((4,))), beta2, reduce_axes=(0, 2, 3)).data
+    out2 = ops.batchnorm(x, Tensor(np.zeros((4,))), beta2).data
     np.testing.assert_array_equal(out2, np.broadcast_to(beta2.data[None, :, None, None], x.shape))
 
     # constant input per channel -> zeros under gamma=1, beta=0
     const = Tensor(np.full((4, 3, 2, 2), 5.0))
-    out3 = ops.batchnorm(const, Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                         reduce_axes=(0, 2, 3)).data
+    out3 = ops.batchnorm(const, Tensor(np.ones(3)), Tensor(np.zeros(3))).data
     assert np.abs(out3).max() <= 1e-12
 
 
 def test_batchnorm_degenerate_statistics_error():
     x = Tensor(np.zeros((1, 3)))
     with pytest.raises(DegenerateStatisticsError):
-        ops.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros((3,))), reduce_axes=(0,))
+        ops.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros((3,))))
     with pytest.raises(ShapeError):
-        ops.batchnorm(Tensor(np.zeros((4, 3, 2, 2))), Tensor(np.ones(3)), Tensor(np.zeros((3,))),
-                      reduce_axes=(0,))  # must leave exactly one axis
-    with pytest.raises(ValueError):
-        ops.batchnorm(Tensor(np.zeros((4, 3))), Tensor(np.ones(3)), Tensor(np.zeros((3,))),
-                      reduce_axes=(0,), eps=0.0)
+        ops.batchnorm(Tensor(np.zeros((4, 3, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros((2,))))
 
 
 def test_take_gathers_along_axis_and_checks_range():
@@ -353,7 +348,7 @@ def test_no_grad_returns_bare_outputs():
     with ops.no_grad():
         outs = [ops.conv2d(x, w), ops.relu(x), ops.add(x, x), ops.tsum(x),
                 ops.batchnorm(x, Tensor(np.ones(3), requires_grad=True),
-                              Tensor(np.zeros((3,)), requires_grad=True), reduce_axes=(0, 2, 3))]
+                              Tensor(np.zeros((3,)), requires_grad=True))]
     for out in outs:
         assert out.parents == () and out.backward_fn is None
         assert not out.requires_grad and out.op == "leaf"
