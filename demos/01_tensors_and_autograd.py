@@ -9,10 +9,11 @@ differences.
 
 import numpy as np
 
-from reafuse import Rng, Tensor, backward, grad_and_value, gradcheck
+from reafuse import Rng, Tensor, backward, gradcheck
 from reafuse import tensor as ops
 
-# Every leaf that should receive a gradient is marked explicitly.
+# Every leaf that should receive a gradient is marked explicitly: a graph is
+# recorded only downstream of a tensor with requires_grad.
 rng = Rng(7)
 x = Tensor(rng.derive("x").uniform((2, 3)), requires_grad=True)
 w = Tensor(rng.derive("w").uniform((3, 3)), requires_grad=True)
@@ -27,13 +28,16 @@ grads = backward(loss)
 print("dL/dx shape:", grads[id(x)].shape)
 print("dL/dw first row:", grads[id(w)][0])
 
-# grad_and_value evaluates a closure and returns its gradients and value.
-g, value = grad_and_value(lambda: ops.tsum(ops.sigmoid(x)), [x])
+# A second loss over the same leaf records a graph of its own.
+value = ops.tsum(ops.sigmoid(x))
+g = backward(value, wrt=[x])
+print("sum of sigmoid:", value.item())
 print("sigmoid' at x (should be in (0, 0.25]):", g[id(x)].max())
 
 # The same machinery that the `reafuse gradcheck` command uses: compare the
 # recorded gradient of every coordinate against (f(x+h) - f(x-h)) / 2h.
 # The closure rebuilds the whole expression so each probe re-traces it.
+# gradcheck marks its wrt tensors itself, so unmarked ones work too.
 def f():
     out = ops.relu(ops.matmul(x, w))
     return ops.tsum(ops.mul(out, out))

@@ -10,7 +10,7 @@ side-by-side verification.  Everything is float64 and deterministic from a
 single u64 seed.
 """
 
-from .autograd import backward, grad_and_value, gradcheck
+from .autograd import backward, gradcheck
 from .groupequiv import (
     ReFeatureMap,
     g_act,
@@ -47,7 +47,7 @@ __version__ = "0.1.0"
 # what the demos and tests use; everything else is imported from its module
 __all__ = [
     "Tensor", "Rng", "ShapeError", "DegenerateStatisticsError",
-    "backward", "grad_and_value", "gradcheck",
+    "backward", "gradcheck",
     "ReFeatureMap", "g_act", "lift_conv", "group_conv",
     "init_lift_conv", "init_group_conv", "relative_residual",
     "attention_logits", "cyclic_blocks", "reca_forward", "se_forward", "init_reca", "init_se",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .tensor import Rng, ShapeError, Tensor
 
-__all__ = ["Tape", "backward", "grad_and_value", "gradcheck", "GradcheckReport"]
+__all__ = ["Tape", "backward", "gradcheck", "GradcheckReport"]
 
 
 @dataclass
@@ -58,11 +58,17 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[int, np.
     """Gradients of a scalar ``loss`` with respect to every reachable tensor.
 
     Returns a dict keyed by ``id(tensor)``; look up with ``grads[id(param)]``.
-    Tensors the loss does not depend on are absent unless listed in ``wrt``,
-    in which case they get zeros so callers can iterate uniformly.
+    Only tensors with ``requires_grad`` get gradients: a graph is recorded
+    only downstream of them.  Every ``wrt`` tensor must require grad, or
+    ``ValueError`` is raised; one that the loss does not depend on gets
+    zeros, so callers can iterate uniformly.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    wrt = [] if wrt is None else list(wrt)
+    for i, t in enumerate(wrt):
+        if not t.requires_grad:
+            raise ValueError(f"backward: wrt[{i}] {t!r} does not require grad")
     tape = Tape.trace(loss)
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -79,17 +85,9 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[int, np.
             else:
                 grads[pid] = pg
 
-    if wrt is not None:
-        for t in wrt:
-            grads.setdefault(id(t), np.zeros_like(t.data))
+    for t in wrt:
+        grads.setdefault(id(t), np.zeros_like(t.data))
     return grads
-
-
-def grad_and_value(fn: Callable[[], Tensor], wrt: Iterable[Tensor]) -> tuple[dict[int, np.ndarray], float]:
-    """Evaluate ``fn`` and return (gradients for ``wrt``, loss value)."""
-    wrt = list(wrt)
-    loss = fn()
-    return backward(loss, wrt=wrt), loss.item()
 
 
 @dataclass
@@ -153,8 +151,10 @@ def gradcheck(
     """Compare analytic gradients of scalar ``fn()`` with finite differences.
 
     ``fn`` must be a closure over the tensors in ``wrt`` (it is re-evaluated
-    with perturbed parameter values).  Per tensor, at most ``max_coords``
-    coordinates are sampled.  Relative error is
+    with perturbed parameter values).  gradcheck marks every ``wrt`` tensor
+    ``requires_grad`` before the first evaluation, so each evaluation records
+    the graph downstream of them; the marks stay set.  Per tensor, at most
+    ``max_coords`` coordinates are sampled.  Relative error is
     ``|a - n| / max(|a|, |n|, 1)`` so near-zero gradients are judged on
     absolute scale.
 
@@ -166,11 +166,14 @@ def gradcheck(
     evaluations disagree about an activation lying within ``max(1e-6, h)``
     of zero: the step, not a fixed constant, bounds how far a
     pre-activation can move.  Each evaluation's relu pre-activations are
-    read from the graph that evaluation records.
+    read from the graph that evaluation records; a relu that no ``wrt``
+    tensor feeds is not recorded, and its input does not move.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"gradcheck: step h={h} outside [1e-7, 1e-3]")
     wrt = list(wrt)
+    for t in wrt:
+        t.requires_grad = True
     analytic = backward(fn(), wrt=wrt)
     window = max(1e-6, h)
     steps = (h, -h, 0.5 * h, -0.5 * h)

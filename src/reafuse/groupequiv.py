@@ -171,10 +171,12 @@ def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarra
     is the identity.  This is the one place outside ``naive`` that encodes
     the C_N weight-sharing rule (m - i) mod N.  Derived from shapes only,
     so the cache can never hold stale weights.  A 1x1 filter is its own
-    rotation, so only k > 1 needs N to divide 4.
+    rotation, so only k > 1 needs N to divide 4; every k needs N >= 1.
     """
-    pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
     turns = quarter_turns(n) if k > 1 else 0
+    if n < 1:
+        raise ShapeError(f"orientation count must be at least 1, got {n}")
+    pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
     copies = [
         np.rot90(pos[:, :, [(m - i) % n_in for m in range(n_in)]], i * turns, axes=(-2, -1))
         for i in range(n)
@@ -244,19 +246,19 @@ _INIT_GAIN = np.sqrt(6.0)
 
 def _uniform_init(rng: Rng, shape, fan_in: int) -> Tensor:
     bound = _INIT_GAIN / np.sqrt(fan_in)
-    return Tensor(rng.uniform(shape, -bound, bound), requires_grad=True)
+    return Tensor(rng.uniform(shape, -bound, bound))
 
 
 def init_lift_conv(rng: Rng, k_out: int, c_in: int, kernel_size: int = 3) -> LiftConvParams:
     fan_in = c_in * kernel_size * kernel_size
     weight = _uniform_init(rng, (k_out, c_in, kernel_size, kernel_size), fan_in)
-    return LiftConvParams(weight=weight, bias=Tensor(np.zeros(k_out), requires_grad=True))
+    return LiftConvParams(weight=weight, bias=Tensor(np.zeros(k_out)))
 
 
 def init_group_conv(rng: Rng, k_out: int, k_in: int, n: int, kernel_size: int = 3) -> GroupConvParams:
     fan_in = k_in * n * kernel_size * kernel_size
     weight = _uniform_init(rng, (k_out, k_in, n, kernel_size, kernel_size), fan_in)
-    return GroupConvParams(weight=weight, bias=Tensor(np.zeros(k_out), requires_grad=True))
+    return GroupConvParams(weight=weight, bias=Tensor(np.zeros(k_out)))
 
 
 def relative_residual(got, want) -> float:

@@ -20,8 +20,10 @@ Exit codes: 0 all verdicts pass; 1 a verdict definitively fails; 2 invalid
 config or unusable paths; 3 non-finite values; 4 breakage demonstration
 inconclusive after the reseed budget.
 
-``verify``, ``oracle`` and ``demo`` only run forward passes, so they run under
-``tensor.no_grad`` and record no autograd graph.
+``verify``, ``oracle`` and ``demo`` only run forward passes over unmarked
+tensors, so they record no autograd graph: a graph is recorded only
+downstream of a tensor with ``requires_grad``, and only ``gradcheck``, which
+marks its own ``wrt`` tensors, records one.
 """
 
 from __future__ import annotations
@@ -432,11 +434,10 @@ def run_verify(config: HarnessConfig) -> Report:
     tallies = {v: _Tally([0.0] * config.levels) for v in VARIANTS}
     report.timings = {"backbone": 0.0, **dict.fromkeys(VARIANTS, 0.0)}
     master = Rng(config.seed)
-    with ops.no_grad():
-        for idx in range(config.seeds):
-            if not any(t.finite for t in tallies.values()):
-                break
-            _verify_seed(config, master.derive(f"verify/{idx}"), tallies, report.timings)
+    for idx in range(config.seeds):
+        if not any(t.finite for t in tallies.values()):
+            break
+        _verify_seed(config, master.derive(f"verify/{idx}"), tallies, report.timings)
     for variant, tally in tallies.items():
         if not tally.finite:
             report.non_finite = True
@@ -561,8 +562,7 @@ def run_oracle(config: HarnessConfig) -> Report:
         t0 = time.perf_counter()
         worst = 0.0
         for trial in range(config.trials):
-            with ops.no_grad():
-                dev = check(master.derive(f"{name}/{trial}"))
+            dev = check(master.derive(f"{name}/{trial}"))
             if not np.isfinite(dev):
                 report.non_finite = True
                 break
@@ -583,14 +583,14 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     """Yield (name, loss-closure, wrt) over the differentiable op set."""
     n = config.orientations
 
-    x = Tensor(rng.derive("x").uniform((2, 3, 5, 5)), requires_grad=True)
-    w = Tensor(rng.derive("w").uniform((4, 3, 3, 3)), requires_grad=True)
-    b = Tensor(rng.derive("b").uniform((4,)), requires_grad=True)
+    x = Tensor(rng.derive("x").uniform((2, 3, 5, 5)))
+    w = Tensor(rng.derive("w").uniform((4, 3, 3, 3)))
+    b = Tensor(rng.derive("b").uniform((4,)))
     yield ("conv2d",
            lambda: _sq(ops.conv2d(x, w, b)), [x, w, b])
 
-    gamma = Tensor(np.ones(3), requires_grad=True)
-    beta = Tensor(rng.derive("beta").uniform((3,)), requires_grad=True)
+    gamma = Tensor(np.ones(3))
+    beta = Tensor(rng.derive("beta").uniform((3,)))
     yield ("batchnorm",
            lambda: _sq(ops.batchnorm(x, gamma, beta)),
            [x, gamma, beta])
@@ -606,14 +606,14 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
            lambda: _sq(lift_conv(x, lp, n).data), [lp.weight, lp.bias, x])
 
     gp = init_group_conv(rng.derive("group"), 2, 2, n)
-    gx = Tensor(rng.derive("gx").uniform((2, 2 * n, 4, 4)), requires_grad=True)
+    gx = Tensor(rng.derive("gx").uniform((2, 2 * n, 4, 4)))
     yield ("group_conv stride 2",
            lambda: _sq(group_conv(ReFeatureMap(gx, 2, n), gp, stride=2).data),
            [gp.weight, gp.bias, gx])
 
     c = 2 * n
     rp = init_reca(rng.derive("reca"), c, n, 1)
-    rx = Tensor(rng.derive("rx").uniform((2, c, 4, 4)), requires_grad=True)
+    rx = Tensor(rng.derive("rx").uniform((2, c, 4, 4)))
     yield ("reca_forward",
            lambda: _sq(reca_forward(ReFeatureMap(rx, 2, n), rp).data),
            [*_tensors(rp), rx])
@@ -622,7 +622,7 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     yield ("se_forward", lambda: _sq(se_forward(rx, sp)), [*_tensors(sp), rx])
 
     ap = init_reaff(rng.derive("reaff"), c, n, 1)
-    ry = Tensor(rng.derive("ry").uniform((2, c, 4, 4)), requires_grad=True)
+    ry = Tensor(rng.derive("ry").uniform((2, c, 4, 4)))
     yield ("reaff_forward",
            lambda: _sq(reaff_forward(ReFeatureMap(rx, 2, n), ReFeatureMap(ry, 2, n), ap).data),
            [*_tensors(ap), rx, ry])
@@ -635,7 +635,7 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
                          reduction=min(config.reduction, 2), variant="ReAFFPN",
                          seed=rng.derive("pyramid").seed)
     pp = init_pyramid(pcfg)
-    image = Tensor(rng.derive("image").uniform((2, 3, 8, 8)), requires_grad=True)
+    image = Tensor(rng.derive("image").uniform((2, 3, 8, 8)))
     tensors = _tensors(pp) + [image]
 
     def pyramid_loss():
@@ -696,8 +696,7 @@ def run_demo(config: HarnessConfig, out_dir) -> Report:
     start = time.perf_counter()
     image, param_seed = _draw(config, Rng(config.seed).derive("demo"))
     params = init_pyramid(config.pyramid_config(config.variant, param_seed))
-    with ops.no_grad():
-        levels = run_pyramid(image, params)
+    levels = run_pyramid(image, params)
     if not _finite(*levels):
         report.non_finite = True
         report.verdicts["pyramid outputs finite"] = False

@@ -293,11 +293,12 @@ def _like(reference: ReFeatureMap, data: Tensor) -> ReFeatureMap:
     return ReFeatureMap(data, reference.kernel_channels, reference.orientations)
 
 
-def named_parameters(obj, prefix: str = "params") -> list[tuple[str, Tensor]]:
+def named_parameters(obj) -> list[tuple[str, Tensor]]:
     """Flatten any nested parameter dataclass into (dotted-name, tensor) pairs.
 
     Walks dataclass fields and tuples/lists in declaration order, so the
-    listing is deterministic and usable as a serialization manifest.
+    listing is deterministic and usable as a serialization manifest.  Names
+    are relative to ``obj``: ``stem.weight``, ``stages[0][1].weight``.
     """
     out: list[tuple[str, Tensor]] = []
 
@@ -306,10 +307,10 @@ def named_parameters(obj, prefix: str = "params") -> list[tuple[str, Tensor]]:
             out.append((name, value))
         elif dataclasses.is_dataclass(value) and not isinstance(value, type):
             for f in dataclasses.fields(value):
-                walk(f"{name}.{f.name}", getattr(value, f.name))
+                walk(f"{name}.{f.name}" if name else f.name, getattr(value, f.name))
         elif isinstance(value, (tuple, list)):
             for i, item in enumerate(value):
                 walk(f"{name}[{i}]", item)
 
-    walk(prefix, obj)
+    walk("", obj)
     return out

@@ -207,8 +207,8 @@ def init_channel_mlp(rng: Rng, channels: int, r: int) -> ChannelMLPParams:
     return ChannelMLPParams(
         w1=_uniform_init(rng, (reduced, channels), channels),
         w2=_uniform_init(rng, (channels, reduced), reduced),
-        bn_gamma=Tensor(np.ones(reduced), requires_grad=True),
-        bn_beta=Tensor(np.zeros(reduced), requires_grad=True),
+        bn_gamma=Tensor(np.ones(reduced)),
+        bn_beta=Tensor(np.zeros(reduced)),
     )
 
 

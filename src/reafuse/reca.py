@@ -220,8 +220,8 @@ def init_reca(rng: Rng, channels: int, n: int, r: int) -> ReCAParams:
     return ReCAParams(
         w_a=_uniform_init(rng, (n, reduced, k), n * k),
         w_b=_uniform_init(rng, (n, k, reduced), n * reduced),
-        bn_gamma=Tensor(np.ones(reduced), requires_grad=True),
-        bn_beta=Tensor(np.zeros(reduced), requires_grad=True),
+        bn_gamma=Tensor(np.ones(reduced)),
+        bn_beta=Tensor(np.zeros(reduced)),
     )
 
 

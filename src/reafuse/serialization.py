@@ -92,9 +92,8 @@ def write_json(path, payload: dict) -> None:
 
 
 def _tensor_filename(dotted: str) -> str:
-    """params.stages[0][1].weight -> stages.0.1.weight.raft"""
-    name = dotted.removeprefix("params.")
-    return name.replace("[", ".").replace("]", "") + ".raft"
+    """stages[0][1].weight -> stages.0.1.weight.raft"""
+    return dotted.replace("[", ".").replace("]", "") + ".raft"
 
 
 def save_pyramid_params(params: PyramidParams, out_dir) -> Path:
@@ -105,8 +104,7 @@ def save_pyramid_params(params: PyramidParams, out_dir) -> Path:
     for dotted, tensor in named_parameters(params):
         filename = _tensor_filename(dotted)
         write_raft(out / filename, tensor)
-        entries.append({"name": dotted.removeprefix("params."), "file": filename,
-                        "shape": list(tensor.shape)})
+        entries.append({"name": dotted, "file": filename, "shape": list(tensor.shape)})
     write_json(out / "manifest.json", {
         "kind": "pyramid-params",
         "version": VERSION,
@@ -148,8 +146,7 @@ def load_pyramid_params(in_dir) -> PyramidParams:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{src}: unusable manifest: {exc!r}") from exc
     params = init_pyramid(config)
-    for dotted, tensor in named_parameters(params):
-        key = dotted.removeprefix("params.")
+    for key, tensor in named_parameters(params):
         if key not in stored:
             raise FormatError(f"{src}: manifest missing tensor {key}")
         if not stored[key].is_file():

@@ -12,17 +12,17 @@ built from the small op set in this module.  Design constraints:
   usual matrix-print orientation (row index down, column index right).
   ``rot90([[1,2],[3,4]], 1) == [[2,4],[1,3]]``.  Fixed here, used everywhere.
 
-Each op that sees a ``requires_grad`` input records its parents and a closure
-computing parent gradients; ``reafuse.autograd`` replays those records in
-reverse execution order.  Inside ``with no_grad():`` nothing is recorded:
-every op returns a bare leaf (no parents, no closure, ``requires_grad``
-False), so forward-only work neither builds a graph nor keeps its
-intermediates alive.  The values computed are the same either way.
+A graph is recorded only downstream of a tensor with ``requires_grad``: an
+op with such a parent records its parents and a closure computing parent
+gradients, and ``reafuse.autograd`` replays those records in reverse
+execution order.  Every other op returns a bare leaf (no parents, no
+closure), so a forward over unmarked tensors -- the parameter initialisers
+return unmarked ones -- neither builds a graph nor keeps its intermediates
+alive.  The values computed are the same either way.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import math
@@ -35,7 +35,6 @@ __all__ = [
     "Rng",
     "ShapeError",
     "DegenerateStatisticsError",
-    "no_grad",
     "add",
     "sub",
     "mul",
@@ -66,10 +65,6 @@ class DegenerateStatisticsError(ValueError):
 
 # Monotone id assigned at construction; reverse ids == reverse execution order.
 _EXECUTION_COUNTER = itertools.count()
-
-# Cleared inside ``no_grad``; process-wide, so no_grad is not for use from
-# several threads at once.
-_GRAD_ENABLED = True
 
 
 class Tensor:
@@ -155,27 +150,15 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Run ops without recording: outputs are leaves with ``requires_grad`` False.
-
-    Nests, and restores the previous mode on exit, also when the block raises.
-    """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
-
-
 def _record(out: Tensor, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.parents = parents
-        out.backward_fn = backward_fn
-        out.op = op
+    # runs on every op: a plain loop costs about a fifth of any() over a generator
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out.parents = parents
+            out.backward_fn = backward_fn
+            out.op = op
+            break
     return out
 
 

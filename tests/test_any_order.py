@@ -11,6 +11,7 @@ import pytest
 
 from reafuse.groupequiv import (
     GroupConvParams,
+    LiftConvParams,
     ReFeatureMap,
     g_act,
     group_conv,
@@ -20,7 +21,7 @@ from reafuse.groupequiv import (
     relative_residual,
 )
 from reafuse.reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
-from reafuse.reca import init_reca, init_se, reca_forward, se_forward
+from reafuse.reca import cyclic_blocks, init_reca, init_se, reca_forward, se_forward
 from reafuse.tensor import Rng, ShapeError, Tensor
 
 ORDERS = (3, 6, 8)
@@ -96,3 +97,14 @@ def test_pixel_rotating_layers_need_n_to_divide_4():
     empty = GroupConvParams(Tensor(np.zeros((2, 2, 0, 3, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
         group_conv(ReFeatureMap(Tensor(np.zeros((2, 2, 6, 6))), 2, 1), empty)
+
+
+def test_1x1_layers_need_at_least_one_orientation():
+    # a 1x1 filter needs no quarter turns, so only the order itself is checked
+    image = Tensor(np.ones((2, 3, 4, 4)))
+    lift = LiftConvParams(Tensor(np.ones((2, 3, 1, 1))), Tensor(np.zeros(2)))
+    for n in (0, -1):
+        with pytest.raises(ShapeError, match=f"orientation count must be at least 1, got {n}"):
+            lift_conv(image, lift, n)
+    with pytest.raises(ShapeError, match="orientation count must be at least 1, got 0"):
+        cyclic_blocks(Tensor(np.ones((2, 0))), Tensor(np.zeros((0, 2, 2))))

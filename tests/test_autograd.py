@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reafuse import tensor as ops
-from reafuse.autograd import Tape, backward, grad_and_value, gradcheck
+from reafuse.autograd import Tape, backward, gradcheck
 from reafuse.groupequiv import ReFeatureMap, g_act, init_group_conv, group_conv
 from reafuse.pyramid import named_parameters
 from reafuse.reca import init_reca, reca_forward
@@ -68,11 +68,23 @@ def test_wrt_zero_fills_disconnected_tensors():
     np.testing.assert_array_equal(grads[id(unused)], np.zeros((3, 3)))
 
 
-def test_grad_and_value():
-    x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
-    grads, value = grad_and_value(lambda: ops.tsum(ops.mul(x, x)), [x])
-    assert value == pytest.approx(5.0)
-    np.testing.assert_allclose(grads[id(x)], [4.0, -2.0])
+def test_backward_rejects_an_unmarked_wrt_tensor():
+    # no graph is recorded downstream of an unmarked tensor, so zeros for it
+    # would be a wrong answer, not a disconnected one
+    x = Tensor(np.ones((2,)), requires_grad=True)
+    plain = Tensor(np.ones((2,)))
+    loss = ops.tsum(ops.mul(x, plain))
+    with pytest.raises(ValueError, match=r"wrt\[1\].*does not require grad"):
+        backward(loss, wrt=[x, plain])
+    assert not plain.requires_grad
+
+
+def test_gradcheck_marks_its_wrt_tensors():
+    x = Tensor(np.array([2.0, -1.0]))
+    w = Tensor(np.array([0.5, 3.0]))
+    report = gradcheck(lambda: ops.tsum(ops.mul(ops.mul(x, x), w)), [x], Rng(2))
+    assert report.passed and report.checked == 2
+    assert x.requires_grad and not w.requires_grad
 
 
 def test_gradcheck_validates_step_size():

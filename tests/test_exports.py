@@ -75,3 +75,14 @@ def test_group_order_is_derived_in_one_place():
     assert any(p.name == "groupequiv.py" for p in files)
     found = [entry for path in files for entry in _group_order_divisions(path)]
     assert not found, found
+
+
+def test_no_global_statements():
+    # a module-level switch flipped through ``global`` is a mode shared by every
+    # caller and thread; whether an op records a graph is decided by its inputs
+    files = sorted((ROOT / "src" / "reafuse").rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in files
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert not found, found

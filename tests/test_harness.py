@@ -329,17 +329,16 @@ def _reference_per_level(cfg, variant):
     per seed and group element, with verify's seed derivation and reseeds."""
     master = Rng(cfg.seed)
     per_level = [0.0] * cfg.levels
-    with ops.no_grad():
-        for idx in range(cfg.seeds):
-            rng = master.derive(f"verify/{idx}")
-            residuals = _reference_residuals(cfg, variant, rng)
-            attempt = 0
-            while (variant in ("PlusSE", "PlusIAFF") and max(residuals) < cfg.fail_threshold
-                   and attempt < cfg.reseeds):
-                attempt += 1
-                residuals = _reference_residuals(
-                    cfg, variant, rng.derive(f"reseed/{variant}/{attempt}"))
-            per_level = [max(a, b) for a, b in zip(per_level, residuals)]
+    for idx in range(cfg.seeds):
+        rng = master.derive(f"verify/{idx}")
+        residuals = _reference_residuals(cfg, variant, rng)
+        attempt = 0
+        while (variant in ("PlusSE", "PlusIAFF") and max(residuals) < cfg.fail_threshold
+               and attempt < cfg.reseeds):
+            attempt += 1
+            residuals = _reference_residuals(
+                cfg, variant, rng.derive(f"reseed/{variant}/{attempt}"))
+        per_level = [max(a, b) for a, b in zip(per_level, residuals)]
     return per_level
 
 
@@ -402,8 +401,7 @@ def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
     monkeypatch.setattr(harness, "lateral_maps", recorded)
     cfg = HarnessConfig(**TINY).validate()
     timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
-    with ops.no_grad():
-        residuals = harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
+    residuals = harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
     assert all(residuals[v] is not None for v in VARIANTS)
     assert len(shared) == cfg.orientations
     for laterals, objects, before in shared:

@@ -7,6 +7,7 @@ that no check catches marks a blind spot of the checks, not of the code.
 """
 
 import numpy as np
+import pytest
 
 from reafuse import groupequiv, harness, pyramid, reca
 from reafuse import tensor as ops
@@ -24,15 +25,26 @@ def broken_variants(report) -> set[str]:
             if name.startswith(f"{v} equivariant") and not passed}
 
 
-def _added_kernel_index(k_out, k_in, n_in, n, k):
-    """``groupequiv._kernel_index`` with (m + i) mod N in place of (m - i) mod N."""
-    pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
-    turns = groupequiv.quarter_turns(n) if k > 1 else 0
-    copies = [
-        np.rot90(pos[:, :, [(m + i) % n_in for m in range(n_in)]], i * turns, axes=(-2, -1))
-        for i in range(n)
-    ]
-    return np.stack(copies, axis=1).reshape(k_out * n, k_in * n_in, k, k)
+def _kernel_index_mutant(shift: int, turn: int):
+    """``groupequiv._kernel_index`` reading orientation (m - shift*i) mod N of
+    each filter, rotated by turn*i quarter turns of the generator; the
+    correct rule is shift = turn = 1."""
+    def index(k_out, k_in, n_in, n, k):
+        pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
+        turns = groupequiv.quarter_turns(n) if k > 1 else 0
+        copies = [
+            np.rot90(pos[:, :, [(m - shift * i) % n_in for m in range(n_in)]],
+                     turn * i * turns, axes=(-2, -1))
+            for i in range(n)
+        ]
+        return np.stack(copies, axis=1).reshape(k_out * n, k_in * n_in, k, k)
+    return index
+
+
+INDEX_MUTANTS = {
+    "added-orientation": _kernel_index_mutant(shift=-1, turn=1),  # (m + i) mod N
+    "clockwise-filters": _kernel_index_mutant(shift=1, turn=-1),
+}
 
 
 def _added_g_act(x, s):
@@ -60,11 +72,12 @@ def _tiled_bias(bias, n):
     return ops.take(bias, np.tile(np.arange(bias.shape[0]), n), axis=0)
 
 
-def test_shared_index_mutant_fails_every_equivariant_verdict(monkeypatch):
+@pytest.mark.parametrize("mutant", INDEX_MUTANTS)
+def test_shared_index_mutant_fails_every_equivariant_verdict(monkeypatch, mutant):
     # lift and group convolutions and both ReCA banks expand their weights
     # through the one index rule; the uncached mutant replaces it everywhere
     for module in (groupequiv, reca):
-        monkeypatch.setattr(module, "_kernel_index", _added_kernel_index)
+        monkeypatch.setattr(module, "_kernel_index", INDEX_MUTANTS[mutant])
     report = run_verify(CONFIG)
     assert broken_variants(report) == set(EQUIVARIANT_VARIANTS)
     assert report.exit_code == 1

@@ -81,8 +81,11 @@ def test_additive_merge_is_add_of_the_upsampled_map(variant):
     params = init_pyramid(small_config(variant, seed=6))
     att = params.attention[0]
     rng = Rng(6)
-    low = ReFeatureMap(Tensor(rng.derive("low").uniform((2, 8, 8, 8)), requires_grad=True), 2, 4)
-    upper = ReFeatureMap(Tensor(rng.derive("up").uniform((2, 8, 4, 4)), requires_grad=True), 2, 4)
+    low = ReFeatureMap(Tensor(rng.derive("low").uniform((2, 8, 8, 8))), 2, 4)
+    upper = ReFeatureMap(Tensor(rng.derive("up").uniform((2, 8, 4, 4))), 2, 4)
+    leaves = [low.data, upper.data] + [t for _, t in named_parameters(att)]
+    for leaf in leaves:
+        leaf.requires_grad = True
     got = _merge(low, upper, att, variant)
     attended = upper.data
     if variant == "PlusSE":
@@ -93,7 +96,6 @@ def test_additive_merge_is_add_of_the_upsampled_map(variant):
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.data.data, want.data)
     weights = Tensor(rng.derive("w").uniform(want.shape))
-    leaves = [low.data, upper.data] + [t for _, t in named_parameters(att)]
     grads_got = backward(ops.tsum(ops.mul(got.data, weights)), leaves)
     grads_want = backward(ops.tsum(ops.mul(want, weights)), leaves)
     for leaf in leaves:
@@ -150,11 +152,11 @@ def test_variants_with_one_seed_share_every_non_attention_weight():
     a = init_pyramid(small_config("PlusSE", levels=3, seed=11))
     b = init_pyramid(small_config("ReAFFPN", levels=3, seed=11))
     for name in ("stem", "stages", "lateral", "smooth"):
-        shared_a = named_parameters(getattr(a, name), name)
-        shared_b = named_parameters(getattr(b, name), name)
+        shared_a = named_parameters(getattr(a, name))
+        shared_b = named_parameters(getattr(b, name))
         assert [n for n, _ in shared_a] == [n for n, _ in shared_b]
         for (n, ta), (_, tb) in zip(shared_a, shared_b):
-            assert np.array_equal(ta.data, tb.data), n
+            assert np.array_equal(ta.data, tb.data), (name, n)
 
 
 def test_determinism_same_seed_bit_identical():
@@ -172,7 +174,9 @@ def test_named_parameters_unique_and_trainable():
     named = named_parameters(params)
     names = [n for n, _ in named]
     assert len(names) == len(set(names)) == 56
-    assert all(t.requires_grad for _, t in named)
+    assert names[:2] == ["stem.weight", "stem.bias"] and "stages[0][1].weight" in names
+    # unmarked: gradcheck marks the ones it differentiates
+    assert not any(t.requires_grad for _, t in named)
     assert any(".stage1." in n for n in names) and any("smooth" in n for n in names)
 
 
@@ -209,13 +213,17 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_no_grad_forward_is_bit_identical(variant):
+def test_marked_forward_is_bit_identical(variant):
     params = init_pyramid(small_config(variant, seed=4))
     image = Tensor(Rng(6).uniform((2, 3, 8, 8)))
+    named = named_parameters(params)
+    assert not any(t.requires_grad for _, t in named)
+    bare = run_pyramid(image, params)
+    assert all(fm.data.parents == () and not fm.data.requires_grad for fm in bare)
+    for _, t in named:
+        t.requires_grad = True
     recorded = run_pyramid(image, params)
-    with ops.no_grad():
-        bare = run_pyramid(image, params)
-    assert recorded[0].data.requires_grad and not bare[0].data.requires_grad
+    assert all(fm.data.parents and fm.data.requires_grad for fm in recorded)
     for a, b in zip(recorded, bare):
         np.testing.assert_array_equal(a.data.data, b.data.data)
 
@@ -226,14 +234,13 @@ def test_forward_releases_the_backbone_before_the_merges():
                                         reduction=2, variant="Baseline", seed=0))
     image = Tensor(Rng(1).uniform((4, 3, 128, 128)))
     level0 = 4 * 32 * 128 * 128 * 8  # bytes of one level-0 map
-    with ops.no_grad():
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            levels = run_pyramid(image, params)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        levels = run_pyramid(image, params)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert kept - start >= 1.3 * level0  # the pyramid itself: 1 + 1/4 + 1/16
     # Above the returned pyramid, the forward holds at most the fused map
     # and the smoothing conv's band buffers (1.32 maps).  A forward that

@@ -159,8 +159,7 @@ def test_pyramid_params_round_trip(tmp_path, variant):
         np.testing.assert_array_equal(a.data, b.data)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["kind"] == "pyramid-params"
-    assert [e["name"] for e in manifest["tensors"]] == [
-        name.removeprefix("params.") for (name, _), _ in pairs]
+    assert [e["name"] for e in manifest["tensors"]] == [name for (name, _), _ in pairs]
 
 
 def test_param_save_is_byte_reproducible(tmp_path):
@@ -308,8 +307,7 @@ def test_load_mutated_manifest_loads_or_raises_format_error(tmp_path, data):
         return
     stored = {e["name"]: e["file"] for e in json.loads(text)["tensors"]}
     for name, tensor in named_parameters(loaded):  # each tensor is its named file
-        np.testing.assert_array_equal(tensor.data,
-                                      read_raft(out / stored[name.removeprefix("params.")]))
+        np.testing.assert_array_equal(tensor.data, read_raft(out / stored[name]))
 
 
 def test_feature_map_manifest(tmp_path):
