@@ -24,12 +24,10 @@ from reafuse import (
     VARIANTS,
     g_act,
     init_pyramid,
-    load_pyramid_params,
     read_raft,
     relative_residual,
     run_pyramid,
     save_feature_maps,
-    save_pyramid_params,
     write_raft,
 )
 from reafuse import tensor as ops
@@ -55,8 +53,8 @@ for variant in VARIANTS:
     )
     print(f"{variant:10s}  {worst:14.3e}   {'yes' if worst <= 1e-10 else 'no'}")
 
-# %% Feature maps and parameters round-trip through a small binary tensor
-# format (fixed little-endian header, float64 payload) plus a JSON manifest.
+# %% Feature maps round-trip through a small binary tensor format (fixed
+# little-endian header, float64 payload) plus a JSON manifest.
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
 
@@ -66,10 +64,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
     cfg = PyramidConfig(levels=2, kernel_channels=2, orientations=2, seed=3)
     params = init_pyramid(cfg)
-    save_pyramid_params(params, tmp / "weights")
-    reloaded = load_pyramid_params(tmp / "weights")
-    print("config survives the round trip:", reloaded.config == cfg)
-
     levels = run_pyramid(Tensor(rng.derive("img2").uniform((1, 3, 8, 8))), params)
     manifest = save_feature_maps(levels, tmp / "maps")
     print("feature-map files:", sorted(p.name for p in (tmp / "maps").iterdir()))

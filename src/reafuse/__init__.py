@@ -32,14 +32,7 @@ from .harness import (
 from .pyramid import VARIANTS, PyramidConfig, init_pyramid, run_pyramid
 from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward, rem_fuse
 from .reca import attention_logits, cyclic_blocks, init_reca, init_se, reca_forward, se_forward
-from .serialization import (
-    FormatError,
-    load_pyramid_params,
-    read_raft,
-    save_feature_maps,
-    save_pyramid_params,
-    write_raft,
-)
+from .serialization import FormatError, read_raft, save_feature_maps, write_raft
 from .tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
 
 __version__ = "0.1.0"
@@ -53,8 +46,7 @@ __all__ = [
     "attention_logits", "cyclic_blocks", "reca_forward", "se_forward", "init_reca", "init_se",
     "rem_fuse", "reaff_forward", "plain_iaff_forward", "init_reaff", "init_plain_iaff",
     "VARIANTS", "PyramidConfig", "init_pyramid", "run_pyramid",
-    "FormatError", "write_raft", "read_raft",
-    "save_pyramid_params", "load_pyramid_params", "save_feature_maps",
+    "FormatError", "write_raft", "read_raft", "save_feature_maps",
     "ConfigError", "HarnessConfig", "load_config",
     "run_verify", "run_oracle", "run_gradcheck", "run_demo",
     "__version__",

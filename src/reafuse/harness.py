@@ -89,11 +89,6 @@ class ConfigError(ValueError):
     """The configuration file cannot be used as given."""
 
 
-_INT_KEYS = ("seed", "levels", "kernel_channels", "orientations", "reduction",
-             "image_size", "batch", "seeds", "trials", "reseeds")
-_FLOAT_KEYS = ("pass_threshold", "fail_threshold", "oracle_tolerance",
-               "gradcheck_tolerance", "gradcheck_step")
-
 # Upper bounds, so that a typo cannot ask for hours of work or gigabytes of
 # memory.  The image cap bounds image_size x batch.  The activation cap
 # bounds the values of the level-0 feature map, kernel_channels x
@@ -179,9 +174,9 @@ class HarnessConfig:
             raise ConfigError(f"reseeds must be non-negative, got {self.reseeds}")
         if self.reseeds > MAX_RESEEDS:
             raise ConfigError(f"reseeds {self.reseeds} above the cap of {MAX_RESEEDS}")
-        for name in _FLOAT_KEYS:
+        for name, kind in _field_types().items():
             value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if kind is float and isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("pass_threshold", "fail_threshold", "oracle_tolerance",
                      "gradcheck_tolerance"):
@@ -206,6 +201,11 @@ class HarnessConfig:
         )
 
 
+def _field_types() -> dict[str, type]:
+    """Each HarnessConfig field's type, read off its default value."""
+    return {f.name: type(f.default) for f in dataclasses.fields(HarnessConfig)}
+
+
 def load_config(path) -> HarnessConfig:
     """Parse and validate a JSON config; unknown keys are errors."""
     try:
@@ -218,17 +218,17 @@ def load_config(path) -> HarnessConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    known = {f.name for f in dataclasses.fields(HarnessConfig)}
-    unknown = sorted(set(payload) - known)
+    kinds = _field_types()
+    unknown = sorted(set(payload) - set(kinds))
     if unknown:
         raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
     for key, value in payload.items():
-        if key == "variant":
+        if kinds[key] is str:
             if not isinstance(value, str):
                 raise ConfigError(f"config key {key} must be a string")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"config key {key} must be a number, got {value!r}")
-        elif key in _INT_KEYS and isinstance(value, float):
+        elif kinds[key] is int and isinstance(value, float):
             if not value.is_integer():
                 raise ConfigError(f"config key {key} must be an integer, got {value!r}")
             payload[key] = int(value)

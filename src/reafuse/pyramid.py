@@ -76,11 +76,10 @@ EQUIVARIANT_VARIANTS = ("Baseline", "PlusReCA", "ReAFFPN")
 # cap with N = 4.  Activations grow linearly with K as well.
 MAX_KERNEL_CHANNELS = 64
 
-# Upper bound on levels, so that a manifest cannot make load_pyramid_params
-# build an arbitrarily deep pyramid before it reads a single tensor.  Nine is
-# the deepest pyramid the harness allows: image_size x batch <= 512 with
-# batch >= 2 caps image_size at 256 = 2^8, and image_size must be a multiple
-# of 2^(levels - 1).
+# Upper bound on levels, so that a directly built PyramidConfig cannot ask for
+# an arbitrarily deep pyramid.  Nine is the deepest pyramid the harness
+# allows: image_size x batch <= 512 with batch >= 2 caps image_size at
+# 256 = 2^8, and image_size must be a multiple of 2^(levels - 1).
 MAX_LEVELS = 9
 
 
@@ -297,8 +296,9 @@ def named_parameters(obj) -> list[tuple[str, Tensor]]:
     """Flatten any nested parameter dataclass into (dotted-name, tensor) pairs.
 
     Walks dataclass fields and tuples/lists in declaration order, so the
-    listing is deterministic and usable as a serialization manifest.  Names
-    are relative to ``obj``: ``stem.weight``, ``stages[0][1].weight``.
+    listing is deterministic: two builds from one config list the same names
+    in the same order.  Names are relative to ``obj``: ``stem.weight``,
+    ``stages[0][1].weight``.
     """
     out: list[tuple[str, Tensor]] = []
 

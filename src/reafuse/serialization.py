@@ -8,18 +8,15 @@ A ``.raft`` file holds one float64 tensor:
     then         rank extents, u64 little-endian each
     then         payload, float64 row-major little-endian
 
-Manifests are JSON files describing a set of containers -- either a full
-parameter set or a demo output (pyramid levels).  A parameter-set manifest
-holds the ``PyramidConfig`` it was built from and each tensor's dotted name,
-file and shape; the structure and every layer's widths follow from those, so
-it describes no layers of its own.  All JSON is written with sorted keys and
-no timestamps, so identical inputs produce byte-identical files; that is what
-makes the demo-determinism check meaningful.
+A demo's output is a set of such containers, one per pyramid level, plus a
+JSON manifest giving each level's file, shape, kernel channels and
+orientations.  All JSON is written with sorted keys and no timestamps, so
+identical inputs produce byte-identical files; that is what makes the
+demo-determinism check meaningful.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import struct
@@ -28,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .groupequiv import ReFeatureMap
-from .pyramid import PyramidConfig, PyramidParams, init_pyramid, named_parameters
 from .tensor import Tensor
 
 __all__ = [
@@ -36,8 +32,6 @@ __all__ = [
     "write_raft",
     "read_raft",
     "write_json",
-    "save_pyramid_params",
-    "load_pyramid_params",
     "save_feature_maps",
 ]
 
@@ -89,75 +83,6 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _tensor_filename(dotted: str) -> str:
-    """stages[0][1].weight -> stages.0.1.weight.raft"""
-    return dotted.replace("[", ".").replace("]", "") + ".raft"
-
-
-def save_pyramid_params(params: PyramidParams, out_dir) -> Path:
-    """Write every tensor as a container plus one manifest.json; returns the dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for dotted, tensor in named_parameters(params):
-        filename = _tensor_filename(dotted)
-        write_raft(out / filename, tensor)
-        entries.append({"name": dotted, "file": filename, "shape": list(tensor.shape)})
-    write_json(out / "manifest.json", {
-        "kind": "pyramid-params",
-        "version": VERSION,
-        "config": dataclasses.asdict(params.config),
-        "tensors": entries,
-    })
-    return out
-
-
-def _container_path(src: Path, entry: dict) -> Path:
-    """The container a manifest entry names: a relative path inside ``src``."""
-    file = entry["file"]
-    path = src / file
-    if Path(file).is_absolute() or not path.resolve().is_relative_to(src.resolve()):
-        raise ValueError(f"tensor {entry['name']!r}: file {file!r} is not inside {src}")
-    return path
-
-
-def load_pyramid_params(in_dir) -> PyramidParams:
-    """Rebuild a parameter set from save_pyramid_params output.
-
-    The structure is reconstructed from the config echo, then every tensor is
-    overwritten from its container; a round trip is value-exact.  A manifest
-    or container that cannot be used raises FormatError, and so does a
-    manifest of another version or one naming a file outside ``in_dir``; a
-    file that cannot be read raises OSError.
-    """
-    src = Path(in_dir)
-    raw = (src / "manifest.json").read_bytes()
-    try:
-        manifest = json.loads(raw)
-        if manifest.get("kind") != "pyramid-params":
-            raise ValueError(f"manifest kind {manifest.get('kind')!r}")
-        version = manifest.get("version")
-        if type(version) is not int or version != VERSION:
-            raise ValueError(f"manifest version {version!r}, expected {VERSION}")
-        config = PyramidConfig(**manifest["config"])
-        stored = {e["name"]: _container_path(src, e) for e in manifest["tensors"]}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{src}: unusable manifest: {exc!r}") from exc
-    params = init_pyramid(config)
-    for key, tensor in named_parameters(params):
-        if key not in stored:
-            raise FormatError(f"{src}: manifest missing tensor {key}")
-        if not stored[key].is_file():
-            raise FormatError(f"{src}: missing container {stored[key].name}")
-        arr = read_raft(stored[key])
-        if arr.shape != tensor.shape:
-            raise FormatError(
-                f"{src}: tensor {key} shaped {arr.shape}, expected {tensor.shape}"
-            )
-        tensor.data[...] = arr
-    return params
 
 
 def save_feature_maps(maps: list[ReFeatureMap], out_dir, extra: dict | None = None) -> Path:

@@ -5,6 +5,8 @@ built from the small op set in this module.  Design constraints:
 
 * float64 only, so equivariance checks can use tight tolerances;
 * values are immutable after construction -- every op returns a new tensor;
+  an AST scan in the tests fails on any write into ``.data[...]`` in the package
+  (gradcheck's perturb-and-restore through a flat view is the one exception);
 * deterministic: the same inputs always produce bit-identical outputs.
   conv2d contracts its receptive field in a fixed (kernel-row, kernel-col,
   in-channel) flattening, so repeated runs are reproducible;

@@ -86,3 +86,27 @@ def test_no_global_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Global)]
     assert not found, found
+
+
+def _data_subscript_writes(path: Path) -> list[str]:
+    """Assignment targets that are a subscript of a ``.data`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            base = node.value
+            while isinstance(base, ast.Subscript):  # t.data[0][1] = ...
+                base = base.value
+            if isinstance(base, ast.Attribute) and base.attr == "data":
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_no_writes_into_tensor_data():
+    # a Tensor's values are fixed once it is built; every op returns a new one.
+    # The one documented exception is gradcheck, which perturbs one coordinate
+    # at a time through its own flat view of the array and restores it in a
+    # ``finally``; that write does not go through ``.data[...]``.
+    files = sorted((ROOT / "src" / "reafuse").rglob("*.py"))
+    assert files
+    found = [entry for path in files for entry in _data_subscript_writes(path)]
+    assert not found, found

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from reafuse import cli, harness, pyramid
 from reafuse import tensor as ops
-from reafuse.autograd import backward, gradcheck
+from reafuse.autograd import gradcheck
 from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
 from reafuse.harness import (
     ConfigError,
@@ -453,16 +453,6 @@ def test_run_demo_writes_identical_artifacts(tmp_path):
     assert r1.exit_code == 0 and r2.exit_code == 0
     for name in r1.results["files"]:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-
-
-def test_forward_only_commands_leave_recording_on(tmp_path):
-    cfg = HarnessConfig(**{**TINY, "seeds": 1}).validate()
-    run_verify(cfg)
-    run_oracle(cfg)
-    run_demo(cfg, tmp_path / "demo")
-    x = Tensor(np.random.default_rng(2).normal(size=(2, 3)), requires_grad=True)
-    grads = backward(ops.tsum(ops.mul(x, x)))
-    np.testing.assert_array_equal(grads[id(x)], 2.0 * x.data)
 
 
 # -- command-line front-end ---------------------------------------------------

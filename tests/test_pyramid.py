@@ -159,11 +159,18 @@ def test_variants_with_one_seed_share_every_non_attention_weight():
             assert np.array_equal(ta.data, tb.data), (name, n)
 
 
-def test_determinism_same_seed_bit_identical():
-    cfg = small_config("ReAFFPN", seed=42)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_determinism_same_seed_bit_identical(variant):
+    # a pyramid's weights are init_pyramid(config): nothing else stores them
+    cfg = small_config(variant, seed=42)
+    pa, pb = init_pyramid(cfg), init_pyramid(cfg)
+    named_a, named_b = named_parameters(pa), named_parameters(pb)
+    assert [n for n, _ in named_a] == [n for n, _ in named_b]
+    for (n, ta), (_, tb) in zip(named_a, named_b):
+        assert np.array_equal(ta.data, tb.data), n
     x = Tensor(Rng(7).uniform((2, 3, 8, 8)))
-    a = run_pyramid(x, init_pyramid(cfg))
-    b = run_pyramid(x, init_pyramid(cfg))
+    a = run_pyramid(x, pa)
+    b = run_pyramid(x, pb)
     for la, lb in zip(a, b):
         np.testing.assert_array_equal(la.data.data, lb.data.data)
 
