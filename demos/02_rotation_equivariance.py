@@ -16,7 +16,6 @@ from reafuse import (
     g_act,
     group_conv,
     init_group_conv,
-    init_lift_conv,
     lift_conv,
     relative_residual,
 )
@@ -26,11 +25,12 @@ rng = Rng(42)
 n = 4  # the cyclic group of quarter-turn rotations
 image = Tensor(rng.derive("image").uniform((1, 3, 16, 16)))
 
-# %% Lifting: a plain image has no orientation axis yet.  The lifting layer
-# convolves with every rotated copy of its kernel, producing K kernel
+# %% Lifting: a plain image has no orientation axis yet, so the lifting layer
+# is the group convolution with one input orientation (n=1 in its weight).
+# It convolves with every rotated copy of its kernel, producing K kernel
 # channels x N orientations, laid out orientation-fastest along the channel
 # axis.
-lift = init_lift_conv(rng.derive("lift"), k_out=4, c_in=3)
+lift = init_group_conv(rng.derive("lift"), k_out=4, k_in=3, n=1)
 feat = lift_conv(image, lift, n)
 print("lifted:", feat.data.shape, "=", feat.kernel_channels, "kernels x", feat.orientations)
 

@@ -28,7 +28,7 @@ from reafuse import tensor as ops
 rng = Rng(1234)
 k, n = 8, 4
 c = k * n
-x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), k, n)
+x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), n)
 p = init_reca(rng.derive("p"), c, n, 8)
 
 # Rotate then attend vs. attend then rotate: identical up to float noise.
@@ -49,7 +49,7 @@ print("sorted gate values match after rotation:", np.allclose(a, b, atol=1e-12))
 # channels with no regard for the group structure.
 se = init_se(rng.derive("se"), c, 16)
 lhs_se = se_forward(g_act(x, 1).data, se)
-rhs_se = g_act(ReFeatureMap(se_forward(x.data, se), k, n), 1).data
+rhs_se = g_act(ReFeatureMap(se_forward(x.data, se), n), 1).data
 print("plain SE residual (expected to be large):",
       relative_residual(lhs_se.data, rhs_se.data))
 
@@ -57,5 +57,5 @@ print("plain SE residual (expected to be large):",
 # rotation-aware module degenerates to SE with a shared batch norm — same
 # squeeze, same two-layer bottleneck, same sigmoid gate.
 p1 = init_reca(rng.derive("p1"), c, 1, 16)
-x1 = ReFeatureMap(x.data, c, 1)
+x1 = ReFeatureMap(x.data, 1)
 print("N=1 output shape:", reca_forward(x1, p1).data.shape)

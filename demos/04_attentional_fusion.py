@@ -29,8 +29,8 @@ k, n = 4, 4
 c = k * n
 p = init_reaff(rng.derive("p"), c, n, 4)
 
-x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), k, n)
-y = ReFeatureMap(Tensor(rng.derive("y").uniform((2, c, 8, 8))), k, n)
+x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), n)
+y = ReFeatureMap(Tensor(rng.derive("y").uniform((2, c, 8, 8))), n)
 
 # Fusing x with itself: z = M*x + (1-M)*x = x exactly, whatever the weights.
 z = reaff_forward(x, x, p)
@@ -58,6 +58,6 @@ print("fusion equivariance residual:",
 # attention, two stages — does not commute with rotation.
 plain = init_plain_iaff(rng.derive("plain"), c, 2)
 lhs_p = plain_iaff_forward(g_act(x, 1).data, g_act(y, 1).data, plain)
-rhs_p = g_act(ReFeatureMap(plain_iaff_forward(x.data, y.data, plain), k, n), 1).data
+rhs_p = g_act(ReFeatureMap(plain_iaff_forward(x.data, y.data, plain), n), 1).data
 print("plain iAFF residual (expected to be large):",
       relative_residual(lhs_p.data, rhs_p.data))

@@ -16,7 +16,6 @@ from .groupequiv import (
     g_act,
     group_conv,
     init_group_conv,
-    init_lift_conv,
     lift_conv,
     relative_residual,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "Tensor", "Rng", "ShapeError", "DegenerateStatisticsError",
     "backward", "gradcheck",
     "ReFeatureMap", "g_act", "lift_conv", "group_conv",
-    "init_lift_conv", "init_group_conv", "relative_residual",
+    "init_group_conv", "relative_residual",
     "attention_logits", "cyclic_blocks", "reca_forward", "se_forward", "init_reca", "init_se",
     "rem_fuse", "reaff_forward", "plain_iaff_forward", "init_reaff", "init_plain_iaff",
     "VARIANTS", "PyramidConfig", "init_pyramid", "run_pyramid",

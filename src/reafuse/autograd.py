@@ -77,7 +77,7 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[int, np.
         if g is None:  # on the tape but off this loss's path (shared subgraphs)
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
-            if pg is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             pid = id(parent)
             if pid in grads:

@@ -2,11 +2,17 @@
 
 A *re-feature map* is a [B, K*N, H, W] tensor whose channel axis factors into
 K kernel channels times N orientation channels, laid out kernel-channel-major:
-channel index ``c = k*N + n``.  The group element ``s`` acts by rotating the
+channel index ``c = k*N + n``.  A ``ReFeatureMap`` stores only the tensor and
+N; K is its channel count over N.  The group element ``s`` acts by rotating the
 spatial axes ``s * (4/N)`` quarter-turns counter-clockwise AND cyclically
 shifting the orientation index ``n -> (n + s) mod N`` inside every kernel
 channel.  Every op in this module commutes with that action; the residual
 helper at the bottom is how all equivariance tests measure failure.
+
+A lift is the group convolution with one input orientation: a plain image
+carries no orientation axis, so its weight is a ``GroupConvParams`` with
+n_in = 1, and ``lift_conv`` and ``group_conv`` expand and apply their weights
+by the same step.
 
 Only what rotates pixels needs N in {1, 2, 4}, the cyclic groups whose
 rotation is an exact pixel permutation: ``g_act``, ``lift_conv`` and group
@@ -36,23 +42,24 @@ from .tensor import (
 
 __all__ = [
     "ReFeatureMap",
-    "LiftConvParams",
     "GroupConvParams",
     "quarter_turns",
     "g_act",
     "lift_conv",
     "group_conv",
-    "init_lift_conv",
     "init_group_conv",
     "relative_residual",
 ]
 
 @dataclass(frozen=True)
 class ReFeatureMap:
-    """Feature tensor with (kernel-channel x orientation) channel structure."""
+    """Feature tensor with (kernel-channel x orientation) channel structure.
+
+    Stores the tensor and N; the channel count must be a multiple of N, and
+    ``kernel_channels`` is the quotient.
+    """
 
     data: Tensor
-    kernel_channels: int
     orientations: int
 
     def __post_init__(self):
@@ -60,11 +67,10 @@ class ReFeatureMap:
             raise ShapeError(f"orientation count must be at least 1, got {self.orientations}")
         if self.data.ndim != 4:
             raise ShapeError(f"re-feature map needs 4 axes, got shape {self.data.shape}")
-        expected = self.kernel_channels * self.orientations
-        if self.data.shape[1] != expected:
+        if self.data.shape[1] % self.orientations:
             raise ShapeError(
-                f"channel axis extent {self.data.shape[1]} != kernel_channels * "
-                f"orientations = {self.kernel_channels} * {self.orientations}"
+                f"channel axis extent {self.data.shape[1]} is not a multiple of "
+                f"orientations N = {self.orientations}"
             )
 
     @property
@@ -75,34 +81,19 @@ class ReFeatureMap:
     def channels(self) -> int:
         return self.data.shape[1]
 
-
-@dataclass(frozen=True)
-class LiftConvParams:
-    """First-layer weights mapping a plain image into a re-feature map.
-
-    ``weight``: [K_out, C_in, k, k]; ``bias``: [K_out], shared across the N
-    orientation copies (per-orientation bias would break equivariance).
-    """
-
-    weight: Tensor
-    bias: Tensor
-
-    def __post_init__(self):
-        if self.weight.ndim != 4:
-            raise ShapeError(f"lift weight needs 4 axes, got {self.weight.shape}")
-        k_out, _, kh, kw = self.weight.shape
-        if kh != kw or kh % 2 == 0:
-            raise ShapeError(f"lift kernel must be square and odd, got {kh}x{kw}")
-        if self.bias.shape != (k_out,):
-            raise ShapeError(f"lift bias shape {self.bias.shape} != ({k_out},)")
+    @property
+    def kernel_channels(self) -> int:
+        return self.channels // self.orientations
 
 
 @dataclass(frozen=True)
 class GroupConvParams:
-    """Regular group-convolution weights.
+    """Regular group-convolution weights, for a lift and a group conv alike.
 
-    ``weight``: [K_out, K_in, N, k, k], indexed by relative orientation;
-    ``bias``: [K_out], shared across orientations.
+    ``weight``: [K_out, K_in, n_in, k, k], axis 2 indexed by relative input
+    orientation: n_in = N for a group conv, n_in = 1 for a lift, whose K_in
+    is the image's channel count.  ``bias``: [K_out], shared across the N
+    output orientations (a per-orientation bias would break equivariance).
     """
 
     weight: Tensor
@@ -116,10 +107,6 @@ class GroupConvParams:
             raise ShapeError(f"group kernel must be square and odd, got {kh}x{kw}")
         if self.bias.shape != (k_out,):
             raise ShapeError(f"group bias shape {self.bias.shape} != ({k_out},)")
-
-    @property
-    def orientations(self) -> int:
-        return self.weight.shape[2]
 
 
 def quarter_turns(n: int) -> int:
@@ -143,8 +130,7 @@ def g_act(x: ReFeatureMap, s: int) -> ReFeatureMap:
         raise ShapeError(f"group action needs square spatial axes, got {h}x{w}")
     rotated = rot90(x.data, s * quarter_turns(n))
     perm = [k * n + (m - s) % n for k in range(x.kernel_channels) for m in range(n)]
-    shifted = take(rotated, perm, axis=1)
-    return ReFeatureMap(shifted, x.kernel_channels, n)
+    return ReFeatureMap(take(rotated, perm, axis=1), n)
 
 
 def _orientation_shared_bias(bias: Tensor, n: int) -> Tensor:
@@ -165,11 +151,12 @@ def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarra
 
     Entry (k_out*N + i, k_in*n_in + m, a, b) is where
     rot90(weight[k_out, k_in, (m - i) mod n_in], i*(4/N))[a, b] sits in the
-    flattened [K_out, K_in, n_in, k, k] weight.  A group conv has n_in = N; a
-    lift has n_in = 1, since a plain image carries no orientation axis.  A
-    ReCA attention bank is the group conv with k = 1, where every rotation
-    is the identity.  This is the one place outside ``naive`` that encodes
-    the C_N weight-sharing rule (m - i) mod N.  Derived from shapes only,
+    flattened [K_out, K_in, n_in, k, k] weight, the ``GroupConvParams``
+    layout.  A group conv has n_in = N; a lift is the group conv with
+    n_in = 1, since a plain image carries no orientation axis.  A ReCA
+    attention bank is the group conv with k = 1, where every rotation is the
+    identity.  This is the one place outside ``naive`` that encodes the C_N
+    weight-sharing rule (m - i) mod N.  Derived from shapes only,
     so the cache can never hold stale weights.  A 1x1 filter is its own
     rotation, so only k > 1 needs N to divide 4; every k needs N >= 1.
     """
@@ -186,19 +173,28 @@ def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarra
     return index
 
 
-def lift_conv(x: Tensor, p: LiftConvParams, n: int) -> ReFeatureMap:
+def _expand_conv(x: Tensor, p: GroupConvParams, n: int) -> Tensor:
+    """One gather of the weight into its expanded kernel, applied by one conv2d."""
+    k_out, k_in, n_in, kh, _ = p.weight.shape
+    big = _gather(p.weight, _kernel_index(k_out, k_in, n_in, n, kh))
+    return conv2d(x, big, _orientation_shared_bias(p.bias, n))
+
+
+def lift_conv(x: Tensor, p: GroupConvParams, n: int) -> ReFeatureMap:
     """Convolve a plain image with N rotated copies of each filter.
 
-    Orientation i of kernel channel k is conv2d(x, rot90(weight[k], i*(4/N)))
-    + bias[k].  The N rotated copies are one gather of the weight into a
-    [K_out*N, C_in, k, k] kernel (a pure copy, so bit-identical to rotating
-    and stacking), applied by one conv2d call; for N=1 this reduces to plain
-    conv2d, bit-for-bit.
+    The lift is the group convolution with one input orientation: ``p``'s
+    weight is [K_out, C_in, 1, k, k].  Orientation i of kernel channel k is
+    conv2d(x, rot90(weight[k, :, 0], i*(4/N))) + bias[k].  The N rotated
+    copies are one gather of the weight into a [K_out*N, C_in, k, k] kernel
+    (a pure copy, so bit-identical to rotating and stacking), applied by one
+    conv2d call; for N=1 this reduces to plain conv2d, bit-for-bit.
     """
-    k_out, c_in, kh, _ = p.weight.shape
-    big = _gather(p.weight, _kernel_index(k_out, c_in, 1, n, kh))
-    out = conv2d(x, big, _orientation_shared_bias(p.bias, n))
-    return ReFeatureMap(out, k_out, n)
+    if p.weight.shape[2] != 1:
+        raise ShapeError(
+            f"lift weight needs one input orientation, got weight shape {p.weight.shape}"
+        )
+    return ReFeatureMap(_expand_conv(x, p, n), n)
 
 
 def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatureMap:
@@ -220,7 +216,7 @@ def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatur
     an even grid rotation swaps pixel parities, so lattice subsampling cannot
     commute with rot90, while the 2x2 block partition is rotation-stable.
     """
-    n = p.orientations
+    n = p.weight.shape[2]
     if x.orientations != n:
         raise ShapeError(
             f"orientation count mismatch: feature map has {x.orientations}, "
@@ -228,12 +224,10 @@ def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatur
         )
     if stride not in (1, 2):
         raise ShapeError(f"group_conv: stride {stride} not in (1, 2)")
-    k_out, k_in, _, kh, _ = p.weight.shape
-    big = _gather(p.weight, _kernel_index(k_out, k_in, n, n, kh))
-    out = conv2d(x.data, big, _orientation_shared_bias(p.bias, n))
+    out = _expand_conv(x.data, p, n)
     if stride == 2:
         out = blockmean2x(out)
-    return ReFeatureMap(out, k_out, n)
+    return ReFeatureMap(out, n)
 
 
 # Uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)): variance 2/fan_in, which keeps
@@ -249,13 +243,8 @@ def _uniform_init(rng: Rng, shape, fan_in: int) -> Tensor:
     return Tensor(rng.uniform(shape, -bound, bound))
 
 
-def init_lift_conv(rng: Rng, k_out: int, c_in: int, kernel_size: int = 3) -> LiftConvParams:
-    fan_in = c_in * kernel_size * kernel_size
-    weight = _uniform_init(rng, (k_out, c_in, kernel_size, kernel_size), fan_in)
-    return LiftConvParams(weight=weight, bias=Tensor(np.zeros(k_out)))
-
-
 def init_group_conv(rng: Rng, k_out: int, k_in: int, n: int, kernel_size: int = 3) -> GroupConvParams:
+    """He-uniform weight over ``n`` input orientations (1 for a lift), zero bias."""
     fan_in = k_in * n * kernel_size * kernel_size
     weight = _uniform_init(rng, (k_out, k_in, n, kernel_size, kernel_size), fan_in)
     return GroupConvParams(weight=weight, bias=Tensor(np.zeros(k_out)))

@@ -41,12 +41,10 @@ from . import tensor as ops
 from .autograd import gradcheck
 from .groupequiv import (
     GroupConvParams,
-    LiftConvParams,
     ReFeatureMap,
     g_act,
     group_conv,
     init_group_conv,
-    init_lift_conv,
     lift_conv,
     quarter_turns,
     relative_residual,
@@ -487,7 +485,7 @@ def _oracle_lift_conv(rng: Rng) -> float:
     x = rng.uniform((2, cin, size, size))
     w = rng.uniform((k_out, cin, 3, 3))
     bias = rng.uniform((k_out,))
-    fast = lift_conv(Tensor(x), LiftConvParams(Tensor(w), Tensor(bias)), n).data.data
+    fast = lift_conv(Tensor(x), GroupConvParams(Tensor(w[:, :, None]), Tensor(bias)), n).data.data
     ref = naive_lift_conv(x, w, bias, n)
     return float(np.abs(fast - ref).max())
 
@@ -501,7 +499,7 @@ def _oracle_group_conv(rng: Rng) -> float:
     x = rng.uniform((2, k_in * n, size, size))
     w = rng.uniform((k_out, k_in, n, 3, 3))
     bias = rng.uniform((k_out,))
-    fm = ReFeatureMap(Tensor(x), k_in, n)
+    fm = ReFeatureMap(Tensor(x), n)
     fast = group_conv(fm, GroupConvParams(Tensor(w), Tensor(bias)), stride=stride).data.data
     ref = naive_group_conv(x, w, bias, stride=stride)
     return float(np.abs(fast - ref).max())
@@ -601,21 +599,21 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     yield ("relu/sigmoid/pool",
            lambda: _sq(ops.global_avg_pool(ops.sigmoid(ops.relu(x)))), [x])
 
-    lp = init_lift_conv(rng.derive("lift"), 2, 3)
+    lp = init_group_conv(rng.derive("lift"), 2, 3, 1)
     yield ("lift_conv",
            lambda: _sq(lift_conv(x, lp, n).data), [lp.weight, lp.bias, x])
 
     gp = init_group_conv(rng.derive("group"), 2, 2, n)
     gx = Tensor(rng.derive("gx").uniform((2, 2 * n, 4, 4)))
     yield ("group_conv stride 2",
-           lambda: _sq(group_conv(ReFeatureMap(gx, 2, n), gp, stride=2).data),
+           lambda: _sq(group_conv(ReFeatureMap(gx, n), gp, stride=2).data),
            [gp.weight, gp.bias, gx])
 
     c = 2 * n
     rp = init_reca(rng.derive("reca"), c, n, 1)
     rx = Tensor(rng.derive("rx").uniform((2, c, 4, 4)))
     yield ("reca_forward",
-           lambda: _sq(reca_forward(ReFeatureMap(rx, 2, n), rp).data),
+           lambda: _sq(reca_forward(ReFeatureMap(rx, n), rp).data),
            [*_tensors(rp), rx])
 
     sp = init_se(rng.derive("se"), c, 2)
@@ -624,7 +622,7 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     ap = init_reaff(rng.derive("reaff"), c, n, 1)
     ry = Tensor(rng.derive("ry").uniform((2, c, 4, 4)))
     yield ("reaff_forward",
-           lambda: _sq(reaff_forward(ReFeatureMap(rx, 2, n), ReFeatureMap(ry, 2, n), ap).data),
+           lambda: _sq(reaff_forward(ReFeatureMap(rx, n), ReFeatureMap(ry, n), ap).data),
            [*_tensors(ap), rx, ry])
 
     ip = init_plain_iaff(rng.derive("iaff"), c, 2)

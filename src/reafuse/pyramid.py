@@ -43,11 +43,9 @@ from dataclasses import dataclass
 
 from .groupequiv import (
     GroupConvParams,
-    LiftConvParams,
     ReFeatureMap,
     group_conv,
     init_group_conv,
-    init_lift_conv,
     lift_conv,
     quarter_turns,
 )
@@ -126,17 +124,18 @@ class PyramidConfig:
 class PyramidParams:
     """All weights of one configured pyramid.
 
-    ``stages[l]`` holds the two 3x3 group convolutions of backbone level l
-    (the first runs at stride 2 for l > 0).  ``lateral``/``smooth`` are the
-    per-level 1x1 and 3x3 pyramid convolutions; ``smooth`` has one entry per
-    *fused* level (the coarsest level is never smoothed).  ``attention``
-    likewise has one entry per fused level and its type depends on the
-    variant: None for Baseline, SEParams, ReCAParams, PlainIAFFParams, or
-    ReAFFParams.
+    ``stem`` is the 3x3 lift: a ``GroupConvParams`` with one input
+    orientation, weight [K, 3, 1, 3, 3].  ``stages[l]`` holds the two 3x3
+    group convolutions of backbone level l (the first runs at stride 2 for
+    l > 0).  ``lateral``/``smooth`` are the per-level 1x1 and 3x3 pyramid
+    convolutions; ``smooth`` has one entry per *fused* level (the coarsest
+    level is never smoothed).  ``attention`` likewise has one entry per fused
+    level and its type depends on the variant: None for Baseline, SEParams,
+    ReCAParams, PlainIAFFParams, or ReAFFParams.
     """
 
     config: PyramidConfig
-    stem: LiftConvParams
+    stem: GroupConvParams
     stages: tuple[tuple[GroupConvParams, GroupConvParams], ...]
     lateral: tuple[GroupConvParams, ...]
     smooth: tuple[GroupConvParams, ...]
@@ -185,7 +184,7 @@ def init_pyramid(config: PyramidConfig) -> PyramidParams:
             attention.append(None)
     return PyramidParams(
         config=config,
-        stem=init_lift_conv(rng.derive("stem"), k, 3, 3),
+        stem=init_group_conv(rng.derive("stem"), k, 3, 1, 3),
         stages=stages,
         lateral=lateral,
         smooth=smooth,
@@ -216,7 +215,7 @@ def toy_backbone(x: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
     feats = []
     for l, (conv0, conv1) in enumerate(params.stages):
         f = group_conv(f, conv0, stride=2 if l > 0 else 1)
-        f = ReFeatureMap(relu(f.data), f.kernel_channels, f.orientations)
+        f = ReFeatureMap(relu(f.data), f.orientations)
         f = group_conv(f, conv1, stride=1)
         feats.append(f)
     return feats
@@ -263,17 +262,18 @@ def _merge(low: ReFeatureMap, upper: ReFeatureMap, att, variant: str) -> ReFeatu
     so the same bits.  The two fusion variants read the upsampled map three
     times and build it once.
     """
+    n = low.orientations
     if variant == "PlusSE":
-        upper = _like(upper, se_forward(upper.data, att))
+        upper = ReFeatureMap(se_forward(upper.data, att), n)
     elif variant == "PlusReCA":
         upper = reca_forward(upper, att)
     if variant == "PlusIAFF":
-        return _like(low, plain_iaff_forward(low.data, upsample_nearest2x(upper.data), att))
+        return ReFeatureMap(plain_iaff_forward(low.data, upsample_nearest2x(upper.data), att), n)
     if variant == "ReAFFPN":
-        return reaff_forward(low, _like(upper, upsample_nearest2x(upper.data)), att)
+        return reaff_forward(low, ReFeatureMap(upsample_nearest2x(upper.data), n), att)
     b, c, h, w = upper.shape
     blocks = add(reshape(low.data, (b, c, h, 2, w, 2)), reshape(upper.data, (b, c, h, 1, w, 1)))
-    return _like(low, reshape(blocks, low.shape))
+    return ReFeatureMap(reshape(blocks, low.shape), n)
 
 
 def run_pyramid(image: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
@@ -286,10 +286,6 @@ def run_pyramid(image: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
     its own output, plus its band buffers.
     """
     return build_pyramid(lateral_maps(toy_backbone(image, params), params), params)
-
-
-def _like(reference: ReFeatureMap, data: Tensor) -> ReFeatureMap:
-    return ReFeatureMap(data, reference.kernel_channels, reference.orientations)
 
 
 def named_parameters(obj) -> list[tuple[str, Tensor]]:

@@ -113,14 +113,14 @@ def reaff_forward(x: ReFeatureMap, y: ReFeatureMap, p: ReAFFParams) -> ReFeature
     reaff_forward(x, x) == x up to roundoff.
     """
     _check_fusable(x, y)
-    k, n = x.kernel_channels, x.orientations
-    m1 = rem_fuse(ReFeatureMap(add(x.data, y.data), k, n), p.stage1)
+    n = x.orientations
+    m1 = rem_fuse(ReFeatureMap(add(x.data, y.data), n), p.stage1)
     u = add(mul(m1, x.data), mul(sub(1.0, m1), y.data))
     del m1  # a forward-only pass frees each full-size map once it is used
-    m2 = rem_fuse(ReFeatureMap(u, k, n), p.stage2)
+    m2 = rem_fuse(ReFeatureMap(u, n), p.stage2)
     del u
     z = add(mul(m2, x.data), mul(sub(1.0, m2), y.data))
-    return ReFeatureMap(z, k, n)
+    return ReFeatureMap(z, n)
 
 
 # -- plain (non-equivariant) control ------------------------------------------------

@@ -180,7 +180,7 @@ def attention_logits(x: ReFeatureMap, p: ReCAParams, squeeze: bool = True) -> Re
     h = cyclic_blocks(h, p.w_b)
     if squeeze:
         h = reshape(h, (b, c, 1, 1))
-    return ReFeatureMap(h, x.kernel_channels, x.orientations)
+    return ReFeatureMap(h, x.orientations)
 
 
 def reca_forward(x: ReFeatureMap, p: ReCAParams) -> ReFeatureMap:
@@ -192,7 +192,7 @@ def reca_forward(x: ReFeatureMap, p: ReCAParams) -> ReFeatureMap:
     """
     logits = attention_logits(x, p, squeeze=True)
     gates = sigmoid(logits.data)
-    return ReFeatureMap(mul(x.data, gates), x.kernel_channels, x.orientations)
+    return ReFeatureMap(mul(x.data, gates), x.orientations)
 
 
 def se_forward(x: Tensor, p: SEParams) -> Tensor:

@@ -11,12 +11,10 @@ import pytest
 
 from reafuse.groupequiv import (
     GroupConvParams,
-    LiftConvParams,
     ReFeatureMap,
     g_act,
     group_conv,
     init_group_conv,
-    init_lift_conv,
     lift_conv,
     relative_residual,
 )
@@ -33,7 +31,7 @@ def act(x: ReFeatureMap, s: int) -> ReFeatureMap:
     n = x.orientations
     perm = [k * n + (m - s) % n for k in range(x.kernel_channels) for m in range(n)]
     data = np.rot90(x.data.data, 1, axes=(2, 3))[:, perm]
-    return ReFeatureMap(Tensor(np.ascontiguousarray(data)), x.kernel_channels, n)
+    return ReFeatureMap(Tensor(np.ascontiguousarray(data)), n)
 
 
 def _reca(rng, n):
@@ -53,18 +51,18 @@ def _group_conv_1x1(rng, n):
 
 def _se(rng, n):
     p = init_se(rng, K * n, 2)
-    return lambda x, y: ReFeatureMap(se_forward(x.data, p), K, n)
+    return lambda x, y: ReFeatureMap(se_forward(x.data, p), n)
 
 
 def _plain_iaff(rng, n):
     p = init_plain_iaff(rng, K * n, 2)
-    return lambda x, y: ReFeatureMap(plain_iaff_forward(x.data, y.data, p), K, n)
+    return lambda x, y: ReFeatureMap(plain_iaff_forward(x.data, y.data, p), n)
 
 
 def worst_residual(build, n: int) -> float:
     rng = Rng(300 + n)
     f = build(rng.derive("p"), n)
-    x, y = (ReFeatureMap(Tensor(rng.derive(name).uniform((2, K * n, 6, 6))), K, n)
+    x, y = (ReFeatureMap(Tensor(rng.derive(name).uniform((2, K * n, 6, 6))), n)
             for name in ("x", "y"))
     base = f(x, y)
     return max(relative_residual(f(act(x, s), act(y, s)), act(base, s)) for s in range(1, n))
@@ -84,9 +82,9 @@ def test_channel_blind_controls_break_at_any_order(build, n):
 
 def test_pixel_rotating_layers_need_n_to_divide_4():
     rng = Rng(310)
-    x3 = ReFeatureMap(Tensor(rng.derive("x").uniform((2, 2 * 3, 6, 6))), 2, 3)
+    x3 = ReFeatureMap(Tensor(rng.derive("x").uniform((2, 2 * 3, 6, 6))), 3)
     image = Tensor(rng.derive("image").uniform((2, 3, 6, 6)))
-    lift = init_lift_conv(rng.derive("lift"), 2, 3)
+    lift = init_group_conv(rng.derive("lift"), 2, 3, 1)
     with pytest.raises(ShapeError, match="orientations must be 1, 2 or 4, got 3"):
         g_act(x3, 1)
     for n in (3, 0):
@@ -96,13 +94,13 @@ def test_pixel_rotating_layers_need_n_to_divide_4():
         group_conv(x3, init_group_conv(rng.derive("group"), 2, 2, 3))
     empty = GroupConvParams(Tensor(np.zeros((2, 2, 0, 3, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
-        group_conv(ReFeatureMap(Tensor(np.zeros((2, 2, 6, 6))), 2, 1), empty)
+        group_conv(ReFeatureMap(Tensor(np.zeros((2, 2, 6, 6))), 1), empty)
 
 
 def test_1x1_layers_need_at_least_one_orientation():
     # a 1x1 filter needs no quarter turns, so only the order itself is checked
     image = Tensor(np.ones((2, 3, 4, 4)))
-    lift = LiftConvParams(Tensor(np.ones((2, 3, 1, 1))), Tensor(np.zeros(2)))
+    lift = GroupConvParams(Tensor(np.ones((2, 3, 1, 1, 1))), Tensor(np.zeros(2)))
     for n in (0, -1):
         with pytest.raises(ShapeError, match=f"orientation count must be at least 1, got {n}"):
             lift_conv(image, lift, n)

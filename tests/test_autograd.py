@@ -123,7 +123,7 @@ def test_gradcheck_on_reca_small_config():
     x = Tensor(rng.derive("x").uniform((2, k * n, 4, 4)), requires_grad=True)
 
     def loss():
-        out = reca_forward(ReFeatureMap(x, k, n), params)
+        out = reca_forward(ReFeatureMap(x, n), params)
         return ops.tsum(ops.mul(out.data, out.data))
 
     wrt = [t for _, t in named_parameters(params)] + [x]
@@ -142,16 +142,16 @@ def test_gradient_of_equivariant_map_commutes_with_group_action():
 
     def loss_of(data):
         t = Tensor(data, requires_grad=True)
-        out = group_conv(ReFeatureMap(t, 2, n), params).data
+        out = group_conv(ReFeatureMap(t, n), params).data
         return t, ops.tsum(ops.mul(out, out))
 
     t0, loss0 = loss_of(x.data)
     g0 = backward(loss0)[id(t0)]
     for s in range(1, n):
-        moved = g_act(ReFeatureMap(Tensor(x.data.copy()), 2, n), s)
+        moved = g_act(ReFeatureMap(Tensor(x.data.copy()), n), s)
         t1, loss1 = loss_of(moved.data.data)
         g1 = backward(loss1)[id(t1)]
-        want = g_act(ReFeatureMap(Tensor(g0), 2, n), s).data.data
+        want = g_act(ReFeatureMap(Tensor(g0), n), s).data.data
         denom = max(np.linalg.norm(g1), 1e-30)
         assert np.linalg.norm(g1 - want) / denom <= 1e-8
 

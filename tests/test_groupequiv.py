@@ -9,12 +9,10 @@ from reafuse import groupequiv
 from reafuse import tensor as ops
 from reafuse.groupequiv import (
     GroupConvParams,
-    LiftConvParams,
     ReFeatureMap,
     g_act,
     group_conv,
     init_group_conv,
-    init_lift_conv,
     lift_conv,
     relative_residual,
 )
@@ -23,7 +21,7 @@ from reafuse.tensor import Rng, ShapeError, Tensor
 
 
 def fm(rng, k, n, size, batch=2):
-    return ReFeatureMap(Tensor(rng.uniform((batch, k * n, size, size))), k, n)
+    return ReFeatureMap(Tensor(rng.uniform((batch, k * n, size, size))), n)
 
 
 def test_g_act_identity_element_is_bit_exact():
@@ -33,7 +31,7 @@ def test_g_act_identity_element_is_bit_exact():
 
 def test_g_act_pure_orientation_cycle_at_1x1():
     # K=1, N=4, 1x1 spatial: channels [a,b,c,d] shift to [d,a,b,c]
-    x = ReFeatureMap(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)), 1, 4)
+    x = ReFeatureMap(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)), 4)
     got = g_act(x, 1).data.data.reshape(-1)
     np.testing.assert_array_equal(got, [4.0, 1.0, 2.0, 3.0])
 
@@ -57,16 +55,16 @@ def test_g_act_validates_element_range():
 
 
 def test_refeaturemap_layout_validation():
+    with pytest.raises(ShapeError, match="channel axis extent 7 .* orientations N = 4"):
+        ReFeatureMap(Tensor(np.zeros((2, 7, 4, 4))), 4)  # 7 is not a multiple of 4
     with pytest.raises(ShapeError):
-        ReFeatureMap(Tensor(np.zeros((2, 7, 4, 4))), 2, 4)  # 7 != 2*4
-    with pytest.raises(ShapeError):
-        ReFeatureMap(Tensor(np.zeros((2, 0, 4, 4))), 2, 0)  # no orientations
+        ReFeatureMap(Tensor(np.zeros((2, 0, 4, 4))), 0)  # no orientations
 
 
 def test_g_act_kernel_channel_major_layout():
     # K=2, N=2, 1x1 spatial: channel k*N + n, so [a,b,c,d] = [k0n0, k0n1, k1n0, k1n1]
     # and s=1 swaps the orientations inside each kernel channel
-    x = ReFeatureMap(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)), 2, 2)
+    x = ReFeatureMap(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)), 2)
     got = g_act(x, 1).data.data.reshape(-1)
     np.testing.assert_array_equal(got, [2.0, 1.0, 4.0, 3.0])
 
@@ -76,7 +74,7 @@ def test_lift_conv_equivariance_20_seeds():
     for seed in range(20):
         rng = Rng(seed)
         n = (1, 2, 4)[seed % 3]
-        params = init_lift_conv(rng.derive("w"), 2, 3)
+        params = init_group_conv(rng.derive("w"), 2, 3, 1)
         x = Tensor(rng.derive("x").uniform((2, 3, 8, 8)))
         base = lift_conv(x, params, n)
         for s in range(1, n):
@@ -87,16 +85,16 @@ def test_lift_conv_equivariance_20_seeds():
 
 def test_lift_conv_n1_equals_plain_conv_bit_exact():
     rng = Rng(5)
-    params = init_lift_conv(rng.derive("w"), 4, 3)
+    params = init_group_conv(rng.derive("w"), 4, 3, 1)
     x = Tensor(rng.derive("x").uniform((2, 3, 6, 6)))
     lifted = lift_conv(x, params, 1)
-    plain = ops.conv2d(x, params.weight, params.bias)
+    plain = ops.conv2d(x, Tensor(params.weight.data[:, :, 0]), params.bias)
     np.testing.assert_array_equal(lifted.data.data, plain.data)
 
 
 def test_lift_conv_symmetric_kernel_gives_identical_orientations():
     x = Tensor(Rng(6).uniform((1, 2, 6, 6)))
-    params = LiftConvParams(Tensor(np.ones((1, 2, 3, 3))), Tensor(np.zeros((1,))))
+    params = GroupConvParams(Tensor(np.ones((1, 2, 1, 3, 3))), Tensor(np.zeros((1,))))
     out = lift_conv(x, params, 4).data.data
     for m in range(1, 4):
         np.testing.assert_array_equal(out[:, m::4], out[:, 0::4])
@@ -147,7 +145,7 @@ def test_group_conv_matches_five_loop_oracle():
         x = rng.uniform((2, k_in * n, 4, 4))
         w = rng.uniform((k_out, k_in, n, 3, 3))
         b = rng.uniform((k_out,))
-        got = group_conv(ReFeatureMap(Tensor(x), k_in, n),
+        got = group_conv(ReFeatureMap(Tensor(x), n),
                          GroupConvParams(Tensor(w), Tensor(b)), stride=stride).data.data
         want = naive_group_conv(x, w, b, stride=stride)
         worst = max(worst, np.abs(got - want).max())
@@ -159,7 +157,7 @@ def test_lift_conv_matches_loop_oracle():
     x = rng.uniform((2, 3, 5, 5))
     w = rng.uniform((2, 3, 3, 3))
     b = rng.uniform((2,))
-    got = lift_conv(Tensor(x), LiftConvParams(Tensor(w), Tensor(b)), 4).data.data
+    got = lift_conv(Tensor(x), GroupConvParams(Tensor(w[:, :, None]), Tensor(b)), 4).data.data
     assert np.abs(got - naive_lift_conv(x, w, b, 4)).max() <= 1e-12
 
 
@@ -185,15 +183,18 @@ def test_blockmean_subsampling_is_equivariant():
     base = ops.blockmean2x(x.data)
     for s in range(1, n):
         rotated = ops.blockmean2x(g_act(x, s).data)
-        want = g_act(ReFeatureMap(base, 2, n), s).data.data
+        want = g_act(ReFeatureMap(base, n), s).data.data
         np.testing.assert_allclose(rotated.data, want, rtol=0, atol=1e-14)
 
 
 def test_param_validation():
     with pytest.raises(ShapeError):
-        LiftConvParams(Tensor(np.zeros((2, 3, 2, 2))), Tensor(np.zeros((2,))))  # even kernel
+        GroupConvParams(Tensor(np.zeros((2, 3, 1, 2, 2))), Tensor(np.zeros((2,))))  # even kernel
     with pytest.raises(ShapeError):
-        LiftConvParams(Tensor(np.zeros((2, 3, 3, 5))), Tensor(np.zeros((2,))))  # non-square
+        GroupConvParams(Tensor(np.zeros((2, 3, 1, 3, 5))), Tensor(np.zeros((2,))))  # non-square
+    wide = init_group_conv(Rng(13), 2, 3, 4)  # a group-conv weight, n_in = 4
+    with pytest.raises(ShapeError, match="lift weight needs one input orientation"):
+        lift_conv(Tensor(np.zeros((2, 3 * 4, 4, 4))), wide, 4)  # would convolve unchecked
     with pytest.raises(ShapeError):
         GroupConvParams(Tensor(np.zeros((2, 2, 4, 3, 3))), Tensor(np.zeros((3,))))  # bias len
     p = init_group_conv(Rng(11), 2, 2, 4)
@@ -250,11 +251,12 @@ def test_gathered_kernels_equal_rotate_and_stack_expansion(n, k):
     x = rng.uniform((2, 2, 5, 5))
     b = rng.uniform((3,))
     bias = np.repeat(b, n)
-    got = lift_conv(Tensor(x), LiftConvParams(lw, Tensor(b)), n).data.data
+    lift = GroupConvParams(Tensor(lw.data[:, :, None]), Tensor(b))
+    got = lift_conv(Tensor(x), lift, n).data.data
     want = ops.conv2d(Tensor(x), Tensor(reference_lift_kernel(lw, n)), Tensor(bias)).data
     assert np.array_equal(got, want)
     gx = rng.uniform((2, 2 * n, 6, 6))
-    got = group_conv(ReFeatureMap(Tensor(gx), 2, n), GroupConvParams(gw, Tensor(b))).data.data
+    got = group_conv(ReFeatureMap(Tensor(gx), n), GroupConvParams(gw, Tensor(b))).data.data
     want = ops.conv2d(Tensor(gx), Tensor(reference_group_kernel(gw, n)), Tensor(bias)).data
     assert np.array_equal(got, want)
 

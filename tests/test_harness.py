@@ -305,6 +305,18 @@ def test_run_verify_tiny_config():
         assert len(report.results[variant]["per_level"]) == 2
 
 
+def test_rotate_composition_law_exhaustive():
+    # verify rotates its input by element s; checking only the generator is
+    # sound only if s generator steps equal element s, bit for bit
+    image = Tensor(Rng(23).uniform((2, 3, 8, 8)))
+    for n in (1, 2, 4):
+        cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
+        stepped = image
+        for s in range(n + 1):
+            assert np.array_equal(stepped.data, harness._rotate(cfg, image, s).data)
+            stepped = harness._rotate(cfg, stepped, 1)
+
+
 def test_run_verify_trivial_group_is_vacuous():
     report = run_verify(HarnessConfig(**{**TINY, "orientations": 1}).validate())
     assert report.exit_code == 0
@@ -429,7 +441,7 @@ def test_run_verify_non_finite_backbone_fails_every_variant(monkeypatch):
     real = pyramid.toy_backbone
 
     def poisoned(x, params):
-        return [ReFeatureMap(Tensor(np.full(f.shape, np.nan)), f.kernel_channels, f.orientations)
+        return [ReFeatureMap(Tensor(np.full(f.shape, np.nan)), f.orientations)
                 for f in real(x, params)]
 
     monkeypatch.setattr(harness, "toy_backbone", poisoned)

@@ -52,7 +52,7 @@ def _added_g_act(x, s):
     n = x.orientations
     rotated = ops.rot90(x.data, s * groupequiv.quarter_turns(n))
     perm = [k * n + (m + s) % n for k in range(x.kernel_channels) for m in range(n)]
-    return ReFeatureMap(ops.take(rotated, perm, axis=1), x.kernel_channels, n)
+    return ReFeatureMap(ops.take(rotated, perm, axis=1), n)
 
 
 def _strided_blockmean2x(a):
@@ -70,6 +70,14 @@ def _rolled_upsample_nearest2x(a):
 def _tiled_bias(bias, n):
     """``_orientation_shared_bias`` with np.tile for np.repeat: a bias per orientation."""
     return ops.take(bias, np.tile(np.arange(bias.shape[0]), n), axis=0)
+
+
+def _se_gate(x, p):
+    """``reca_forward`` replaced by a channel-blind squeeze-excite gate whose
+    dense weights are the ReCA banks, read as [R, C] and [C, R] matrices."""
+    r, c = p.w_a.shape[1], x.channels
+    se = reca.SEParams(w1=ops.reshape(p.w_a, (r, c)), w2=ops.reshape(p.w_b, (c, r)))
+    return ReFeatureMap(reca.se_forward(x.data, se), x.orientations)
 
 
 @pytest.mark.parametrize("mutant", INDEX_MUTANTS)
@@ -107,6 +115,15 @@ def test_shifted_upsampling_mutant_is_caught_by_verify(monkeypatch):
     monkeypatch.setattr(pyramid, "upsample_nearest2x", _rolled_upsample_nearest2x)
     report = run_verify(CONFIG)
     assert broken_variants(report) == {"ReAFFPN"}
+    assert report.exit_code == 1
+
+
+def test_channel_blind_gate_mutant_is_caught_by_verify(monkeypatch):
+    # an SE gate in the equivariant slot mixes channels with no circulant
+    # tie between orientations; only PlusReCA's merges run reca_forward
+    monkeypatch.setattr(pyramid, "reca_forward", _se_gate)
+    report = run_verify(CONFIG)
+    assert broken_variants(report) == {"PlusReCA"}
     assert report.exit_code == 1
 
 

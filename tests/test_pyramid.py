@@ -68,7 +68,7 @@ def test_baseline_wiring_definition():
     lat_low = group_conv(c_low, params.lateral[0])
     lat_high = group_conv(c_high, params.lateral[1])
     up = ops.upsample_nearest2x(lat_high.data)
-    fused = ReFeatureMap(ops.add(lat_low.data, up), 2, 4)
+    fused = ReFeatureMap(ops.add(lat_low.data, up), 4)
     want = group_conv(fused, params.smooth[0]).data.data
     got = build_pyramid(lateral_maps([c_low, c_high], params), params)[0].data.data
     np.testing.assert_array_equal(got, want)
@@ -81,8 +81,8 @@ def test_additive_merge_is_add_of_the_upsampled_map(variant):
     params = init_pyramid(small_config(variant, seed=6))
     att = params.attention[0]
     rng = Rng(6)
-    low = ReFeatureMap(Tensor(rng.derive("low").uniform((2, 8, 8, 8))), 2, 4)
-    upper = ReFeatureMap(Tensor(rng.derive("up").uniform((2, 8, 4, 4))), 2, 4)
+    low = ReFeatureMap(Tensor(rng.derive("low").uniform((2, 8, 8, 8))), 4)
+    upper = ReFeatureMap(Tensor(rng.derive("up").uniform((2, 8, 4, 4))), 4)
     leaves = [low.data, upper.data] + [t for _, t in named_parameters(att)]
     for leaf in leaves:
         leaf.requires_grad = True
@@ -113,8 +113,8 @@ def test_reaff_identity_propagates_through_fusion_level():
         for kk in range(k):
             conv.weight.data[kk, kk, 0, mid, mid] = 1.0
         conv.bias.data[...] = 0.0
-    c_high = ReFeatureMap(Tensor(Rng(5).uniform((2, k * n, 4, 4))), k, n)
-    c_low = ReFeatureMap(ops.upsample_nearest2x(c_high.data), k, n)
+    c_high = ReFeatureMap(Tensor(Rng(5).uniform((2, k * n, 4, 4))), n)
+    c_low = ReFeatureMap(ops.upsample_nearest2x(c_high.data), n)
     levels = build_pyramid(lateral_maps([c_low, c_high], params), params)
     assert np.abs(levels[0].data.data - c_low.data.data).max() <= 1e-12
 

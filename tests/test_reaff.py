@@ -26,8 +26,8 @@ def tensors(params):
 
 def random_pair(rng, k, n, size, batch=2):
     c = k * n
-    x = ReFeatureMap(Tensor(rng.derive("x").uniform((batch, c, size, size))), k, n)
-    y = ReFeatureMap(Tensor(rng.derive("y").uniform((batch, c, size, size))), k, n)
+    x = ReFeatureMap(Tensor(rng.derive("x").uniform((batch, c, size, size))), n)
+    y = ReFeatureMap(Tensor(rng.derive("y").uniform((batch, c, size, size))), n)
     return x, y
 
 
@@ -104,7 +104,7 @@ def test_spatially_constant_input_collapses_local_to_global():
     for src, dst in zip(tensors(p.global_att), tensors(p.local_att)):
         dst.data[...] = src.data
     base = rng.derive("v").uniform((2, k * n, 1, 1))
-    x = ReFeatureMap(Tensor(np.broadcast_to(base, (2, k * n, 5, 5)).copy()), k, n)
+    x = ReFeatureMap(Tensor(np.broadcast_to(base, (2, k * n, 5, 5)).copy()), n)
     from reafuse.reca import attention_logits
     local = attention_logits(x, p.local_att, squeeze=False).data.data
     glob = attention_logits(x, p.global_att, squeeze=True).data.data
@@ -136,7 +136,7 @@ def test_plain_iaff_breaks_joint_equivariance():
         base = plain_iaff_forward(x.data, y.data, p)
         for s in range(1, n):
             moved = plain_iaff_forward(g_act(x, s).data, g_act(y, s).data, p)
-            want = g_act(ReFeatureMap(base, k, n), s).data.data
+            want = g_act(ReFeatureMap(base, n), s).data.data
             best = max(best, relative_residual(moved, want))
     assert best >= 1e-2
 
@@ -156,7 +156,7 @@ def test_n1_collapse_to_plain_iaff():
             mlp.bn_beta.data[...] = att.bn_beta.data
     x = Tensor(rng.derive("x").uniform((2, c, 4, 4)))
     y = Tensor(rng.derive("y").uniform((2, c, 4, 4)))
-    got = reaff_forward(ReFeatureMap(x, c, 1), ReFeatureMap(y, c, 1), p).data.data
+    got = reaff_forward(ReFeatureMap(x, 1), ReFeatureMap(y, 1), p).data.data
     want = plain_iaff_forward(x, y, plain).data
     assert np.abs(got - want).max() <= 1e-12
 
@@ -164,8 +164,8 @@ def test_n1_collapse_to_plain_iaff():
 def test_shape_mismatch_rejected():
     rng = Rng(111)
     p = init_reaff(rng, 8, 4, 1)
-    x = ReFeatureMap(Tensor(np.zeros((2, 8, 4, 4))), 2, 4)
-    y = ReFeatureMap(Tensor(np.zeros((2, 8, 6, 6))), 2, 4)
+    x = ReFeatureMap(Tensor(np.zeros((2, 8, 4, 4))), 4)
+    y = ReFeatureMap(Tensor(np.zeros((2, 8, 6, 6))), 4)
     with pytest.raises(ShapeError):
         reaff_forward(x, y, p)
 

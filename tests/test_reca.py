@@ -93,7 +93,7 @@ def test_attention_logits_shift_covariance_with_bn():
         rng = Rng(50 + n)
         k = 4
         p = init_reca(rng.derive("p"), k * n, n, 2)
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), k, n)
+        x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), n)
         base = attention_logits(x, p)
         for s in range(1, n):
             moved = attention_logits(g_act(x, s), p)
@@ -116,7 +116,7 @@ def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
     p = ReCAParams(w_a=p.w_a, w_b=p.w_b,
                    bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                    bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
-    x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), k, n)
+    x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), n)
     pooled = attention_logits(x, p, squeeze=False).data.data
     monkeypatch.setattr(reca, "_shared_batchnorm", per_channel_batchnorm)
     base_logits = attention_logits(x, p, squeeze=False)
@@ -136,7 +136,7 @@ def test_reca_zero_params_gate_half():
     n, k = 4, 2
     p = ReCAParams(w_a=Tensor(np.zeros((n, k, k))), w_b=Tensor(np.zeros((n, k, k))),
                    bn_gamma=Tensor(np.ones((k,))), bn_beta=Tensor(np.zeros((k,))))
-    x = ReFeatureMap(Tensor(Rng(60).uniform((2, k * n, 4, 4))), k, n)
+    x = ReFeatureMap(Tensor(Rng(60).uniform((2, k * n, 4, 4))), n)
     out = reca_forward(x, p)
     np.testing.assert_array_equal(out.data.data, 0.5 * x.data.data)
 
@@ -148,7 +148,7 @@ def test_reca_equivariance_random_configs():
         n = (2, 4)[seed % 2]
         k = 4
         p = init_reca(rng.derive("p"), k * n, n, 2)
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, k * n, 8, 8))), k, n)
+        x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, k * n, 8, 8))), n)
         base = reca_forward(x, p)
         for s in range(1, n):
             worst = max(worst, relative_residual(reca_forward(g_act(x, s), p),
@@ -160,7 +160,7 @@ def test_reca_gate_multiset_invariant_under_group_action():
     rng = Rng(80)
     n, k = 4, 2
     p = init_reca(rng.derive("p"), k * n, n, 1)
-    x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, k * n, 4, 4))), k, n)
+    x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, k * n, 4, 4))), n)
     base = np.sort(attention_logits(x, p).data.data, axis=None)
     for s in range(1, n):
         moved = np.sort(attention_logits(g_act(x, s), p).data.data, axis=None)
@@ -172,7 +172,7 @@ def test_reca_n1_equals_se_with_shared_bn():
     c = 8
     p = init_reca(rng.derive("p"), c, 1, 2)
     x = rng.derive("x").uniform((3, c, 6, 6))
-    got = reca_forward(ReFeatureMap(Tensor(x), c, 1), p).data.data
+    got = reca_forward(ReFeatureMap(Tensor(x), 1), p).data.data
     want = naive_se_with_bn(x, p.w_a.data[0], p.w_b.data[0],
                             p.bn_gamma.data, p.bn_beta.data)
     assert np.abs(got - want).max() <= 1e-12
@@ -204,8 +204,8 @@ def test_se_breaks_equivariance_on_generic_weights():
     for seed in range(3):
         rng = Rng(120 + seed)
         p = init_se(rng.derive("p"), c, 2)
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), k, n)
-        base = ReFeatureMap(se_forward(x.data, p), k, n)
+        x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), n)
+        base = ReFeatureMap(se_forward(x.data, p), n)
         for s in range(1, n):
             moved = se_forward(g_act(x, s).data, p)
             best = max(best, relative_residual(moved, g_act(base, s).data.data))
@@ -223,7 +223,7 @@ def test_init_validation():
         ReCAParams(w_a=Tensor(np.zeros((4, 3, 4))), w_b=Tensor(np.zeros((4, 4, 3))),
                    bn_gamma=Tensor(np.ones((3,))), bn_beta=Tensor(np.zeros((3,))))
     p = init_reca(Rng(0), 8, 4, 2)
-    x = ReFeatureMap(Tensor(np.zeros((2, 12, 4, 4))), 3, 4)
+    x = ReFeatureMap(Tensor(np.zeros((2, 12, 4, 4))), 4)
     with pytest.raises(ShapeError):
         reca_forward(x, p)  # param/feature mismatch
 
@@ -312,7 +312,7 @@ def test_attention_logits_match_split_blocks_reference(squeeze):
         p = ReCAParams(w_a=p.w_a, w_b=p.w_b,
                        bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                        bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), k, n)
+        x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), n)
         got = attention_logits(x, p, squeeze=squeeze).data.data
         want = split_blocks_reference_logits(x, p, squeeze)
         assert got.shape == want.shape
