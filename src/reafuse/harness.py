@@ -5,8 +5,9 @@ Four commands, one ``Report`` shape:
 * ``verify``    -- the five-variant equivariance matrix: equivariant wirings
                    must sit at or below ``pass_threshold``, the deliberately
                    broken ones must demonstrate at least ``fail_threshold``
-                   on some group element (reseeding a configurable number of
-                   times, since breakage size depends on the weight draw).
+                   at the generator of C_N (reseeding a configurable number
+                   of times, since breakage size depends on the weight
+                   draw).
 * ``oracle``    -- fast implementations against the straight-line references
                    in ``reafuse.naive``, plus the cyclic-shift covariance of
                    the attention blocks.
@@ -317,24 +318,34 @@ def _rotate(config: HarnessConfig, image: Tensor, s: int) -> Tensor:
     return ops.rot90(image, s * quarter_turns(config.orientations))
 
 
+def _generator_elements(config: HarnessConfig) -> range:
+    """The group elements verify runs: the identity and the generator.
+
+    C_N is cyclic, so a map that commutes with the generator g on every
+    input commutes with every g^s.  That rests on ``g_act`` and ``_rotate``
+    being homomorphisms, which the composition-law tests check exactly.
+    """
+    return range(min(2, config.orientations))
+
+
 def _residuals(config: HarnessConfig, levels_of) -> list[float] | None:
-    """Max equivariance residual per pyramid level over all group elements.
+    """Max equivariance residual per pyramid level at the generator.
 
     ``levels_of(s)`` computes the pyramid levels from the input rotated by
-    element s; element s is compared with ``g_act`` of element 0's levels.
+    element s; element 1 is compared with ``g_act`` of element 0's levels.
+    The trivial group has no generator to compare, so its residuals are 0.
     Returns None on non-finite levels.
     """
     base = levels_of(0)
     if not _finite(*base):
         return None
     residuals = [0.0] * config.levels
-    for s in range(1, config.orientations):
+    for s in _generator_elements(config)[1:]:
         levels = levels_of(s)
         if not _finite(*levels):
             return None
         residuals = [max(r, relative_residual(got, g_act(want, s)))
                      for r, got, want in zip(residuals, levels, base)]
-        del levels  # freed before the next element's levels are built
     return residuals
 
 
@@ -343,7 +354,8 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
     """Residuals of each of ``variants`` on one draw from ``rng``.
 
     One input image, one parameter seed, and one backbone forward and set
-    of laterals per group element, shared by every variant listed, then
+    of laterals for the identity and for the generator (for the identity
+    alone when N = 1), shared by every variant listed, then
     each variant's head on its own copy of the laterals list (the head
     consumes the list, never the maps).  ``init_pyramid`` derives every
     layer from the parameter seed and the layer name, so all variants get
@@ -357,7 +369,7 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
     params = {v: init_pyramid(config.pyramid_config(v, param_seed)) for v in variants}
     shared = params[variants[0]]
     laterals = [lateral_maps(toy_backbone(_rotate(config, image, s), shared), shared)
-                for s in range(config.orientations)]
+                for s in _generator_elements(config)]
     timings["backbone"] += time.perf_counter() - t0
     if not all(_finite(*lat) for lat in laterals):
         return dict.fromkeys(variants)
@@ -423,9 +435,11 @@ def run_verify(config: HarnessConfig) -> Report:
     Seeds are the outer loop and variants the inner one: per seed, all
     variants share the input image, the backbone and the laterals, as in a
     fixed-backbone ablation, and every variant is still run end to end on
-    each rotated input.  ``timings[variant]`` is that variant's head time,
-    reseeds included; ``timings["backbone"]`` is every draw's parameter
-    set-up, backbone forwards and laterals, reseeds included.
+    the input and on its rotation by the generator of C_N; the group laws
+    extend a pass at the generator to every element.  ``timings[variant]``
+    is that variant's head time, reseeds included; ``timings["backbone"]``
+    is every draw's parameter set-up, backbone forwards and laterals,
+    reseeds included.
     """
     report = _new_report("verify", config)
     start = time.perf_counter()

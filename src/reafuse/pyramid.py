@@ -21,8 +21,8 @@ features), ``lateral_maps`` (one 1x1 group convolution per level) and
 depends on the variant).  ``init_pyramid`` draws the backbone and lateral
 weights from the seed and the layer name alone, so the variants built from
 one seed share the first two stages: ``verify`` runs the backbone and the
-laterals once per seed and group element and hands each of the five heads
-its own copy of the laterals list.  ``build_pyramid`` consumes the list it
+laterals once per seed for the identity and once for the generator of C_N,
+and hands each of the five heads its own copy of the laterals list.  ``build_pyramid`` consumes the list it
 gets, popping each lateral into its merge, so the maps themselves are only
 read and a lateral that no caller holds is freed before its smoothing conv.
 

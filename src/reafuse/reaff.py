@@ -114,13 +114,18 @@ def reaff_forward(x: ReFeatureMap, y: ReFeatureMap, p: ReAFFParams) -> ReFeature
     """
     _check_fusable(x, y)
     n = x.orientations
+    # a forward-only pass frees each full-size map once it is used: each
+    # mask goes before its stage's add, which holds only the two products
     m1 = rem_fuse(ReFeatureMap(add(x.data, y.data), n), p.stage1)
-    u = add(mul(m1, x.data), mul(sub(1.0, m1), y.data))
-    del m1  # a forward-only pass frees each full-size map once it is used
+    mx, my = mul(m1, x.data), mul(sub(1.0, m1), y.data)
+    del m1
+    u = add(mx, my)
+    del mx, my
     m2 = rem_fuse(ReFeatureMap(u, n), p.stage2)
     del u
-    z = add(mul(m2, x.data), mul(sub(1.0, m2), y.data))
-    return ReFeatureMap(z, n)
+    mx, my = mul(m2, x.data), mul(sub(1.0, m2), y.data)
+    del m2
+    return ReFeatureMap(add(mx, my), n)
 
 
 # -- plain (non-equivariant) control ------------------------------------------------
@@ -175,12 +180,18 @@ def plain_iaff_forward(x: Tensor, y: Tensor, p: PlainIAFFParams) -> Tensor:
     """
     if x.shape != y.shape:
         raise ShapeError(f"cannot fuse tensors of shape {x.shape} and {y.shape}")
+    # a forward-only pass frees each full-size map once it is used: each
+    # mask goes before its stage's add, which holds only the two products
     m1 = _mscam(add(x, y), p.stage1)
-    u = add(mul(m1, x), mul(sub(1.0, m1), y))
-    del m1  # a forward-only pass frees each full-size map once it is used
+    mx, my = mul(m1, x), mul(sub(1.0, m1), y)
+    del m1
+    u = add(mx, my)
+    del mx, my
     m2 = _mscam(u, p.stage2)
     del u
-    return add(mul(m2, x), mul(sub(1.0, m2), y))
+    mx, my = mul(m2, x), mul(sub(1.0, m2), y)
+    del m2
+    return add(mx, my)
 
 
 # -- initializers --------------------------------------------------------------------

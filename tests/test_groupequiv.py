@@ -19,6 +19,8 @@ from reafuse.groupequiv import (
 from reafuse.naive import naive_group_conv, naive_lift_conv
 from reafuse.tensor import Rng, ShapeError, Tensor
 
+from references import action_law_failures
+
 
 def fm(rng, k, n, size, batch=2):
     return ReFeatureMap(Tensor(rng.uniform((batch, k * n, size, size))), n)
@@ -38,12 +40,9 @@ def test_g_act_pure_orientation_cycle_at_1x1():
 
 def test_g_act_composition_law_exhaustive():
     for n in (1, 2, 4):
-        x = fm(Rng(n), 3, n, 4)
-        for a in range(n):
-            for b in range(n):
-                lhs = g_act(g_act(x, a), b).data.data
-                rhs = g_act(x, (a + b) % n).data.data
-                np.testing.assert_array_equal(lhs, rhs)
+        x = fm(Rng(n), 3, n, 4).data.data
+        assert action_law_failures(
+            lambda a, s: g_act(ReFeatureMap(Tensor(a), n), s).data.data, x, n) == []
 
 
 def test_g_act_validates_element_range():

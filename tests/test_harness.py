@@ -11,9 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reafuse import cli, harness, pyramid
-from reafuse import tensor as ops
 from reafuse.autograd import gradcheck
-from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
+from reafuse.groupequiv import ReFeatureMap
 from reafuse.harness import (
     ConfigError,
     HarnessConfig,
@@ -24,8 +23,10 @@ from reafuse.harness import (
     run_oracle,
     run_verify,
 )
-from reafuse.pyramid import VARIANTS, init_pyramid, run_pyramid
+from reafuse.pyramid import VARIANTS
 from reafuse.tensor import Rng, Tensor
+
+from references import action_law_failures, reference_seed_residuals
 
 TINY = dict(levels=2, kernel_channels=2, orientations=2, reduction=1,
             image_size=8, batch=2, seeds=2, trials=10, seed=5)
@@ -306,15 +307,13 @@ def test_run_verify_tiny_config():
 
 
 def test_rotate_composition_law_exhaustive():
-    # verify rotates its input by element s; checking only the generator is
-    # sound only if s generator steps equal element s, bit for bit
-    image = Tensor(Rng(23).uniform((2, 3, 8, 8)))
+    # verify rotates its input by the generator only, which is sound only if
+    # _rotate is an action of C_N, bit for bit
+    image = Rng(23).uniform((2, 3, 8, 8))
     for n in (1, 2, 4):
         cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
-        stepped = image
-        for s in range(n + 1):
-            assert np.array_equal(stepped.data, harness._rotate(cfg, image, s).data)
-            stepped = harness._rotate(cfg, stepped, 1)
+        assert action_law_failures(lambda a, s: harness._rotate(cfg, Tensor(a), s).data,
+                                   image, n) == []
 
 
 def test_run_verify_trivial_group_is_vacuous():
@@ -324,47 +323,22 @@ def test_run_verify_trivial_group_is_vacuous():
     assert report.results["Baseline"]["worst"] == 0.0
 
 
-def _reference_residuals(cfg, variant, rng):
-    image = Tensor(rng.derive("image").uniform((cfg.batch, 3, cfg.image_size, cfg.image_size)))
-    params = init_pyramid(cfg.pyramid_config(variant, rng.derive("params").seed))
-    base = run_pyramid(image, params)
-    residuals = [0.0] * cfg.levels
-    for s in range(1, cfg.orientations):
-        got = run_pyramid(ops.rot90(image, s * 4 // cfg.orientations), params)
-        for l in range(cfg.levels):
-            residuals[l] = max(residuals[l], relative_residual(got[l], g_act(base[l], s)))
-    return residuals
-
-
-def _reference_per_level(cfg, variant):
-    """verify's per-level residuals for one variant from full forward passes
-    per seed and group element, with verify's seed derivation and reseeds."""
-    master = Rng(cfg.seed)
-    per_level = [0.0] * cfg.levels
-    for idx in range(cfg.seeds):
-        rng = master.derive(f"verify/{idx}")
-        residuals = _reference_residuals(cfg, variant, rng)
-        attempt = 0
-        while (variant in ("PlusSE", "PlusIAFF") and max(residuals) < cfg.fail_threshold
-               and attempt < cfg.reseeds):
-            attempt += 1
-            residuals = _reference_residuals(
-                cfg, variant, rng.derive(f"reseed/{variant}/{attempt}"))
-        per_level = [max(a, b) for a, b in zip(per_level, residuals)]
-    return per_level
-
-
 @pytest.mark.parametrize("cfg", [
+    HarnessConfig(**{**TINY, "orientations": 1}).validate(),
     HarnessConfig(**TINY).validate(),
+    HarnessConfig(**{**TINY, "orientations": 4}).validate(),
     load_config(Path(__file__).resolve().parents[1] / "configs" / "small.json"),
-], ids=["tiny", "small.json"])
+], ids=["tiny-n1", "tiny", "tiny-n4", "small.json"])
 def test_run_verify_shared_backbone_equals_full_forward_passes(cfg):
+    # verify compares the generator, element 1, with the identity
     report = run_verify(cfg)
     assert report.exit_code == 0, report.summary_lines()
     assert set(report.results) == set(VARIANTS)
     assert set(report.timings) == {*VARIANTS, "backbone", "total"}
+    generator = range(1, min(2, cfg.orientations))
     for variant in VARIANTS:
-        assert report.results[variant]["per_level"] == _reference_per_level(cfg, variant)
+        per_seed = reference_seed_residuals(cfg, variant, generator)
+        assert report.results[variant]["per_level"] == [max(r) for r in zip(*per_seed)]
 
 
 def _count_calls(monkeypatch, stage="toy_backbone"):
@@ -380,23 +354,26 @@ def _count_calls(monkeypatch, stage="toy_backbone"):
     return calls
 
 
-def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
+def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch, n):
     calls = _count_calls(monkeypatch)
-    cfg = HarnessConfig(**TINY).validate()
+    cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
-    # one backbone forward per seed and group element, not one per variant
-    # too; a reseed runs one backbone forward per element for its one variant
-    assert len(calls) == (cfg.seeds + reseeds) * cfg.orientations
+    # one backbone forward per seed for the identity and one for the
+    # generator, not one per variant or per group element; a reseed runs
+    # the same two for its one variant
+    assert len(calls) == (cfg.seeds + reseeds) * min(2, n)
 
 
-def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
+def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch, n):
     calls = _count_calls(monkeypatch, "lateral_maps")
-    cfg = HarnessConfig(**TINY).validate()
+    cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
-    # the five heads of a seed share one set of laterals per group element
-    assert len(calls) == (cfg.seeds + reseeds) * cfg.orientations
+    # the five heads of a seed share one set of laterals per element checked
+    assert len(calls) == (cfg.seeds + reseeds) * min(2, n)
 
 
 def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
@@ -415,7 +392,7 @@ def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
     timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
     residuals = harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
     assert all(residuals[v] is not None for v in VARIANTS)
-    assert len(shared) == cfg.orientations
+    assert len(shared) == min(2, cfg.orientations)  # the identity and the generator
     for laterals, objects, before in shared:
         assert len(laterals) == cfg.levels
         assert all(lat is obj for lat, obj in zip(laterals, objects))
@@ -431,7 +408,7 @@ def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch):
     assert report.exit_code == 4 and report.inconclusive
     reseeds = {v: report.results[v]["reseeds_used"] for v in ("PlusSE", "PlusIAFF")}
     assert reseeds == {"PlusSE": cfg.seeds * cfg.reseeds, "PlusIAFF": cfg.seeds * cfg.reseeds}
-    assert len(calls) == (cfg.seeds + sum(reseeds.values())) * cfg.orientations
+    assert len(calls) == (cfg.seeds + sum(reseeds.values())) * min(2, cfg.orientations)
     reseed_draws = {v: {seed for variant, seed in calls if variant == v} for v in reseeds}
     assert len(reseed_draws["PlusSE"]) == cfg.seeds * cfg.reseeds
     assert not reseed_draws["PlusSE"] & reseed_draws["PlusIAFF"]

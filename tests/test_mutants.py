@@ -2,8 +2,13 @@
 
 Each test patches one rule of the fast path to a plausible wrong variant and
 asserts which check notices: ``verify`` (an equivariant variant fails) or,
-failing that, ``oracle`` (a fast path departs from its reference).  A mutant
-that no check catches marks a blind spot of the checks, not of the code.
+failing that, ``oracle`` (a fast path departs from its reference), or the
+group-law tests (``g_act`` or the input rotation is not an action of C_N).
+``verify`` compares the generator with the identity only, so a group action
+that is wrong only at some s >= 2 is outside its reach; the composition-law
+tests in test_groupequiv.py and test_harness.py are what license that, and
+they must catch it.  A mutant that no check catches marks a blind spot of
+the checks, not of the code.
 """
 
 import numpy as np
@@ -13,7 +18,10 @@ from reafuse import groupequiv, harness, pyramid, reca
 from reafuse import tensor as ops
 from reafuse.groupequiv import ReFeatureMap
 from reafuse.harness import HarnessConfig, run_oracle, run_verify
-from reafuse.pyramid import EQUIVARIANT_VARIANTS
+from reafuse.pyramid import EQUIVARIANT_VARIANTS, VARIANTS
+from reafuse.tensor import Rng, Tensor
+
+from references import action_law_failures, reference_seed_residuals
 
 CONFIG = HarnessConfig(levels=2, kernel_channels=2, orientations=4, reduction=1,
                        image_size=8, batch=2, seeds=3).validate()
@@ -53,6 +61,27 @@ def _added_g_act(x, s):
     rotated = ops.rot90(x.data, s * groupequiv.quarter_turns(n))
     perm = [k * n + (m + s) % n for k in range(x.kernel_channels) for m in range(n)]
     return ReFeatureMap(ops.take(rotated, perm, axis=1), n)
+
+
+_G_ACT = groupequiv.g_act
+_ROTATE = harness._rotate
+
+
+def _unshifted_half_turn_g_act(x, s):
+    """``groupequiv.g_act`` that turns the pixels but leaves the orientation
+    channels in place at s = 2, and is right at every other element."""
+    if s != 2:
+        return _G_ACT(x, s)
+    return ReFeatureMap(ops.rot90(x.data, 2 * groupequiv.quarter_turns(x.orientations)),
+                        x.orientations)
+
+
+def _mirrored_half_turn_rotate(config, image, s):
+    """``harness._rotate`` that mirrors the rows instead of turning the image
+    at s = 2, and is right at every other element."""
+    if s != 2:
+        return _ROTATE(config, image, s)
+    return ops.take(image, np.arange(image.shape[2])[::-1], axis=2)
 
 
 def _strided_blockmean2x(a):
@@ -136,3 +165,40 @@ def test_per_orientation_bias_mutant_is_caught_by_oracle_only(monkeypatch):
     failed = {name.split()[0] for name, passed in report.verdicts.items() if not passed}
     assert failed == {"lift_conv", "group_conv"}
     assert report.exit_code == 1
+
+
+def test_g_act_wrong_at_a_half_turn_is_caught_by_the_group_laws_only(monkeypatch):
+    # verify acts by the generator alone, so it never calls g_act(., 2)
+    for module in (groupequiv, harness):
+        monkeypatch.setattr(module, "g_act", _unshifted_half_turn_g_act)
+    assert run_verify(CONFIG).exit_code == 0
+    n = CONFIG.orientations
+    x = Rng(3).uniform((2, CONFIG.kernel_channels * n, 8, 8))
+    assert action_law_failures(
+        lambda a, s: groupequiv.g_act(ReFeatureMap(Tensor(a), n), s).data.data, x, n)
+
+
+def test_rotate_wrong_at_a_half_turn_is_caught_by_the_group_laws_only(monkeypatch):
+    # verify rotates its input by the generator alone, so it never calls
+    # _rotate(., ., 2)
+    monkeypatch.setattr(harness, "_rotate", _mirrored_half_turn_rotate)
+    assert run_verify(CONFIG).exit_code == 0
+    image = Rng(3).uniform((2, 3, 8, 8))
+    assert action_law_failures(
+        lambda a, s: harness._rotate(CONFIG, Tensor(a), s).data, image, CONFIG.orientations)
+
+
+def test_generator_verdicts_equal_every_element_verdicts():
+    # verify checks element 1 only; on this file's config (N = 4) the same
+    # residual loop over every element s = 1..3 reaches the same verdicts
+    report = run_verify(CONFIG)
+    assert report.exit_code == 0, report.summary_lines()
+    every_element = range(1, CONFIG.orientations)
+    for variant in VARIANTS:
+        per_seed = reference_seed_residuals(CONFIG, variant, every_element)
+        if variant in EQUIVARIANT_VARIANTS:
+            assert max(map(max, per_seed)) <= CONFIG.pass_threshold
+            assert report.results[variant]["worst"] <= CONFIG.pass_threshold
+        else:
+            assert min(map(max, per_seed)) >= CONFIG.fail_threshold
+            assert report.results[variant]["undemonstrated_seeds"] == 0
