@@ -48,7 +48,7 @@ for variant in VARIANTS:
     levels = run_pyramid(image, params)
     rotated = run_pyramid(ops.rot90(image, 1), params)
     worst = max(
-        relative_residual(rot.data.data, g_act(base, 1).data.data)
+        relative_residual(rot, g_act(base, 1, cfg.orientations))
         for base, rot in zip(levels, rotated)
     )
     print(f"{variant:10s}  {worst:14.3e}   {'yes' if worst <= 1e-10 else 'no'}")
@@ -65,5 +65,5 @@ with tempfile.TemporaryDirectory() as tmp:
     cfg = PyramidConfig(levels=2, kernel_channels=2, orientations=2, seed=3)
     params = init_pyramid(cfg)
     levels = run_pyramid(Tensor(rng.derive("img2").uniform((1, 3, 8, 8))), params)
-    manifest = save_feature_maps(levels, tmp / "maps")
+    manifest = save_feature_maps(levels, cfg.orientations, tmp / "maps")
     print("feature-map files:", sorted(p.name for p in (tmp / "maps").iterdir()))

@@ -12,7 +12,6 @@ single u64 seed.
 
 from .autograd import backward, gradcheck
 from .groupequiv import (
-    ReFeatureMap,
     g_act,
     group_conv,
     init_group_conv,
@@ -40,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "Rng", "ShapeError", "DegenerateStatisticsError",
     "backward", "gradcheck",
-    "ReFeatureMap", "g_act", "lift_conv", "group_conv",
+    "g_act", "lift_conv", "group_conv",
     "init_group_conv", "relative_residual",
     "attention_logits", "cyclic_blocks", "reca_forward", "se_forward", "init_reca", "init_se",
     "rem_fuse", "reaff_forward", "plain_iaff_forward", "init_reaff", "init_plain_iaff",

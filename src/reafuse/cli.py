@@ -73,10 +73,7 @@ def entrypoint(argv=None) -> int:
             report = run_gradcheck(config)
         _emit(report, args.json)
         return report.exit_code
-    except ConfigError as exc:
-        print(f"reafuse: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"reafuse: error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -1,13 +1,15 @@
 """Cyclic-group (C_N) equivariant feature maps and convolutions.
 
-A *re-feature map* is a [B, K*N, H, W] tensor whose channel axis factors into
-K kernel channels times N orientation channels, laid out kernel-channel-major:
-channel index ``c = k*N + n``.  A ``ReFeatureMap`` stores only the tensor and
-N; K is its channel count over N.  The group element ``s`` acts by rotating the
-spatial axes ``s * (4/N)`` quarter-turns counter-clockwise AND cyclically
-shifting the orientation index ``n -> (n + s) mod N`` inside every kernel
-channel.  Every op in this module commutes with that action; the residual
-helper at the bottom is how all equivariance tests measure failure.
+A feature map is a Tensor [B, K*N, H, W]; N comes from the layer.  Its
+channel axis factors into K kernel channels times N orientation channels,
+laid out kernel-channel-major: channel index ``c = k*N + n``.  Every layer
+that needs N reads it from its own weights (a group conv from its weight's
+axis 2), and ``g_act`` takes it as an argument.  The group element ``s``
+acts by rotating the spatial axes ``s * (4/N)`` quarter-turns
+counter-clockwise AND cyclically shifting the orientation index
+``n -> (n + s) mod N`` inside every kernel channel.  Every op in this module
+commutes with that action; the residual helper at the bottom is how all
+equivariance tests measure failure.
 
 A lift is the group convolution with one input orientation: a plain image
 carries no orientation axis, so its weight is a ``GroupConvParams`` with
@@ -16,10 +18,10 @@ by the same step.
 
 Only what rotates pixels needs N in {1, 2, 4}, the cyclic groups whose
 rotation is an exact pixel permutation: ``g_act``, ``lift_conv`` and group
-convolutions with k > 1 check it through ``quarter_turns``.  A re-feature
-map, a 1x1 group convolution and the attention built on them act on
-orientations only by a cyclic shift, so they take any N >= 1.  N=1
-degenerates to ordinary convolution, bit-for-bit.
+convolutions with k > 1 check it through ``quarter_turns``.  A 1x1 group
+convolution and the attention built on it act on orientations only by a
+cyclic shift, so they take any N >= 1.  N=1 degenerates to ordinary
+convolution, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "ReFeatureMap",
     "GroupConvParams",
     "quarter_turns",
     "g_act",
@@ -50,40 +51,6 @@ __all__ = [
     "init_group_conv",
     "relative_residual",
 ]
-
-@dataclass(frozen=True)
-class ReFeatureMap:
-    """Feature tensor with (kernel-channel x orientation) channel structure.
-
-    Stores the tensor and N; the channel count must be a multiple of N, and
-    ``kernel_channels`` is the quotient.
-    """
-
-    data: Tensor
-    orientations: int
-
-    def __post_init__(self):
-        if self.orientations < 1:
-            raise ShapeError(f"orientation count must be at least 1, got {self.orientations}")
-        if self.data.ndim != 4:
-            raise ShapeError(f"re-feature map needs 4 axes, got shape {self.data.shape}")
-        if self.data.shape[1] % self.orientations:
-            raise ShapeError(
-                f"channel axis extent {self.data.shape[1]} is not a multiple of "
-                f"orientations N = {self.orientations}"
-            )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def kernel_channels(self) -> int:
-        return self.channels // self.orientations
 
 
 @dataclass(frozen=True)
@@ -116,21 +83,24 @@ def quarter_turns(n: int) -> int:
     return 4 // n
 
 
-def g_act(x: ReFeatureMap, s: int) -> ReFeatureMap:
-    """Apply group element ``s``: spatial rotation plus orientation shift.
+def g_act(x: Tensor, s: int, n: int) -> Tensor:
+    """Apply element ``s`` of C_N: spatial rotation plus orientation shift.
 
-    Satisfies the composition law g_act(g_act(x, a), b) == g_act(x, (a+b) mod N)
-    bit-exactly, because both parts are pure index permutations.
+    The one check of the feature-map layout: 4 axes, square spatial axes,
+    and a channel count that is a multiple of N.  Satisfies the composition
+    law g_act(g_act(x, a, n), b, n) == g_act(x, (a+b) mod N, n) bit-exactly,
+    because both parts are pure index permutations.
     """
-    n = x.orientations
+    turns = quarter_turns(n)
     if not 0 <= s < n:
         raise ValueError(f"group element {s} out of range for {n} orientations")
-    b, c, h, w = x.shape
-    if h != w:
-        raise ShapeError(f"group action needs square spatial axes, got {h}x{w}")
-    rotated = rot90(x.data, s * quarter_turns(n))
-    perm = [k * n + (m - s) % n for k in range(x.kernel_channels) for m in range(n)]
-    return ReFeatureMap(take(rotated, perm, axis=1), n)
+    if x.ndim != 4 or x.shape[1] % n or x.shape[2] != x.shape[3]:
+        raise ShapeError(
+            f"feature map shaped {x.shape} is not [B, K*N, H, H] for N = {n}: it needs "
+            f"4 axes, square spatial axes and a channel count that is a multiple of N"
+        )
+    perm = [k * n + (m - s) % n for k in range(x.shape[1] // n) for m in range(n)]
+    return take(rot90(x, s * turns), perm, axis=1)
 
 
 def _orientation_shared_bias(bias: Tensor, n: int) -> Tensor:
@@ -180,7 +150,7 @@ def _expand_conv(x: Tensor, p: GroupConvParams, n: int) -> Tensor:
     return conv2d(x, big, _orientation_shared_bias(p.bias, n))
 
 
-def lift_conv(x: Tensor, p: GroupConvParams, n: int) -> ReFeatureMap:
+def lift_conv(x: Tensor, p: GroupConvParams, n: int) -> Tensor:
     """Convolve a plain image with N rotated copies of each filter.
 
     The lift is the group convolution with one input orientation: ``p``'s
@@ -194,11 +164,11 @@ def lift_conv(x: Tensor, p: GroupConvParams, n: int) -> ReFeatureMap:
         raise ShapeError(
             f"lift weight needs one input orientation, got weight shape {p.weight.shape}"
         )
-    return ReFeatureMap(_expand_conv(x, p, n), n)
+    return _expand_conv(x, p, n)
 
 
-def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatureMap:
-    """Regular group convolution on a re-feature map.
+def group_conv(x: Tensor, p: GroupConvParams, stride: int = 1) -> Tensor:
+    """Regular group convolution on a [B, K_in*N, H, W] feature map.
 
     out[k_out, i] = sum over (k_in, m) of
         conv2d(x[k_in, m], rot90(weight[k_out, k_in, (m - i) mod N], i*(4/N)))
@@ -211,23 +181,18 @@ def group_conv(x: ReFeatureMap, p: GroupConvParams, stride: int = 1) -> ReFeatur
     applies it.  A gather is a pure copy, so N=1 equals plain conv2d
     bit-exact.
 
+    N is the weight's axis 2; ``conv2d`` rejects a map whose channel count is
+    not K_in*N.
+
     stride=2 downsamples by averaging 2x2 blocks of the full-resolution
     output (requires even H, W).  A strided sampling lattice is NOT used: on
     an even grid rotation swaps pixel parities, so lattice subsampling cannot
     commute with rot90, while the 2x2 block partition is rotation-stable.
     """
-    n = p.weight.shape[2]
-    if x.orientations != n:
-        raise ShapeError(
-            f"orientation count mismatch: feature map has {x.orientations}, "
-            f"params expect {n}"
-        )
     if stride not in (1, 2):
         raise ShapeError(f"group_conv: stride {stride} not in (1, 2)")
-    out = _expand_conv(x.data, p, n)
-    if stride == 2:
-        out = blockmean2x(out)
-    return ReFeatureMap(out, n)
+    out = _expand_conv(x, p, p.weight.shape[2])
+    return blockmean2x(out) if stride == 2 else out
 
 
 # Uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)): variance 2/fan_in, which keeps
@@ -254,7 +219,7 @@ def relative_residual(got, want) -> float:
     """Relative Frobenius distance ||got - want|| / max(||got||, ||want||).
 
     The primary equivariance metric: compare f(g_act(x)) against
-    g_act(f(x)).  Accepts ReFeatureMap, Tensor, or ndarray.  Returns 0 for
+    g_act(f(x)).  Accepts a Tensor or an ndarray.  Returns 0 for
     two all-zero operands.
     """
     a = _as_array(got)
@@ -268,8 +233,6 @@ def relative_residual(got, want) -> float:
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, ReFeatureMap):
-        return x.data.data
     if isinstance(x, Tensor):
         return x.data
     return np.asarray(x, dtype=np.float64)

@@ -42,7 +42,6 @@ from . import tensor as ops
 from .autograd import gradcheck
 from .groupequiv import (
     GroupConvParams,
-    ReFeatureMap,
     g_act,
     group_conv,
     init_group_conv,
@@ -289,7 +288,7 @@ def _new_report(command: str, config: HarnessConfig) -> Report:
 
 
 def _finite(*feature_maps) -> bool:
-    return all(np.isfinite(fm.data.data).all() for fm in feature_maps)
+    return all(np.isfinite(fm.data).all() for fm in feature_maps)
 
 
 # -- verify -----------------------------------------------------------------------
@@ -344,7 +343,7 @@ def _residuals(config: HarnessConfig, levels_of) -> list[float] | None:
         levels = levels_of(s)
         if not _finite(*levels):
             return None
-        residuals = [max(r, relative_residual(got, g_act(want, s)))
+        residuals = [max(r, relative_residual(got, g_act(want, s, config.orientations)))
                      for r, got, want in zip(residuals, levels, base)]
     return residuals
 
@@ -499,7 +498,7 @@ def _oracle_lift_conv(rng: Rng) -> float:
     x = rng.uniform((2, cin, size, size))
     w = rng.uniform((k_out, cin, 3, 3))
     bias = rng.uniform((k_out,))
-    fast = lift_conv(Tensor(x), GroupConvParams(Tensor(w[:, :, None]), Tensor(bias)), n).data.data
+    fast = lift_conv(Tensor(x), GroupConvParams(Tensor(w[:, :, None]), Tensor(bias)), n).data
     ref = naive_lift_conv(x, w, bias, n)
     return float(np.abs(fast - ref).max())
 
@@ -513,8 +512,7 @@ def _oracle_group_conv(rng: Rng) -> float:
     x = rng.uniform((2, k_in * n, size, size))
     w = rng.uniform((k_out, k_in, n, 3, 3))
     bias = rng.uniform((k_out,))
-    fm = ReFeatureMap(Tensor(x), n)
-    fast = group_conv(fm, GroupConvParams(Tensor(w), Tensor(bias)), stride=stride).data.data
+    fast = group_conv(Tensor(x), GroupConvParams(Tensor(w), Tensor(bias)), stride=stride).data
     ref = naive_group_conv(x, w, bias, stride=stride)
     return float(np.abs(fast - ref).max())
 
@@ -525,7 +523,7 @@ def _oracle_cyclic_blocks(rng: Rng) -> float:
     Both ReCA banks are applied by ``cyclic_blocks``, which expands a bank
     as the k = 1 case of the group-conv gather, so this check tests the
     index rule that lift and group convolutions share against
-    ``naive_conv_blocks``.  Orientation block m of a re-feature-map input is
+    ``naive_conv_blocks``.  Orientation block m of a feature-map input is
     the channel slice ``x[:, m::N]``; the reference takes the N blocks as a
     list.
     """
@@ -615,19 +613,19 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
 
     lp = init_group_conv(rng.derive("lift"), 2, 3, 1)
     yield ("lift_conv",
-           lambda: _sq(lift_conv(x, lp, n).data), [lp.weight, lp.bias, x])
+           lambda: _sq(lift_conv(x, lp, n)), [lp.weight, lp.bias, x])
 
     gp = init_group_conv(rng.derive("group"), 2, 2, n)
     gx = Tensor(rng.derive("gx").uniform((2, 2 * n, 4, 4)))
     yield ("group_conv stride 2",
-           lambda: _sq(group_conv(ReFeatureMap(gx, n), gp, stride=2).data),
+           lambda: _sq(group_conv(gx, gp, stride=2)),
            [gp.weight, gp.bias, gx])
 
     c = 2 * n
     rp = init_reca(rng.derive("reca"), c, n, 1)
     rx = Tensor(rng.derive("rx").uniform((2, c, 4, 4)))
     yield ("reca_forward",
-           lambda: _sq(reca_forward(ReFeatureMap(rx, n), rp).data),
+           lambda: _sq(reca_forward(rx, rp)),
            [*_tensors(rp), rx])
 
     sp = init_se(rng.derive("se"), c, 2)
@@ -636,7 +634,7 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
     ap = init_reaff(rng.derive("reaff"), c, n, 1)
     ry = Tensor(rng.derive("ry").uniform((2, c, 4, 4)))
     yield ("reaff_forward",
-           lambda: _sq(reaff_forward(ReFeatureMap(rx, n), ReFeatureMap(ry, n), ap).data),
+           lambda: _sq(reaff_forward(rx, ry, ap)),
            [*_tensors(ap), rx, ry])
 
     ip = init_plain_iaff(rng.derive("iaff"), c, 2)
@@ -652,9 +650,9 @@ def _gradcheck_cases(config: HarnessConfig, rng: Rng):
 
     def pyramid_loss():
         levels = run_pyramid(image, pp)
-        total = _sq(levels[0].data)
+        total = _sq(levels[0])
         for fm in levels[1:]:
-            total = ops.add(total, _sq(fm.data))
+            total = ops.add(total, _sq(fm))
         return total
 
     yield ("pyramid 2-level ReAFFPN", pyramid_loss, tensors)
@@ -713,7 +711,7 @@ def run_demo(config: HarnessConfig, out_dir) -> Report:
         report.non_finite = True
         report.verdicts["pyramid outputs finite"] = False
         return report
-    out = save_feature_maps(levels, out_dir, extra={
+    out = save_feature_maps(levels, config.orientations, out_dir, extra={
         "command": "demo",
         "config": dataclasses.asdict(config),
         "variant": config.variant,

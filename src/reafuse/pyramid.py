@@ -15,6 +15,9 @@ PlusIAFF   none                        two-stage plain fusion
 ReAFFPN    none                        two-stage equiv. fusion
 =========  ==========================  =======================
 
+Every feature map is a Tensor [B, K*N, H, W]; N comes from the layer, each
+group convolution and attention block reading it from its own weights.
+
 The forward runs in three stages: ``toy_backbone`` (image to bottom-up
 features), ``lateral_maps`` (one 1x1 group convolution per level) and
 ``build_pyramid`` (the top-down merges and smoothing, the only stage that
@@ -43,7 +46,6 @@ from dataclasses import dataclass
 
 from .groupequiv import (
     GroupConvParams,
-    ReFeatureMap,
     group_conv,
     init_group_conv,
     lift_conv,
@@ -192,7 +194,7 @@ def init_pyramid(config: PyramidConfig) -> PyramidParams:
     )
 
 
-def toy_backbone(x: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
+def toy_backbone(x: Tensor, params: PyramidParams) -> list[Tensor]:
     """Bottom-up features, finest first; level l has spatial extent H / 2^l.
 
     Requires a square input whose side is divisible by 2^(levels-1), so every
@@ -215,20 +217,20 @@ def toy_backbone(x: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
     feats = []
     for l, (conv0, conv1) in enumerate(params.stages):
         f = group_conv(f, conv0, stride=2 if l > 0 else 1)
-        f = ReFeatureMap(relu(f.data), f.orientations)
+        f = relu(f)
         f = group_conv(f, conv1, stride=1)
         feats.append(f)
     return feats
 
 
-def lateral_maps(feats: list[ReFeatureMap], params: PyramidParams) -> list[ReFeatureMap]:
+def lateral_maps(feats: list[Tensor], params: PyramidParams) -> list[Tensor]:
     """The 1x1 lateral projection of every backbone level, finest first."""
     if len(feats) != params.config.levels:
         raise ShapeError(f"got {len(feats)} feature maps for {params.config.levels} levels")
     return [group_conv(f, conv) for f, conv in zip(feats, params.lateral)]
 
 
-def build_pyramid(laterals: list[ReFeatureMap], params: PyramidParams) -> list[ReFeatureMap]:
+def build_pyramid(laterals: list[Tensor], params: PyramidParams) -> list[Tensor]:
     """Top-down merge of lateral projections into pyramid levels, finest first.
 
     The coarsest level is its lateral, ``laterals[-1]`` itself; every other
@@ -245,7 +247,7 @@ def build_pyramid(laterals: list[ReFeatureMap], params: PyramidParams) -> list[R
     # each merge's lateral and intermediates are dropped before its
     # smoothing conv runs, so a forward-only pass holds the fused map and
     # the smoothing output of one level at a time
-    pyramid: list[ReFeatureMap | None] = [None] * cfg.levels
+    pyramid: list[Tensor | None] = [None] * cfg.levels
     pyramid[-1] = laterals.pop()
     for l in range(cfg.levels - 2, -1, -1):
         fused = _merge(laterals.pop(), pyramid[l + 1], params.attention[l], cfg.variant)
@@ -254,7 +256,7 @@ def build_pyramid(laterals: list[ReFeatureMap], params: PyramidParams) -> list[R
     return pyramid
 
 
-def _merge(low: ReFeatureMap, upper: ReFeatureMap, att, variant: str) -> ReFeatureMap:
+def _merge(low: Tensor, upper: Tensor, att, variant: str) -> Tensor:
     """Fuse a lateral with the (attended, upsampled) level above it.
 
     The additive variants broadcast each upper pixel over its 2x2 block of
@@ -262,21 +264,20 @@ def _merge(low: ReFeatureMap, upper: ReFeatureMap, att, variant: str) -> ReFeatu
     so the same bits.  The two fusion variants read the upsampled map three
     times and build it once.
     """
-    n = low.orientations
     if variant == "PlusSE":
-        upper = ReFeatureMap(se_forward(upper.data, att), n)
+        upper = se_forward(upper, att)
     elif variant == "PlusReCA":
         upper = reca_forward(upper, att)
-    if variant == "PlusIAFF":
-        return ReFeatureMap(plain_iaff_forward(low.data, upsample_nearest2x(upper.data), att), n)
-    if variant == "ReAFFPN":
-        return reaff_forward(low, ReFeatureMap(upsample_nearest2x(upper.data), n), att)
+    elif variant == "PlusIAFF":
+        return plain_iaff_forward(low, upsample_nearest2x(upper), att)
+    elif variant == "ReAFFPN":
+        return reaff_forward(low, upsample_nearest2x(upper), att)
     b, c, h, w = upper.shape
-    blocks = add(reshape(low.data, (b, c, h, 2, w, 2)), reshape(upper.data, (b, c, h, 1, w, 1)))
-    return ReFeatureMap(reshape(blocks, low.shape), n)
+    blocks = add(reshape(low, (b, c, h, 2, w, 2)), reshape(upper, (b, c, h, 1, w, 1)))
+    return reshape(blocks, low.shape)
 
 
-def run_pyramid(image: Tensor, params: PyramidParams) -> list[ReFeatureMap]:
+def run_pyramid(image: Tensor, params: PyramidParams) -> list[Tensor]:
     """Full forward pass: image -> backbone -> laterals -> pyramid levels.
 
     The backbone features are released once their laterals exist, before

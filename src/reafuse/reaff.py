@@ -1,6 +1,7 @@
 """Two-stage attentional feature fusion, equivariant and plain variants.
 
-The equivariant path fuses two re-feature maps with an attention map built
+The equivariant path fuses two feature maps, each a Tensor [B, K*N, H, W]
+whose N comes from the layer's attention banks, with an attention map built
 from two branches sharing the cyclic-bank structure of ``reafuse.reca``:
 
 * a global branch -- squeeze, then the two cyclic banks ([B, C, 1, 1]);
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupequiv import ReFeatureMap, _uniform_init
+from .groupequiv import _uniform_init
 from .reca import ReCAParams, attention_logits, init_reca
 from .tensor import (
     Rng,
@@ -85,7 +86,7 @@ class ReAFFParams:
     stage2: ReMParams
 
 
-def rem_fuse(x: ReFeatureMap, p: ReMParams) -> Tensor:
+def rem_fuse(x: Tensor, p: ReMParams) -> Tensor:
     """Attention map M = sigmoid(local logits + global logits), in (0,1).
 
     The local branch runs the global branch's pipeline, with its own banks,
@@ -94,38 +95,30 @@ def rem_fuse(x: ReFeatureMap, p: ReMParams) -> Tensor:
     """
     glob = attention_logits(x, p.global_att, squeeze=True)
     loc = attention_logits(x, p.local_att, squeeze=False)
-    return sigmoid(add(loc.data, glob.data))
+    return sigmoid(add(loc, glob))
 
 
-def _check_fusable(x: ReFeatureMap, y: ReFeatureMap):
-    if x.orientations != y.orientations or x.shape != y.shape:
-        raise ShapeError(
-            f"cannot fuse maps of shape {x.shape} (N={x.orientations}) "
-            f"and {y.shape} (N={y.orientations})"
-        )
-
-
-def reaff_forward(x: ReFeatureMap, y: ReFeatureMap, p: ReAFFParams) -> ReFeatureMap:
+def reaff_forward(x: Tensor, y: Tensor, p: ReAFFParams) -> Tensor:
     """Fuse x and y: U = M1(x+y) * x + (1-M1) * y, Z = M2(U) * x + (1-M2) * y.
 
     Jointly equivariant: fusing the transformed pair equals transforming the
     fused result.  Each stage is an elementwise convex combination, so
     reaff_forward(x, x) == x up to roundoff.
     """
-    _check_fusable(x, y)
-    n = x.orientations
+    if x.shape != y.shape:
+        raise ShapeError(f"cannot fuse maps of shape {x.shape} and {y.shape}")
     # a forward-only pass frees each full-size map once it is used: each
     # mask goes before its stage's add, which holds only the two products
-    m1 = rem_fuse(ReFeatureMap(add(x.data, y.data), n), p.stage1)
-    mx, my = mul(m1, x.data), mul(sub(1.0, m1), y.data)
+    m1 = rem_fuse(add(x, y), p.stage1)
+    mx, my = mul(m1, x), mul(sub(1.0, m1), y)
     del m1
     u = add(mx, my)
     del mx, my
-    m2 = rem_fuse(ReFeatureMap(u, n), p.stage2)
+    m2 = rem_fuse(u, p.stage2)
     del u
-    mx, my = mul(m2, x.data), mul(sub(1.0, m2), y.data)
+    mx, my = mul(m2, x), mul(sub(1.0, m2), y)
     del m2
-    return ReFeatureMap(add(mx, my), n)
+    return add(mx, my)
 
 
 # -- plain (non-equivariant) control ------------------------------------------------

@@ -1,8 +1,10 @@
 """Rotation-equivariant channel attention, plus the plain SE baseline.
 
-The equivariant attention squeezes a re-feature map to per-channel
-descriptors and runs them through two banks of cyclically weight-shared 1x1
-weights, CB^a (reduction) and CB^b (expansion).  Call the channels
+A feature map is a Tensor [B, K*N, H, W]; N comes from the layer, here the
+first axis of the attention banks.  The equivariant attention squeezes a
+feature map to per-channel descriptors and runs them through two banks of
+cyclically weight-shared 1x1 weights, CB^a (reduction) and CB^b
+(expansion).  Call the channels
 {k*N + n : k} orientation block n; output block i of a bank is
 
     CB_i = sum_n  W_{(n-i) mod N} (block n)
@@ -21,7 +23,7 @@ rotations are all the identity, so its expanded kernel is one
 block-circulant matrix over the whole channel axis.  ``cyclic_blocks``
 expands a bank by the group-conv gather, ``groupequiv._kernel_index``, and
 applies it by a single matmul (squeezed) or 1x1 conv2d (per pixel),
-directly in re-feature-map channel order.  The index rule above is written
+directly in feature-map channel order.  The index rule above is written
 once, in ``groupequiv``.
 
 ``se_forward`` is the deliberate control: an ordinary squeeze-excite whose
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupequiv import ReFeatureMap, _gather, _kernel_index, _uniform_init
+from .groupequiv import _gather, _kernel_index, _uniform_init
 from .tensor import (
     Rng,
     ShapeError,
@@ -104,10 +106,6 @@ class ReCAParams:
     def orientations(self) -> int:
         return self.w_a.shape[0]
 
-    @property
-    def kernel_channels(self) -> int:
-        return self.w_a.shape[2]
-
 
 @dataclass(frozen=True)
 class SEParams:
@@ -127,7 +125,7 @@ class SEParams:
 def cyclic_blocks(x: Tensor, banks: Tensor) -> Tensor:
     """Apply an [N, out, in] bank along the channel axis of ``x``.
 
-    ``x`` is [B, in*N] or [B, in*N, H, W] in re-feature-map channel order
+    ``x`` is [B, in*N] or [B, in*N, H, W] in feature-map channel order
     (channel k*N + m); the result has out*N channels in the same order.
     Read as [out, in, N], the bank is the weight of a 1x1 group convolution,
     so the group-conv gather expands it into the [out*N, in*N, 1, 1] kernel
@@ -147,7 +145,7 @@ def cyclic_blocks(x: Tensor, banks: Tensor) -> Tensor:
 def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Batch-norm with statistics pooled over batch x orientations (x spatial).
 
-    ``x`` is [B, R*N] or [B, R*N, H, W] in re-feature-map channel order.
+    ``x`` is [B, R*N] or [B, R*N, H, W] in feature-map channel order.
     All N orientation copies of a reduced channel share one gamma/beta, so an
     orientation shift (a permutation inside each group of N) permutes the
     outputs without changing any value.  They also share one mean/var, but
@@ -159,40 +157,33 @@ def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
     return reshape(batchnorm(reshape(x, [b, c // n, n] + space), gamma, beta), x.shape)
 
 
-def attention_logits(x: ReFeatureMap, p: ReCAParams, squeeze: bool = True) -> ReFeatureMap:
-    """Pre-sigmoid attention logits in re-feature-map channel layout.
+def attention_logits(x: Tensor, p: ReCAParams, squeeze: bool = True) -> Tensor:
+    """Pre-sigmoid attention logits in feature-map channel layout.
 
     Pipeline: (squeeze) -> block-circulant matrix of ``w_a`` -> shared
     batch-norm -> relu -> block-circulant matrix of ``w_b``, each matrix
     applied to the whole channel axis at once.  With ``squeeze`` the result
     is [B, C, 1, 1]; without it the same matrices run at every spatial
-    location (1x1 convolutions) and the result is [B, C, H, W].
+    location (1x1 convolutions) and the result is [B, C, H, W].  The first
+    bank's matmul or conv2d rejects a map whose channel count is not the
+    banks' K*N.
     """
-    if x.orientations != p.orientations or x.kernel_channels != p.kernel_channels:
-        raise ShapeError(
-            f"feature map ({x.kernel_channels} kernel channels, {x.orientations} "
-            f"orientations) does not match params ({p.kernel_channels}, {p.orientations})"
-        )
-    b, c = x.shape[0], x.channels
-    h = reshape(global_avg_pool(x.data), (b, c)) if squeeze else x.data
+    b, c = x.shape[0], x.shape[1]
+    h = reshape(global_avg_pool(x), (b, c)) if squeeze else x
     h = cyclic_blocks(h, p.w_a)
     h = relu(_shared_batchnorm(h, p.orientations, p.bn_gamma, p.bn_beta))
     h = cyclic_blocks(h, p.w_b)
-    if squeeze:
-        h = reshape(h, (b, c, 1, 1))
-    return ReFeatureMap(h, x.orientations)
+    return reshape(h, (b, c, 1, 1)) if squeeze else h
 
 
-def reca_forward(x: ReFeatureMap, p: ReCAParams) -> ReFeatureMap:
-    """Gate a re-feature map with equivariant channel attention.
+def reca_forward(x: Tensor, p: ReCAParams) -> Tensor:
+    """Gate a feature map with equivariant channel attention.
 
     Output = x * sigmoid(logits), the [B, C, 1, 1] gates broadcasting over
     space.  Commutes with g_act; at N=1 it degenerates to a squeeze-excite
     with batch-norm.
     """
-    logits = attention_logits(x, p, squeeze=True)
-    gates = sigmoid(logits.data)
-    return ReFeatureMap(mul(x.data, gates), x.orientations)
+    return mul(x, sigmoid(attention_logits(x, p, squeeze=True)))
 
 
 def se_forward(x: Tensor, p: SEParams) -> Tensor:

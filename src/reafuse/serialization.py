@@ -10,9 +10,10 @@ A ``.raft`` file holds one float64 tensor:
 
 A demo's output is a set of such containers, one per pyramid level, plus a
 JSON manifest giving each level's file, shape, kernel channels and
-orientations.  All JSON is written with sorted keys and no timestamps, so
-identical inputs produce byte-identical files; that is what makes the
-demo-determinism check meaningful.
+orientations.  A level is a feature map, a Tensor [B, K*N, H, W]; N comes
+from the layer, so the caller passes it.  All JSON is written with sorted
+keys and no timestamps, so identical inputs produce byte-identical files;
+that is what makes the demo-determinism check meaningful.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .groupequiv import ReFeatureMap
 from .tensor import Tensor
 
 __all__ = [
@@ -85,19 +85,20 @@ def write_json(path, payload: dict) -> None:
         f.write("\n")
 
 
-def save_feature_maps(maps: list[ReFeatureMap], out_dir, extra: dict | None = None) -> Path:
+def save_feature_maps(maps: list[Tensor], orientations: int, out_dir,
+                      extra: dict | None = None) -> Path:
     """Write pyramid levels as level0.raft.., plus a manifest echoing metadata."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     levels = []
     for i, fm in enumerate(maps):
         filename = f"level{i}.raft"
-        write_raft(out / filename, fm.data)
+        write_raft(out / filename, fm)
         levels.append({
             "file": filename,
             "shape": list(fm.shape),
-            "kernel_channels": fm.kernel_channels,
-            "orientations": fm.orientations,
+            "kernel_channels": fm.shape[1] // orientations,
+            "orientations": orientations,
         })
     payload = {"kind": "feature-maps", "version": VERSION, "levels": levels}
     if extra:

@@ -32,11 +32,12 @@ def _residuals(cfg, variant, rng, elements):
     image = Tensor(rng.derive("image").uniform((cfg.batch, 3, cfg.image_size, cfg.image_size)))
     params = init_pyramid(cfg.pyramid_config(variant, rng.derive("params").seed))
     base = run_pyramid(image, params)
+    n = cfg.orientations
     residuals = [0.0] * cfg.levels
     for s in elements:
-        got = run_pyramid(ops.rot90(image, s * 4 // cfg.orientations), params)
+        got = run_pyramid(ops.rot90(image, s * 4 // n), params)
         for l in range(cfg.levels):
-            residuals[l] = max(residuals[l], relative_residual(got[l], g_act(base[l], s)))
+            residuals[l] = max(residuals[l], relative_residual(got[l], g_act(base[l], s, n)))
     return residuals
 
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from reafuse import (
     HarnessConfig,
-    ReFeatureMap,
     Rng,
     Tensor,
     cyclic_blocks,
@@ -102,7 +101,7 @@ def test_criterion_4_trivial_group_collapse(capsys):
     c, r = 8, 2
     p_reca = init_reca(rng.derive("reca"), c, 1, r)
     x = rng.derive("x").uniform((3, c, 6, 6))
-    got = reca_forward(ReFeatureMap(Tensor(x), 1), p_reca).data.data
+    got = reca_forward(Tensor(x), p_reca).data
     want = naive_se_with_bn(x, p_reca.w_a.data[0], p_reca.w_b.data[0],
                             p_reca.bn_gamma.data, p_reca.bn_beta.data)
     dev_reca = np.abs(got - want).max()
@@ -118,7 +117,7 @@ def test_criterion_4_trivial_group_collapse(capsys):
             mlp.bn_beta.data[...] = att.bn_beta.data
     a = Tensor(rng.derive("a").uniform((2, c, 4, 4)))
     b = Tensor(rng.derive("b").uniform((2, c, 4, 4)))
-    fused = reaff_forward(ReFeatureMap(a, 1), ReFeatureMap(b, 1), p).data.data
+    fused = reaff_forward(a, b, p).data
     dev_reaff = np.abs(fused - plain_iaff_forward(a, b, plain).data).max()
 
     ok = dev_reca <= 1e-12 and dev_reaff <= 1e-12
@@ -160,9 +159,9 @@ def test_criterion_6_fusing_equal_inputs_is_identity(capsys):
         k = int(r.derive("k").integer(1, 5))
         c = k * n
         p = init_reaff(r.derive("p"), c, n, max(1, k // 2))
-        x = ReFeatureMap(Tensor(r.derive("x").uniform((2, c, 4, 4))), n)
+        x = Tensor(r.derive("x").uniform((2, c, 4, 4)))
         z = reaff_forward(x, x, p)
-        worst = max(worst, np.abs(z.data.data - x.data.data).max())
+        worst = max(worst, np.abs(z.data - x.data).max())
     ok = worst <= 1e-12
     report_line(capsys, 6,
                 ok, f"reaff(x, x) == x over 20 random configs, worst {worst:.2e} <= 1e-12")

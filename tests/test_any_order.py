@@ -11,7 +11,6 @@ import pytest
 
 from reafuse.groupequiv import (
     GroupConvParams,
-    ReFeatureMap,
     g_act,
     group_conv,
     init_group_conv,
@@ -26,12 +25,11 @@ ORDERS = (3, 6, 8)
 K = 4
 
 
-def act(x: ReFeatureMap, s: int) -> ReFeatureMap:
+def act(x: Tensor, s: int, n: int) -> Tensor:
     """One quarter turn of the pixels together with the orientation roll by s."""
-    n = x.orientations
-    perm = [k * n + (m - s) % n for k in range(x.kernel_channels) for m in range(n)]
-    data = np.rot90(x.data.data, 1, axes=(2, 3))[:, perm]
-    return ReFeatureMap(Tensor(np.ascontiguousarray(data)), n)
+    perm = [k * n + (m - s) % n for k in range(x.shape[1] // n) for m in range(n)]
+    data = np.rot90(x.data, 1, axes=(2, 3))[:, perm]
+    return Tensor(np.ascontiguousarray(data))
 
 
 def _reca(rng, n):
@@ -51,21 +49,21 @@ def _group_conv_1x1(rng, n):
 
 def _se(rng, n):
     p = init_se(rng, K * n, 2)
-    return lambda x, y: ReFeatureMap(se_forward(x.data, p), n)
+    return lambda x, y: se_forward(x, p)
 
 
 def _plain_iaff(rng, n):
     p = init_plain_iaff(rng, K * n, 2)
-    return lambda x, y: ReFeatureMap(plain_iaff_forward(x.data, y.data, p), n)
+    return lambda x, y: plain_iaff_forward(x, y, p)
 
 
 def worst_residual(build, n: int) -> float:
     rng = Rng(300 + n)
     f = build(rng.derive("p"), n)
-    x, y = (ReFeatureMap(Tensor(rng.derive(name).uniform((2, K * n, 6, 6))), n)
-            for name in ("x", "y"))
+    x, y = (Tensor(rng.derive(name).uniform((2, K * n, 6, 6))) for name in ("x", "y"))
     base = f(x, y)
-    return max(relative_residual(f(act(x, s), act(y, s)), act(base, s)) for s in range(1, n))
+    return max(relative_residual(f(act(x, s, n), act(y, s, n)), act(base, s, n))
+               for s in range(1, n))
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -82,11 +80,11 @@ def test_channel_blind_controls_break_at_any_order(build, n):
 
 def test_pixel_rotating_layers_need_n_to_divide_4():
     rng = Rng(310)
-    x3 = ReFeatureMap(Tensor(rng.derive("x").uniform((2, 2 * 3, 6, 6))), 3)
+    x3 = Tensor(rng.derive("x").uniform((2, 2 * 3, 6, 6)))
     image = Tensor(rng.derive("image").uniform((2, 3, 6, 6)))
     lift = init_group_conv(rng.derive("lift"), 2, 3, 1)
     with pytest.raises(ShapeError, match="orientations must be 1, 2 or 4, got 3"):
-        g_act(x3, 1)
+        g_act(x3, 1, 3)
     for n in (3, 0):
         with pytest.raises(ShapeError, match=f"orientations must be 1, 2 or 4, got {n}"):
             lift_conv(image, lift, n)
@@ -94,7 +92,7 @@ def test_pixel_rotating_layers_need_n_to_divide_4():
         group_conv(x3, init_group_conv(rng.derive("group"), 2, 2, 3))
     empty = GroupConvParams(Tensor(np.zeros((2, 2, 0, 3, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
-        group_conv(ReFeatureMap(Tensor(np.zeros((2, 2, 6, 6))), 1), empty)
+        group_conv(Tensor(np.zeros((2, 2, 6, 6))), empty)
 
 
 def test_1x1_layers_need_at_least_one_orientation():

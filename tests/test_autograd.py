@@ -5,7 +5,7 @@ import pytest
 
 from reafuse import tensor as ops
 from reafuse.autograd import Tape, backward, gradcheck
-from reafuse.groupequiv import ReFeatureMap, g_act, init_group_conv, group_conv
+from reafuse.groupequiv import g_act, init_group_conv, group_conv
 from reafuse.pyramid import named_parameters
 from reafuse.reca import init_reca, reca_forward
 from reafuse.tensor import Rng, ShapeError, Tensor
@@ -15,6 +15,20 @@ def test_grad_of_sum_is_ones():
     x = Tensor(np.random.default_rng(0).normal(size=(3, 5)), requires_grad=True)
     grads = backward(ops.tsum(x))
     np.testing.assert_array_equal(grads[id(x)], np.ones((3, 5)))
+
+
+def test_gradcheck_tsum_over_axes_without_keepdims():
+    # squaring the partial sums makes the gradient reaching tsum non-uniform,
+    # so it must be expanded back along exactly the summed axes
+    x = Tensor(Rng(4).uniform((2, 3, 4)), requires_grad=True)
+
+    def loss():
+        part = ops.tsum(x, axis=(0, 2))
+        return ops.tsum(ops.mul(part, part))
+
+    report = gradcheck(loss, [x], Rng(5))
+    assert report.passed, str(report)
+    assert report.checked == x.size
 
 
 def test_grad_of_sigmoid_sum_at_zero_is_quarter():
@@ -123,8 +137,8 @@ def test_gradcheck_on_reca_small_config():
     x = Tensor(rng.derive("x").uniform((2, k * n, 4, 4)), requires_grad=True)
 
     def loss():
-        out = reca_forward(ReFeatureMap(x, n), params)
-        return ops.tsum(ops.mul(out.data, out.data))
+        out = reca_forward(x, params)
+        return ops.tsum(ops.mul(out, out))
 
     wrt = [t for _, t in named_parameters(params)] + [x]
     report = gradcheck(loss, wrt, rng.derive("coords"), h=1e-5, tol=1e-6)
@@ -142,16 +156,16 @@ def test_gradient_of_equivariant_map_commutes_with_group_action():
 
     def loss_of(data):
         t = Tensor(data, requires_grad=True)
-        out = group_conv(ReFeatureMap(t, n), params).data
+        out = group_conv(t, params)
         return t, ops.tsum(ops.mul(out, out))
 
     t0, loss0 = loss_of(x.data)
     g0 = backward(loss0)[id(t0)]
     for s in range(1, n):
-        moved = g_act(ReFeatureMap(Tensor(x.data.copy()), n), s)
-        t1, loss1 = loss_of(moved.data.data)
+        moved = g_act(Tensor(x.data.copy()), s, n)
+        t1, loss1 = loss_of(moved.data)
         g1 = backward(loss1)[id(t1)]
-        want = g_act(ReFeatureMap(Tensor(g0), n), s).data.data
+        want = g_act(Tensor(g0), s, n).data
         denom = max(np.linalg.norm(g1), 1e-30)
         assert np.linalg.norm(g1 - want) / denom <= 1e-8
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from reafuse import cli, harness, pyramid
 from reafuse.autograd import gradcheck
-from reafuse.groupequiv import ReFeatureMap
 from reafuse.harness import (
     ConfigError,
     HarnessConfig,
@@ -384,7 +383,7 @@ def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
 
     def recorded(feats, params):
         laterals = real(feats, params)
-        shared.append((laterals, list(laterals), [lat.data.data.copy() for lat in laterals]))
+        shared.append((laterals, list(laterals), [lat.data.copy() for lat in laterals]))
         return laterals
 
     monkeypatch.setattr(harness, "lateral_maps", recorded)
@@ -397,7 +396,7 @@ def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
         assert len(laterals) == cfg.levels
         assert all(lat is obj for lat, obj in zip(laterals, objects))
         for lat, data in zip(laterals, before):
-            assert lat.data.data.tobytes() == data.tobytes()
+            assert lat.data.tobytes() == data.tobytes()
 
 
 def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch):
@@ -418,8 +417,7 @@ def test_run_verify_non_finite_backbone_fails_every_variant(monkeypatch):
     real = pyramid.toy_backbone
 
     def poisoned(x, params):
-        return [ReFeatureMap(Tensor(np.full(f.shape, np.nan)), f.orientations)
-                for f in real(x, params)]
+        return [Tensor(np.full(f.shape, np.nan)) for f in real(x, params)]
 
     monkeypatch.setattr(harness, "toy_backbone", poisoned)
     report = run_verify(HarnessConfig(**TINY).validate())

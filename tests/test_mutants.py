@@ -16,7 +16,6 @@ import pytest
 
 from reafuse import groupequiv, harness, pyramid, reca
 from reafuse import tensor as ops
-from reafuse.groupequiv import ReFeatureMap
 from reafuse.harness import HarnessConfig, run_oracle, run_verify
 from reafuse.pyramid import EQUIVARIANT_VARIANTS, VARIANTS
 from reafuse.tensor import Rng, Tensor
@@ -55,25 +54,23 @@ INDEX_MUTANTS = {
 }
 
 
-def _added_g_act(x, s):
+def _added_g_act(x, s, n):
     """``groupequiv.g_act`` with the orientation shift (m + s) mod N."""
-    n = x.orientations
-    rotated = ops.rot90(x.data, s * groupequiv.quarter_turns(n))
-    perm = [k * n + (m + s) % n for k in range(x.kernel_channels) for m in range(n)]
-    return ReFeatureMap(ops.take(rotated, perm, axis=1), n)
+    rotated = ops.rot90(x, s * groupequiv.quarter_turns(n))
+    perm = [k * n + (m + s) % n for k in range(x.shape[1] // n) for m in range(n)]
+    return ops.take(rotated, perm, axis=1)
 
 
 _G_ACT = groupequiv.g_act
 _ROTATE = harness._rotate
 
 
-def _unshifted_half_turn_g_act(x, s):
+def _unshifted_half_turn_g_act(x, s, n):
     """``groupequiv.g_act`` that turns the pixels but leaves the orientation
     channels in place at s = 2, and is right at every other element."""
     if s != 2:
-        return _G_ACT(x, s)
-    return ReFeatureMap(ops.rot90(x.data, 2 * groupequiv.quarter_turns(x.orientations)),
-                        x.orientations)
+        return _G_ACT(x, s, n)
+    return ops.rot90(x, 2 * groupequiv.quarter_turns(n))
 
 
 def _mirrored_half_turn_rotate(config, image, s):
@@ -104,9 +101,9 @@ def _tiled_bias(bias, n):
 def _se_gate(x, p):
     """``reca_forward`` replaced by a channel-blind squeeze-excite gate whose
     dense weights are the ReCA banks, read as [R, C] and [C, R] matrices."""
-    r, c = p.w_a.shape[1], x.channels
+    r, c = p.w_a.shape[1], x.shape[1]
     se = reca.SEParams(w1=ops.reshape(p.w_a, (r, c)), w2=ops.reshape(p.w_b, (c, r)))
-    return ReFeatureMap(reca.se_forward(x.data, se), x.orientations)
+    return reca.se_forward(x, se)
 
 
 @pytest.mark.parametrize("mutant", INDEX_MUTANTS)
@@ -174,8 +171,7 @@ def test_g_act_wrong_at_a_half_turn_is_caught_by_the_group_laws_only(monkeypatch
     assert run_verify(CONFIG).exit_code == 0
     n = CONFIG.orientations
     x = Rng(3).uniform((2, CONFIG.kernel_channels * n, 8, 8))
-    assert action_law_failures(
-        lambda a, s: groupequiv.g_act(ReFeatureMap(Tensor(a), n), s).data.data, x, n)
+    assert action_law_failures(lambda a, s: groupequiv.g_act(Tensor(a), s, n).data, x, n)
 
 
 def test_rotate_wrong_at_a_half_turn_is_caught_by_the_group_laws_only(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
+from reafuse.groupequiv import g_act, relative_residual
 from reafuse.pyramid import named_parameters
 from reafuse.reaff import (
     ReMParams,
@@ -26,8 +26,8 @@ def tensors(params):
 
 def random_pair(rng, k, n, size, batch=2):
     c = k * n
-    x = ReFeatureMap(Tensor(rng.derive("x").uniform((batch, c, size, size))), n)
-    y = ReFeatureMap(Tensor(rng.derive("y").uniform((batch, c, size, size))), n)
+    x = Tensor(rng.derive("x").uniform((batch, c, size, size)))
+    y = Tensor(rng.derive("y").uniform((batch, c, size, size)))
     return x, y
 
 
@@ -40,7 +40,7 @@ def test_fuse_equal_inputs_is_identity():
         p = init_reaff(rng.derive("p"), k * n, n, 2 if seed % 5 else 1)
         x, _ = random_pair(rng, k, n, 4)
         out = reaff_forward(x, x, p)
-        worst = max(worst, np.abs(out.data.data - x.data.data).max())
+        worst = max(worst, np.abs(out.data - x.data).max())
     assert worst <= 1e-12
 
 
@@ -52,8 +52,7 @@ def test_fuse_zero_params_is_midpoint():
         t.data[...] = 0.0
     x, y = random_pair(rng, k, n, 4)
     out = reaff_forward(x, y, p)
-    np.testing.assert_allclose(out.data.data, 0.5 * (x.data.data + y.data.data),
-                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.data, 0.5 * (x.data + y.data), rtol=0, atol=1e-15)
 
 
 def test_joint_equivariance():
@@ -66,8 +65,8 @@ def test_joint_equivariance():
         x, y = random_pair(rng, k, n, 6)
         base = reaff_forward(x, y, p)
         for s in range(1, n):
-            moved = reaff_forward(g_act(x, s), g_act(y, s), p)
-            worst = max(worst, relative_residual(moved, g_act(base, s)))
+            moved = reaff_forward(g_act(x, s, n), g_act(y, s, n), p)
+            worst = max(worst, relative_residual(moved, g_act(base, s, n)))
     assert worst <= 1e-10
 
 
@@ -88,9 +87,9 @@ def test_fused_output_is_convex_combination(seed, n):
     k = 2
     p = init_reaff(rng.derive("p"), k * n, n, 1)
     x, y = random_pair(rng, k, n, 4)
-    z = reaff_forward(x, y, p).data.data
-    lo = np.minimum(x.data.data, y.data.data)
-    hi = np.maximum(x.data.data, y.data.data)
+    z = reaff_forward(x, y, p).data
+    lo = np.minimum(x.data, y.data)
+    hi = np.maximum(x.data, y.data)
     eps = 1e-12
     assert np.all(z >= lo - eps) and np.all(z <= hi + eps)
 
@@ -104,10 +103,10 @@ def test_spatially_constant_input_collapses_local_to_global():
     for src, dst in zip(tensors(p.global_att), tensors(p.local_att)):
         dst.data[...] = src.data
     base = rng.derive("v").uniform((2, k * n, 1, 1))
-    x = ReFeatureMap(Tensor(np.broadcast_to(base, (2, k * n, 5, 5)).copy()), n)
+    x = Tensor(np.broadcast_to(base, (2, k * n, 5, 5)).copy())
     from reafuse.reca import attention_logits
-    local = attention_logits(x, p.local_att, squeeze=False).data.data
-    glob = attention_logits(x, p.global_att, squeeze=True).data.data
+    local = attention_logits(x, p.local_att, squeeze=False).data
+    glob = attention_logits(x, p.global_att, squeeze=True).data
     assert np.abs(local - glob).max() <= 1e-12  # broadcast comparison
 
 
@@ -133,10 +132,10 @@ def test_plain_iaff_breaks_joint_equivariance():
         rng = Rng(88 + seed)
         p = init_plain_iaff(rng.derive("p"), c, 2)
         x, y = random_pair(rng, k, n, 8)
-        base = plain_iaff_forward(x.data, y.data, p)
+        base = plain_iaff_forward(x, y, p)
         for s in range(1, n):
-            moved = plain_iaff_forward(g_act(x, s).data, g_act(y, s).data, p)
-            want = g_act(ReFeatureMap(base, n), s).data.data
+            moved = plain_iaff_forward(g_act(x, s, n), g_act(y, s, n), p)
+            want = g_act(base, s, n)
             best = max(best, relative_residual(moved, want))
     assert best >= 1e-2
 
@@ -156,7 +155,7 @@ def test_n1_collapse_to_plain_iaff():
             mlp.bn_beta.data[...] = att.bn_beta.data
     x = Tensor(rng.derive("x").uniform((2, c, 4, 4)))
     y = Tensor(rng.derive("y").uniform((2, c, 4, 4)))
-    got = reaff_forward(ReFeatureMap(x, 1), ReFeatureMap(y, 1), p).data.data
+    got = reaff_forward(x, y, p).data
     want = plain_iaff_forward(x, y, plain).data
     assert np.abs(got - want).max() <= 1e-12
 
@@ -164,10 +163,14 @@ def test_n1_collapse_to_plain_iaff():
 def test_shape_mismatch_rejected():
     rng = Rng(111)
     p = init_reaff(rng, 8, 4, 1)
-    x = ReFeatureMap(Tensor(np.zeros((2, 8, 4, 4))), 4)
-    y = ReFeatureMap(Tensor(np.zeros((2, 8, 6, 6))), 4)
-    with pytest.raises(ShapeError):
+    x = Tensor(np.zeros((2, 8, 4, 4)))
+    y = Tensor(np.zeros((2, 8, 6, 6)))
+    with pytest.raises(ShapeError, match="cannot fuse maps of shape"):
         reaff_forward(x, y, p)
+    # a pair that is not K*N = 8 channels wide: the first bank's matmul rejects it
+    z = Tensor(np.zeros((2, 12, 4, 4)))
+    with pytest.raises(ShapeError, match="inner axis mismatch, 12"):
+        reaff_forward(z, z, p)
 
 
 @pytest.mark.parametrize("local_shape", [(2, 2, 4), (4, 1, 4), (4, 2, 2)],

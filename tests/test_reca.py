@@ -5,7 +5,7 @@ import pytest
 
 from reafuse import reca
 from reafuse import tensor as ops
-from reafuse.groupequiv import ReFeatureMap, g_act, relative_residual
+from reafuse.groupequiv import g_act, relative_residual
 from reafuse.naive import naive_se_with_bn
 from reafuse.reca import (
     ReCAParams,
@@ -93,11 +93,11 @@ def test_attention_logits_shift_covariance_with_bn():
         rng = Rng(50 + n)
         k = 4
         p = init_reca(rng.derive("p"), k * n, n, 2)
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), n)
+        x = Tensor(rng.derive("x").uniform((3, k * n, 5, 5)))
         base = attention_logits(x, p)
         for s in range(1, n):
-            moved = attention_logits(g_act(x, s), p)
-            want = g_act(base, s)
+            moved = attention_logits(g_act(x, s, n), p)
+            want = g_act(base, s, n)
             worst = max(worst, relative_residual(moved, want))
     assert worst <= 1e-10
 
@@ -116,19 +116,19 @@ def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
     p = ReCAParams(w_a=p.w_a, w_b=p.w_b,
                    bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                    bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
-    x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), n)
-    pooled = attention_logits(x, p, squeeze=False).data.data
+    x = Tensor(rng.derive("x").uniform((3, k * n, 5, 5)))
+    pooled = attention_logits(x, p, squeeze=False).data
     monkeypatch.setattr(reca, "_shared_batchnorm", per_channel_batchnorm)
     base_logits = attention_logits(x, p, squeeze=False)
-    assert np.abs(base_logits.data.data - pooled).max() > 1e-3  # the patch is live
+    assert np.abs(base_logits.data - pooled).max() > 1e-3  # the patch is live
     base_gated = reca_forward(x, p)
     worst = 0.0
     for s in range(1, n):
-        moved = g_act(x, s)
+        moved = g_act(x, s, n)
         worst = max(worst,
                     relative_residual(attention_logits(moved, p, squeeze=False),
-                                      g_act(base_logits, s)),
-                    relative_residual(reca_forward(moved, p), g_act(base_gated, s)))
+                                      g_act(base_logits, s, n)),
+                    relative_residual(reca_forward(moved, p), g_act(base_gated, s, n)))
     assert worst <= 1e-12
 
 
@@ -136,9 +136,9 @@ def test_reca_zero_params_gate_half():
     n, k = 4, 2
     p = ReCAParams(w_a=Tensor(np.zeros((n, k, k))), w_b=Tensor(np.zeros((n, k, k))),
                    bn_gamma=Tensor(np.ones((k,))), bn_beta=Tensor(np.zeros((k,))))
-    x = ReFeatureMap(Tensor(Rng(60).uniform((2, k * n, 4, 4))), n)
+    x = Tensor(Rng(60).uniform((2, k * n, 4, 4)))
     out = reca_forward(x, p)
-    np.testing.assert_array_equal(out.data.data, 0.5 * x.data.data)
+    np.testing.assert_array_equal(out.data, 0.5 * x.data)
 
 
 def test_reca_equivariance_random_configs():
@@ -148,11 +148,11 @@ def test_reca_equivariance_random_configs():
         n = (2, 4)[seed % 2]
         k = 4
         p = init_reca(rng.derive("p"), k * n, n, 2)
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, k * n, 8, 8))), n)
+        x = Tensor(rng.derive("x").uniform((2, k * n, 8, 8)))
         base = reca_forward(x, p)
         for s in range(1, n):
-            worst = max(worst, relative_residual(reca_forward(g_act(x, s), p),
-                                                 g_act(base, s)))
+            worst = max(worst, relative_residual(reca_forward(g_act(x, s, n), p),
+                                                 g_act(base, s, n)))
     assert worst <= 1e-10
 
 
@@ -160,10 +160,10 @@ def test_reca_gate_multiset_invariant_under_group_action():
     rng = Rng(80)
     n, k = 4, 2
     p = init_reca(rng.derive("p"), k * n, n, 1)
-    x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, k * n, 4, 4))), n)
-    base = np.sort(attention_logits(x, p).data.data, axis=None)
+    x = Tensor(rng.derive("x").uniform((2, k * n, 4, 4)))
+    base = np.sort(attention_logits(x, p).data, axis=None)
     for s in range(1, n):
-        moved = np.sort(attention_logits(g_act(x, s), p).data.data, axis=None)
+        moved = np.sort(attention_logits(g_act(x, s, n), p).data, axis=None)
         assert np.abs(moved - base).max() <= 1e-12
 
 
@@ -172,7 +172,7 @@ def test_reca_n1_equals_se_with_shared_bn():
     c = 8
     p = init_reca(rng.derive("p"), c, 1, 2)
     x = rng.derive("x").uniform((3, c, 6, 6))
-    got = reca_forward(ReFeatureMap(Tensor(x), 1), p).data.data
+    got = reca_forward(Tensor(x), p).data
     want = naive_se_with_bn(x, p.w_a.data[0], p.w_b.data[0],
                             p.bn_gamma.data, p.bn_beta.data)
     assert np.abs(got - want).max() <= 1e-12
@@ -204,11 +204,11 @@ def test_se_breaks_equivariance_on_generic_weights():
     for seed in range(3):
         rng = Rng(120 + seed)
         p = init_se(rng.derive("p"), c, 2)
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((2, c, 8, 8))), n)
-        base = ReFeatureMap(se_forward(x.data, p), n)
+        x = Tensor(rng.derive("x").uniform((2, c, 8, 8)))
+        base = se_forward(x, p)
         for s in range(1, n):
-            moved = se_forward(g_act(x, s).data, p)
-            best = max(best, relative_residual(moved, g_act(base, s).data.data))
+            moved = se_forward(g_act(x, s, n), p)
+            best = max(best, relative_residual(moved, g_act(base, s, n)))
     assert best >= 1e-2
 
 
@@ -223,14 +223,14 @@ def test_init_validation():
         ReCAParams(w_a=Tensor(np.zeros((4, 3, 4))), w_b=Tensor(np.zeros((4, 4, 3))),
                    bn_gamma=Tensor(np.ones((3,))), bn_beta=Tensor(np.zeros((3,))))
     p = init_reca(Rng(0), 8, 4, 2)
-    x = ReFeatureMap(Tensor(np.zeros((2, 12, 4, 4))), 4)
-    with pytest.raises(ShapeError):
-        reca_forward(x, p)  # param/feature mismatch
+    x = Tensor(np.zeros((2, 12, 4, 4)))  # 12 channels against banks for K*N = 8
+    with pytest.raises(ShapeError, match="inner axis mismatch, 12"):
+        reca_forward(x, p)  # the first bank's matmul rejects it
 
 
 def interleave(block_major, n, rows, cols):
     """Reorder a block-major [N*rows, N*cols] matrix (block (i, m) at rows
-    i*rows.., columns m*cols..) into re-feature-map order (r*N + i, k*N + m)."""
+    i*rows.., columns m*cols..) into feature-map order (r*N + i, k*N + m)."""
     return block_major.reshape(n, rows, n, cols).transpose(1, 0, 3, 2).reshape(rows * n, cols * n)
 
 
@@ -279,9 +279,9 @@ def test_circulant_commutes_with_orientation_shift(n):
 
 def split_blocks_reference_logits(x, p, squeeze):
     """The split -> N^2 block products -> pooled batch-norm -> merge path."""
-    n, k = p.orientations, p.kernel_channels
+    n, k = p.orientations, p.w_a.shape[2]
     w_a, w_b = p.w_a.data, p.w_b.data
-    data = x.data.data.mean(axis=(2, 3)) if squeeze else x.data.data
+    data = x.data.mean(axis=(2, 3)) if squeeze else x.data
     blocks = [data[:, [j * n + m for j in range(k)]] for m in range(n)]
 
     def stage(blocks, banks):
@@ -312,8 +312,8 @@ def test_attention_logits_match_split_blocks_reference(squeeze):
         p = ReCAParams(w_a=p.w_a, w_b=p.w_b,
                        bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                        bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
-        x = ReFeatureMap(Tensor(rng.derive("x").uniform((3, k * n, 5, 5))), n)
-        got = attention_logits(x, p, squeeze=squeeze).data.data
+        x = Tensor(rng.derive("x").uniform((3, k * n, 5, 5)))
+        got = attention_logits(x, p, squeeze=squeeze).data
         want = split_blocks_reference_logits(x, p, squeeze)
         assert got.shape == want.shape
         worst = max(worst, np.abs(got - want).max())

@@ -136,12 +136,13 @@ def test_feature_map_manifest(tmp_path):
                         reduction=1, variant="Baseline", seed=1)
     params = init_pyramid(cfg)
     levels = run_pyramid(Tensor(Rng(2).uniform((2, 3, 8, 8))), params)
-    out = save_feature_maps(levels, tmp_path / "maps", extra={"note": "test"})
+    out = save_feature_maps(levels, 4, tmp_path / "maps", extra={"note": "test"})
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["kind"] == "feature-maps"
     assert manifest["note"] == "test"
     assert len(manifest["levels"]) == 2
     for i, entry in enumerate(manifest["levels"]):
         arr = read_raft(out / entry["file"])
-        np.testing.assert_array_equal(arr, levels[i].data.data)
+        np.testing.assert_array_equal(arr, levels[i].data)
         assert entry["orientations"] == 4
+        assert entry["kernel_channels"] == 2
