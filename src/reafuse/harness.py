@@ -21,6 +21,15 @@ Exit codes: 0 all verdicts pass; 1 a verdict definitively fails; 2 invalid
 config or unusable paths; 3 non-finite values; 4 breakage demonstration
 inconclusive after the reseed budget.
 
+``verify``'s seeds are independent draws, so it splits them over forked
+worker processes and folds their outcomes in seed order: the results and
+verdicts are those of a serial run.  There are as many workers as the usable
+cores hold processes of the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
+``OMP_NUM_THREADS``; unset, a process may use every core), at most one per
+seed.  So with the BLAS thread count unset verify runs in one process and
+forks nothing.  The report's ``timings["workers"]`` says how many ran; its
+per-stage timings are summed over them, and ``total`` is wall time.
+
 ``verify``, ``oracle`` and ``demo`` only run forward passes over unmarked
 tensors, so they record no autograd graph: a graph is recorded only
 downstream of a tensor with ``requires_grad``, and only ``gradcheck``, which
@@ -32,9 +41,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -92,7 +103,7 @@ class ConfigError(ValueError):
 # bounds the values of the level-0 feature map, kernel_channels x
 # orientations x image_size^2 x batch, at the default widths (8 kernel
 # channels x 4 orientations) with the largest input (256 x 256, batch 2): a
-# 32 MB map.  That config peaks at 242 MB of resident memory in ``demo`` of
+# 32 MB map.  That config peaks at 226 MB of resident memory in ``demo`` of
 # ReAFFPN (2-core x86_64, OpenBLAS on one thread).  kernel_channels has its
 # own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
@@ -304,6 +315,19 @@ class _Tally:
     undemonstrated: int = 0
     finite: bool = True
 
+    def fold(self, residuals: list[float] | None, reseeds: int,
+             undemonstrated: bool) -> None:
+        """Add the next seed's outcome; seeds after a non-finite one are ignored."""
+        if not self.finite:
+            return
+        self.reseeds_used += reseeds
+        self.undemonstrated += undemonstrated
+        if residuals is None:
+            self.finite = False
+        else:
+            self.per_seed_worst.append(max(residuals))
+            self.per_level = [max(a, b) for a, b in zip(self.per_level, residuals)]
+
 
 def _draw(config: HarnessConfig, rng: Rng) -> tuple[Tensor, int]:
     """The input image and the parameter seed of one verify or demo draw."""
@@ -361,7 +385,9 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
     the same stem, stage and lateral weights and the laterals are the same
     for all of them; only the attention weights differ.  Non-finite
     laterals give None for every variant.  Everything built here is
-    released on return.
+    released on return.  The draw's stage times are added to ``timings``
+    (``backbone`` and each variant's head), which hold one seed's times in
+    the process that runs the seed.
     """
     t0 = time.perf_counter()
     image, param_seed = _draw(config, rng)
@@ -381,32 +407,149 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
     return residuals
 
 
-def _verify_seed(config: HarnessConfig, rng: Rng, tallies: dict, timings: dict) -> None:
-    """One seed for every still-finite variant: one shared draw, then a
-    fresh draw for each reseed of a variant that must break."""
-    live = [v for v in VARIANTS if tallies[v].finite]
+# One variant's outcome on one seed: its residuals per level (None if
+# non-finite), the reseeds it used, and whether its breakage stayed
+# undemonstrated after them.
+_Outcome = tuple[list[float] | None, int, bool]
+
+
+def _seed_outcome(config: HarnessConfig, rng: Rng,
+                  live: list[str]) -> tuple[dict[str, _Outcome], dict[str, float]]:
+    """One seed for each of the ``live`` variants, and the seed's stage times.
+
+    One shared draw, then a fresh draw for each reseed of a variant that
+    must break.  A variant's outcome does not depend on which others are
+    live: the shared layers are derived from the seed and the layer name,
+    whichever variant's parameters they are read from.
+    """
+    timings = dict.fromkeys(("backbone", *live), 0.0)
     by_variant = _draw_residuals(config, rng, live, timings)
+    outcomes = {}
     for variant in live:
-        tally = tallies[variant]
-        residuals = by_variant[variant]
+        residuals, attempt, undemonstrated = by_variant[variant], 0, False
         if variant not in EQUIVARIANT_VARIANTS and config.orientations > 1:
             # Breakage size depends on the weight draw; replace a seed that
             # happens to land nearly-equivariant, up to the reseed budget.
-            attempt = 0
             while (residuals is not None and max(residuals) < config.fail_threshold
                    and attempt < config.reseeds):
                 attempt += 1
                 residuals = _draw_residuals(
                     config, rng.derive(f"reseed/{variant}/{attempt}"), [variant],
                     timings)[variant]
-            tally.reseeds_used += attempt
-            if residuals is not None and max(residuals) < config.fail_threshold:
-                tally.undemonstrated += 1
-        if residuals is None:
-            tally.finite = False
-        else:
-            tally.per_seed_worst.append(max(residuals))
-            tally.per_level = [max(a, b) for a, b in zip(tally.per_level, residuals)]
+            undemonstrated = residuals is not None and max(residuals) < config.fail_threshold
+        outcomes[variant] = (residuals, attempt, undemonstrated)
+    return outcomes, timings
+
+
+def _run_share(config: HarnessConfig, indices: range) -> list[tuple]:
+    """``(index, outcomes, timings)`` of each seed in ``indices``, in order.
+
+    A variant that goes non-finite is left out of the share's later seeds,
+    and the share stops once no variant is left: the fold ignores every
+    seed of a variant after its first non-finite one.
+    """
+    master = Rng(config.seed)
+    live = list(VARIANTS)
+    share = []
+    for idx in indices:
+        if not live:
+            break
+        outcomes, timings = _seed_outcome(config, master.derive(f"verify/{idx}"), live)
+        share.append((idx, outcomes, timings))
+        live = [v for v in live if outcomes[v][0] is not None]
+    return share
+
+
+def _blas_threads(cores: int) -> int:
+    """The BLAS thread count, read as OpenBLAS reads it: ``OPENBLAS_NUM_THREADS``,
+    then ``OMP_NUM_THREADS``; ``cores`` if neither is a positive integer."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cores
+
+
+def _verify_workers(config: HarnessConfig) -> int:
+    """How many processes share verify's seeds: as many as the usable cores
+    hold processes of ``_blas_threads`` threads each, at most one per seed,
+    at least one.  With the BLAS thread count unset a process may use every
+    core, so verify runs in one.  Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, one.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(config.seeds, cores // _blas_threads(cores)))
+
+
+def _run_seeds(config: HarnessConfig, workers: int) -> list[tuple]:
+    """Every seed's ``(index, outcomes, timings)``, split over ``workers``
+    processes, in no particular order.
+
+    Share k holds seeds k, k + workers, k + 2 workers, ...  The parent forks
+    one child per share but the first, runs share 0 itself, then reads each
+    child's pickled share from its pipe and reaps it.  An exception in a
+    child is raised again in the parent, with its type and message; if
+    anything raises, every child is killed and reaped before it propagates.
+    With one worker nothing is forked.  Each child keeps the parent's BLAS
+    thread setting, so a seed's residuals are those of a serial run.
+    """
+    # imported here: only a split run pays for them, not every command
+    import pickle
+    import signal
+
+    pids, pipes = [], []
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(config, range(k, config.seeds, workers), write_end)
+            os.close(write_end)
+            pids.append(pid)
+            pipes.append(os.fdopen(read_end, "rb"))
+        seeds = _run_share(config, range(0, config.seeds, workers))
+        for pipe in pipes:
+            payload = pipe.read()
+            if not payload:
+                raise RuntimeError("a verify worker exited without sending its seeds")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            seeds += value
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped below
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return seeds
+
+
+def _worker(config: HarnessConfig, indices: range, write_end: int) -> NoReturn:
+    """A forked child's whole life: run one share, write it pickled to
+    ``write_end``, and leave through ``os._exit``, so that no code of the
+    parent's (its stack, atexit handlers, buffered output) runs twice."""
+    import pickle  # already loaded by the parent
+
+    status = 1
+    try:
+        try:
+            payload = (True, _run_share(config, indices))
+        except BaseException as exc:  # raised again in the parent
+            payload = (False, exc)
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _summary(config: HarnessConfig, variant: str, tally: _Tally) -> dict:
@@ -435,20 +578,25 @@ def run_verify(config: HarnessConfig) -> Report:
     variants share the input image, the backbone and the laterals, as in a
     fixed-backbone ablation, and every variant is still run end to end on
     the input and on its rotation by the generator of C_N; the group laws
-    extend a pass at the generator to every element.  ``timings[variant]``
-    is that variant's head time, reseeds included; ``timings["backbone"]``
-    is every draw's parameter set-up, backbone forwards and laterals,
-    reseeds included.
+    extend a pass at the generator to every element.  The seeds are split
+    over ``_verify_workers`` processes (``timings["workers"]``) and folded
+    in seed order, so the results do not depend on the split.
+    ``timings[variant]`` is that variant's head time, reseeds included;
+    ``timings["backbone"]`` is every draw's parameter set-up, backbone
+    forwards and laterals, reseeds included.  Both are summed over the
+    workers, so with more than one they can exceed ``timings["total"]``,
+    the wall time.
     """
     report = _new_report("verify", config)
     start = time.perf_counter()
+    workers = _verify_workers(config)
     tallies = {v: _Tally([0.0] * config.levels) for v in VARIANTS}
     report.timings = {"backbone": 0.0, **dict.fromkeys(VARIANTS, 0.0)}
-    master = Rng(config.seed)
-    for idx in range(config.seeds):
-        if not any(t.finite for t in tallies.values()):
-            break
-        _verify_seed(config, master.derive(f"verify/{idx}"), tallies, report.timings)
+    for _, outcomes, timings in sorted(_run_seeds(config, workers), key=lambda s: s[0]):
+        for stage, seconds in timings.items():
+            report.timings[stage] += seconds
+        for variant, outcome in outcomes.items():
+            tallies[variant].fold(*outcome)
     for variant, tally in tallies.items():
         if not tally.finite:
             report.non_finite = True
@@ -470,6 +618,7 @@ def run_verify(config: HarnessConfig) -> Report:
                 report.inconclusive = True
                 summary["inconclusive"] = True
     report.timings["total"] = time.perf_counter() - start
+    report.timings["workers"] = workers
     return report
 
 

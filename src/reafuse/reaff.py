@@ -95,7 +95,19 @@ def rem_fuse(x: Tensor, p: ReMParams) -> Tensor:
     """
     glob = attention_logits(x, p.global_att, squeeze=True)
     loc = attention_logits(x, p.local_att, squeeze=False)
+    del x  # freed here when the caller passed a temporary
     return sigmoid(add(loc, glob))
+
+
+def _mix(m: Tensor, x: Tensor, y: Tensor) -> Tensor:
+    """m * x + (1 - m) * y; a mask passed as a temporary is freed before the
+    second product."""
+    one_minus = sub(1.0, m)
+    mx = mul(m, x)
+    del m
+    my = mul(one_minus, y)
+    del one_minus
+    return add(mx, my)
 
 
 def reaff_forward(x: Tensor, y: Tensor, p: ReAFFParams) -> Tensor:
@@ -107,18 +119,12 @@ def reaff_forward(x: Tensor, y: Tensor, p: ReAFFParams) -> Tensor:
     """
     if x.shape != y.shape:
         raise ShapeError(f"cannot fuse maps of shape {x.shape} and {y.shape}")
-    # a forward-only pass frees each full-size map once it is used: each
-    # mask goes before its stage's add, which holds only the two products
-    m1 = rem_fuse(add(x, y), p.stage1)
-    mx, my = mul(m1, x), mul(sub(1.0, m1), y)
-    del m1
-    u = add(mx, my)
-    del mx, my
-    m2 = rem_fuse(u, p.stage2)
-    del u
-    mx, my = mul(m2, x), mul(sub(1.0, m2), y)
-    del m2
-    return add(mx, my)
+    # One expression, so that x + y, U and both masks are temporaries, each
+    # owned by the call it is passed to (CPython 3.11 and later move an
+    # argument into the callee's frame): ``rem_fuse`` frees x + y or U once
+    # both branches have read it, and ``_mix`` its mask before the second
+    # product.
+    return _mix(rem_fuse(_mix(rem_fuse(add(x, y), p.stage1), x, y), p.stage2), x, y)
 
 
 # -- plain (non-equivariant) control ------------------------------------------------
@@ -161,8 +167,29 @@ def _mlp_logits(x: Tensor, p: ChannelMLPParams) -> Tensor:
 
 
 def _mscam(x: Tensor, p: MSCAMParams) -> Tensor:
-    """M = sigmoid(local MLP (x) + global MLP (gap(x)))."""
-    return sigmoid(add(_mlp_logits(x, p.local_att), _mlp_logits(global_avg_pool(x), p.global_att)))
+    """M = sigmoid(local MLP (x) + global MLP (gap(x))).
+
+    Frees x once both branches have read it, when the caller passed a
+    temporary.
+    """
+    loc = _mlp_logits(x, p.local_att)
+    glob = _mlp_logits(global_avg_pool(x), p.global_att)
+    del x
+    return sigmoid(add(loc, glob))
+
+
+def _plain_mix(m: Tensor, x: Tensor, y: Tensor) -> Tensor:
+    """m * x + (1 - m) * y, freeing a temporary mask before the second product.
+
+    Not shared with ``reaff_forward``'s ``_mix``, so that the two routes the
+    N = 1 collapse compares stay independent.
+    """
+    one_minus = sub(1.0, m)
+    mx = mul(m, x)
+    del m
+    my = mul(one_minus, y)
+    del one_minus
+    return add(mx, my)
 
 
 def plain_iaff_forward(x: Tensor, y: Tensor, p: PlainIAFFParams) -> Tensor:
@@ -173,18 +200,9 @@ def plain_iaff_forward(x: Tensor, y: Tensor, p: PlainIAFFParams) -> Tensor:
     """
     if x.shape != y.shape:
         raise ShapeError(f"cannot fuse tensors of shape {x.shape} and {y.shape}")
-    # a forward-only pass frees each full-size map once it is used: each
-    # mask goes before its stage's add, which holds only the two products
-    m1 = _mscam(add(x, y), p.stage1)
-    mx, my = mul(m1, x), mul(sub(1.0, m1), y)
-    del m1
-    u = add(mx, my)
-    del mx, my
-    m2 = _mscam(u, p.stage2)
-    del u
-    mx, my = mul(m2, x), mul(sub(1.0, m2), y)
-    del m2
-    return add(mx, my)
+    # one expression, so that every full-size intermediate is a temporary
+    # freed by the call it is passed to, as in reaff_forward
+    return _plain_mix(_mscam(_plain_mix(_mscam(add(x, y), p.stage1), x, y), p.stage2), x, y)
 
 
 # -- initializers --------------------------------------------------------------------

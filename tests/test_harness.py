@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from reafuse.harness import (
     run_verify,
 )
 from reafuse.pyramid import VARIANTS
-from reafuse.tensor import Rng, Tensor
+from reafuse.tensor import Rng, ShapeError, Tensor
 
 from references import action_law_failures, reference_seed_residuals
 
@@ -333,46 +334,63 @@ def test_run_verify_shared_backbone_equals_full_forward_passes(cfg):
     report = run_verify(cfg)
     assert report.exit_code == 0, report.summary_lines()
     assert set(report.results) == set(VARIANTS)
-    assert set(report.timings) == {*VARIANTS, "backbone", "total"}
+    assert set(report.timings) == {*VARIANTS, "backbone", "total", "workers"}
     generator = range(1, min(2, cfg.orientations))
     for variant in VARIANTS:
         per_seed = reference_seed_residuals(cfg, variant, generator)
         assert report.results[variant]["per_level"] == [max(r) for r in zip(*per_seed)]
 
 
-def _count_calls(monkeypatch, stage="toy_backbone"):
-    calls = []
+def _count_calls(monkeypatch, tmp_path, stage="toy_backbone"):
+    """Record every call of ``stage`` in every verify process, with verify
+    split over two workers.  Each call appends one line to a file opened
+    with O_APPEND, which a forked worker shares with the parent; the
+    returned function reads the calls back as (variant, parameter seed)."""
+    log = tmp_path / f"{stage}.calls"
     real = getattr(pyramid, stage)
 
     def counted(x, params):
-        calls.append((params.config.variant, params.config.seed))
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{params.config.variant} {params.config.seed}\n".encode())
+        finally:
+            os.close(fd)
         return real(x, params)
+
+    def calls():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [(variant, int(seed)) for variant, seed in map(str.split, lines)]
 
     # seeds and reseeds share one verify path, which calls the harness's names
     monkeypatch.setattr(harness, stage, counted)
+    _force_workers(monkeypatch, 2)
     return calls
 
 
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_verify_workers", lambda config: workers)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
-def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch, n):
-    calls = _count_calls(monkeypatch)
+def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch, tmp_path, n):
+    calls = _count_calls(monkeypatch, tmp_path)
     cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
     # one backbone forward per seed for the identity and one for the
     # generator, not one per variant or per group element; a reseed runs
     # the same two for its one variant
-    assert len(calls) == (cfg.seeds + reseeds) * min(2, n)
+    assert len(calls()) == (cfg.seeds + reseeds) * min(2, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
-def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch, n):
-    calls = _count_calls(monkeypatch, "lateral_maps")
+def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch, tmp_path, n):
+    calls = _count_calls(monkeypatch, tmp_path, "lateral_maps")
     cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
     # the five heads of a seed share one set of laterals per element checked
-    assert len(calls) == (cfg.seeds + reseeds) * min(2, n)
+    assert len(calls()) == (cfg.seeds + reseeds) * min(2, n)
 
 
 def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
@@ -399,16 +417,16 @@ def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
             assert lat.data.tobytes() == data.tobytes()
 
 
-def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch):
-    calls = _count_calls(monkeypatch)
+def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, tmp_path)
     # no draw breaks by 10: every must-break seed spends its whole reseed budget
     cfg = HarnessConfig(**{**TINY, "fail_threshold": 10.0}).validate()
     report = run_verify(cfg)
     assert report.exit_code == 4 and report.inconclusive
     reseeds = {v: report.results[v]["reseeds_used"] for v in ("PlusSE", "PlusIAFF")}
     assert reseeds == {"PlusSE": cfg.seeds * cfg.reseeds, "PlusIAFF": cfg.seeds * cfg.reseeds}
-    assert len(calls) == (cfg.seeds + sum(reseeds.values())) * min(2, cfg.orientations)
-    reseed_draws = {v: {seed for variant, seed in calls if variant == v} for v in reseeds}
+    assert len(calls()) == (cfg.seeds + sum(reseeds.values())) * min(2, cfg.orientations)
+    reseed_draws = {v: {seed for variant, seed in calls() if variant == v} for v in reseeds}
     assert len(reseed_draws["PlusSE"]) == cfg.seeds * cfg.reseeds
     assert not reseed_draws["PlusSE"] & reseed_draws["PlusIAFF"]
 
@@ -424,6 +442,98 @@ def test_run_verify_non_finite_backbone_fails_every_variant(monkeypatch):
     assert report.exit_code == 3 and report.non_finite
     assert report.results == {v: {"finite": False} for v in VARIANTS}
     assert report.verdicts == {f"{v} finite": False for v in VARIANTS}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_with_workers(monkeypatch, cfg, workers):
+    _force_workers(monkeypatch, workers)
+    report = run_verify(cfg)
+    _no_child_left()
+    assert report.timings["workers"] == workers
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
+def test_run_verify_split_equals_serial(monkeypatch, n):
+    # three seeds: two workers give the parent two seeds and the child one;
+    # five workers are more than there are seeds, so two shares are empty
+    cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3}).validate()
+    serial = _verify_with_workers(monkeypatch, cfg, 1)
+    for workers in (2, 3, 5):
+        split = _verify_with_workers(monkeypatch, cfg, workers)
+        assert split.results == serial.results, workers
+        assert split.verdicts == serial.verdicts, workers
+        assert split.exit_code == serial.exit_code == 0
+
+
+def test_run_verify_split_non_finite_seed_in_a_worker(monkeypatch):
+    # seed 1 is in the child's share; its backbone is NaN, seeds 0 and 2 are not
+    cfg = HarnessConfig(**{**TINY, "seeds": 3}).validate()
+    poisoned_seed = Rng(cfg.seed).derive("verify/1").derive("params").seed
+    real = pyramid.toy_backbone
+
+    def poisoned(x, params):
+        feats = real(x, params)
+        if params.config.seed != poisoned_seed:
+            return feats
+        return [Tensor(np.full(f.shape, np.nan)) for f in feats]
+
+    monkeypatch.setattr(harness, "toy_backbone", poisoned)
+    serial = _verify_with_workers(monkeypatch, cfg, 1)
+    split = _verify_with_workers(monkeypatch, cfg, 2)
+    assert serial.exit_code == split.exit_code == 3
+    assert split.non_finite and serial.non_finite
+    assert split.results == serial.results == {v: {"finite": False} for v in VARIANTS}
+    assert split.verdicts == serial.verdicts
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+def test_run_verify_split_raises_and_reaps(monkeypatch, where):
+    parent = os.getpid()
+    real = pyramid.toy_backbone
+
+    def failing(x, params):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ShapeError(f"raised in the {where}")
+        return real(x, params)
+
+    monkeypatch.setattr(harness, "toy_backbone", failing)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(ShapeError, match=f"^raised in the {where}$"):
+        run_verify(HarnessConfig(**TINY).validate())
+    _no_child_left()
+
+
+def test_verify_workers_rule(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+
+    def workers(seeds=20, **env):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        try:
+            return harness._verify_workers(HarnessConfig(**{**TINY, "seeds": seeds}))
+        finally:
+            for var in env:
+                monkeypatch.delenv(var)
+
+    assert workers() == 1  # BLAS may use every core: one process
+    assert workers(OPENBLAS_NUM_THREADS="1") == 4
+    assert workers(OMP_NUM_THREADS="1") == 4
+    assert workers(OPENBLAS_NUM_THREADS="2") == 2
+    assert workers(OPENBLAS_NUM_THREADS="3") == 1
+    assert workers(OPENBLAS_NUM_THREADS="8") == 1
+    assert workers(OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="1") == 1  # OpenBLAS's own first
+    for bad in ("one", "", "0", "-1", "1.5"):
+        assert workers(OPENBLAS_NUM_THREADS=bad) == 1, bad  # counts as unset
+        assert workers(OPENBLAS_NUM_THREADS=bad, OMP_NUM_THREADS="1") == 4, bad
+    assert workers(seeds=3, OPENBLAS_NUM_THREADS="1") == 3
+    assert workers(seeds=1, OPENBLAS_NUM_THREADS="1") == 1
 
 
 def test_run_oracle_tiny_config():
