@@ -22,9 +22,12 @@ config or unusable paths; 3 non-finite values; 4 breakage demonstration
 inconclusive after the reseed budget.
 
 ``verify``'s seeds are independent draws, so it splits them over forked
-worker processes and folds their outcomes in seed order: the results and
-verdicts are those of a serial run.  There are as many workers as the usable
-cores hold processes of the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
+worker processes.  Each seed yields, per variant, its residuals (None if
+non-finite) and the reseeds it used; each variant's report entry is built
+once from those outcomes in seed order, so the results and verdicts are
+those of a serial run, and a variant with any non-finite seed is reported
+non-finite.  There are as many workers as the usable cores hold processes
+of the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
 ``OMP_NUM_THREADS``; unset, a process may use every core), at most one per
 seed.  So with the BLAS thread count unset verify runs in one process and
 forks nothing.  The report's ``timings["workers"]`` says how many ran; its
@@ -305,30 +308,6 @@ def _finite(*feature_maps) -> bool:
 # -- verify -----------------------------------------------------------------------
 
 
-@dataclass
-class _Tally:
-    """One variant's residuals, accumulated over the seeds."""
-
-    per_level: list[float]
-    per_seed_worst: list[float] = field(default_factory=list)
-    reseeds_used: int = 0
-    undemonstrated: int = 0
-    finite: bool = True
-
-    def fold(self, residuals: list[float] | None, reseeds: int,
-             undemonstrated: bool) -> None:
-        """Add the next seed's outcome; seeds after a non-finite one are ignored."""
-        if not self.finite:
-            return
-        self.reseeds_used += reseeds
-        self.undemonstrated += undemonstrated
-        if residuals is None:
-            self.finite = False
-        else:
-            self.per_seed_worst.append(max(residuals))
-            self.per_level = [max(a, b) for a, b in zip(self.per_level, residuals)]
-
-
 def _draw(config: HarnessConfig, rng: Rng) -> tuple[Tensor, int]:
     """The input image and the parameter seed of one verify or demo draw."""
     image = Tensor(rng.derive("image").uniform(
@@ -341,35 +320,24 @@ def _rotate(config: HarnessConfig, image: Tensor, s: int) -> Tensor:
     return ops.rot90(image, s * quarter_turns(config.orientations))
 
 
-def _generator_elements(config: HarnessConfig) -> range:
-    """The group elements verify runs: the identity and the generator.
-
-    C_N is cyclic, so a map that commutes with the generator g on every
-    input commutes with every g^s.  That rests on ``g_act`` and ``_rotate``
-    being homomorphisms, which the composition-law tests check exactly.
-    """
-    return range(min(2, config.orientations))
-
-
-def _residuals(config: HarnessConfig, levels_of) -> list[float] | None:
+def _residuals(config: HarnessConfig, levels: list[list[Tensor]]) -> list[float] | None:
     """Max equivariance residual per pyramid level at the generator.
 
-    ``levels_of(s)`` computes the pyramid levels from the input rotated by
-    element s; element 1 is compared with ``g_act`` of element 0's levels.
-    The trivial group has no generator to compare, so its residuals are 0.
+    ``levels`` is ``[identity]``, or ``[identity, generator]`` for N > 1:
+    the pyramid levels from the input and from its rotation by the
+    generator, whose levels are compared with ``g_act`` of the identity's.
+    C_N is cyclic, so a map that commutes with the generator on every input
+    commutes with every g^s; that rests on ``g_act`` and ``_rotate`` being
+    homomorphisms, which the composition-law tests check exactly.  The
+    trivial group has no generator to compare, so its residuals are 0.
     Returns None on non-finite levels.
     """
-    base = levels_of(0)
-    if not _finite(*base):
+    if not all(_finite(*element) for element in levels):
         return None
-    residuals = [0.0] * config.levels
-    for s in _generator_elements(config)[1:]:
-        levels = levels_of(s)
-        if not _finite(*levels):
-            return None
-        residuals = [max(r, relative_residual(got, g_act(want, s, config.orientations)))
-                     for r, got, want in zip(residuals, levels, base)]
-    return residuals
+    if len(levels) == 1:
+        return [0.0] * config.levels
+    return [relative_residual(got, g_act(want, 1, config.orientations))
+            for got, want in zip(levels[1], levels[0])]
 
 
 def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
@@ -378,23 +346,23 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
 
     One input image, one parameter seed, and one backbone forward and set
     of laterals for the identity and for the generator (for the identity
-    alone when N = 1), shared by every variant listed, then
-    each variant's head on its own copy of the laterals list (the head
-    consumes the list, never the maps).  ``init_pyramid`` derives every
-    layer from the parameter seed and the layer name, so all variants get
-    the same stem, stage and lateral weights and the laterals are the same
-    for all of them; only the attention weights differ.  Non-finite
-    laterals give None for every variant.  Everything built here is
-    released on return.  The draw's stage times are added to ``timings``
-    (``backbone`` and each variant's head), which hold one seed's times in
-    the process that runs the seed.
+    alone when N = 1), shared by every variant listed, then each variant's
+    head on its own copy of each laterals list (the head consumes the list,
+    never the maps).  ``init_pyramid`` derives every layer from the
+    parameter seed and the layer name, so all variants get the same stem,
+    stage and lateral weights and the laterals are the same for all of
+    them; only the attention weights differ.  A variant's pyramids are
+    built inside its ``_residuals`` call, so they are freed before the next
+    head runs.  Non-finite laterals give None for every variant.
+    Everything built here is released on return.  The draw's stage times
+    are added to ``timings`` (``backbone`` and each variant's head).
     """
     t0 = time.perf_counter()
     image, param_seed = _draw(config, rng)
     params = {v: init_pyramid(config.pyramid_config(v, param_seed)) for v in variants}
     shared = params[variants[0]]
     laterals = [lateral_maps(toy_backbone(_rotate(config, image, s), shared), shared)
-                for s in _generator_elements(config)]
+                for s in range(min(2, config.orientations))]
     timings["backbone"] += time.perf_counter() - t0
     if not all(_finite(*lat) for lat in laterals):
         return dict.fromkeys(variants)
@@ -402,61 +370,43 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
     for variant in variants:
         t0 = time.perf_counter()
         residuals[variant] = _residuals(
-            config, lambda s: build_pyramid(list(laterals[s]), params[variant]))
+            config, [build_pyramid(list(lat), params[variant]) for lat in laterals])
         timings[variant] += time.perf_counter() - t0
     return residuals
 
 
-# One variant's outcome on one seed: its residuals per level (None if
-# non-finite), the reseeds it used, and whether its breakage stayed
-# undemonstrated after them.
-_Outcome = tuple[list[float] | None, int, bool]
-
-
-def _seed_outcome(config: HarnessConfig, rng: Rng,
-                  live: list[str]) -> tuple[dict[str, _Outcome], dict[str, float]]:
-    """One seed for each of the ``live`` variants, and the seed's stage times.
-
-    One shared draw, then a fresh draw for each reseed of a variant that
-    must break.  A variant's outcome does not depend on which others are
-    live: the shared layers are derived from the seed and the layer name,
-    whichever variant's parameters they are read from.
-    """
-    timings = dict.fromkeys(("backbone", *live), 0.0)
-    by_variant = _draw_residuals(config, rng, live, timings)
-    outcomes = {}
-    for variant in live:
-        residuals, attempt, undemonstrated = by_variant[variant], 0, False
-        if variant not in EQUIVARIANT_VARIANTS and config.orientations > 1:
-            # Breakage size depends on the weight draw; replace a seed that
-            # happens to land nearly-equivariant, up to the reseed budget.
-            while (residuals is not None and max(residuals) < config.fail_threshold
-                   and attempt < config.reseeds):
-                attempt += 1
-                residuals = _draw_residuals(
-                    config, rng.derive(f"reseed/{variant}/{attempt}"), [variant],
-                    timings)[variant]
-            undemonstrated = residuals is not None and max(residuals) < config.fail_threshold
-        outcomes[variant] = (residuals, attempt, undemonstrated)
-    return outcomes, timings
+def _must_demonstrate(config: HarnessConfig, variant: str) -> bool:
+    """A variant that must break, on a group with a rotation to break."""
+    return variant not in EQUIVARIANT_VARIANTS and config.orientations > 1
 
 
 def _run_share(config: HarnessConfig, indices: range) -> list[tuple]:
     """``(index, outcomes, timings)`` of each seed in ``indices``, in order.
 
-    A variant that goes non-finite is left out of the share's later seeds,
-    and the share stops once no variant is left: the fold ignores every
-    seed of a variant after its first non-finite one.
+    A seed runs one shared draw for every variant, then a fresh draw for
+    each reseed of a variant that must break.  Its ``outcomes`` map each
+    variant to ``(residuals, reseeds used)``, with residuals None if
+    non-finite; its ``timings`` hold the seed's stage times.
     """
     master = Rng(config.seed)
-    live = list(VARIANTS)
     share = []
     for idx in indices:
-        if not live:
-            break
-        outcomes, timings = _seed_outcome(config, master.derive(f"verify/{idx}"), live)
+        rng = master.derive(f"verify/{idx}")
+        timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
+        outcomes = {}
+        for variant, residuals in _draw_residuals(config, rng, list(VARIANTS), timings).items():
+            attempt = 0
+            if _must_demonstrate(config, variant):
+                # Breakage size depends on the weight draw; replace a seed that
+                # happens to land nearly-equivariant, up to the reseed budget.
+                while (residuals is not None and max(residuals) < config.fail_threshold
+                       and attempt < config.reseeds):
+                    attempt += 1
+                    residuals = _draw_residuals(
+                        config, rng.derive(f"reseed/{variant}/{attempt}"), [variant],
+                        timings)[variant]
+            outcomes[variant] = (residuals, attempt)
         share.append((idx, outcomes, timings))
-        live = [v for v in live if outcomes[v][0] is not None]
     return share
 
 
@@ -552,22 +502,26 @@ def _worker(config: HarnessConfig, indices: range, write_end: int) -> NoReturn:
         os._exit(status)
 
 
-def _summary(config: HarnessConfig, variant: str, tally: _Tally) -> dict:
-    must_break = variant not in EQUIVARIANT_VARIANTS
+def _summary(config: HarnessConfig, variant: str, outcomes: list[tuple]) -> dict:
+    """One variant's report entry from its ``(residuals, reseeds)`` on
+    every seed; any non-finite seed makes the variant non-finite."""
+    if any(residuals is None for residuals, _ in outcomes):
+        return {"finite": False}
+    per_level = [max(level) for level in zip(*(residuals for residuals, _ in outcomes))]
     summary = {
         "finite": True,
-        "per_level": tally.per_level,
-        "worst": max(tally.per_level),
+        "per_level": per_level,
+        "worst": max(per_level),
         "seeds": config.seeds,
-        "must_break": must_break,
+        "must_break": variant not in EQUIVARIANT_VARIANTS,
     }
-    if must_break:
-        if config.orientations == 1:
-            summary["vacuous"] = True  # the trivial group cannot be broken
-        else:
-            summary["weakest"] = min(tally.per_seed_worst)
-            summary["reseeds_used"] = tally.reseeds_used
-            summary["undemonstrated_seeds"] = tally.undemonstrated
+    if _must_demonstrate(config, variant):
+        per_seed = [max(residuals) for residuals, _ in outcomes]
+        summary["weakest"] = min(per_seed)
+        summary["reseeds_used"] = sum(reseeds for _, reseeds in outcomes)
+        summary["undemonstrated_seeds"] = sum(w < config.fail_threshold for w in per_seed)
+    elif summary["must_break"]:
+        summary["vacuous"] = True  # the trivial group cannot be broken
     return summary
 
 
@@ -579,8 +533,10 @@ def run_verify(config: HarnessConfig) -> Report:
     fixed-backbone ablation, and every variant is still run end to end on
     the input and on its rotation by the generator of C_N; the group laws
     extend a pass at the generator to every element.  The seeds are split
-    over ``_verify_workers`` processes (``timings["workers"]``) and folded
-    in seed order, so the results do not depend on the split.
+    over ``_verify_workers`` processes (``timings["workers"]``) and sorted
+    back into seed order, and each variant's entry is built once from its
+    outcomes on every seed, so the results do not depend on the split.  A
+    variant with any non-finite seed is reported non-finite.
     ``timings[variant]`` is that variant's head time, reseeds included;
     ``timings["backbone"]`` is every draw's parameter set-up, backbone
     forwards and laterals, reseeds included.  Both are summed over the
@@ -590,21 +546,16 @@ def run_verify(config: HarnessConfig) -> Report:
     report = _new_report("verify", config)
     start = time.perf_counter()
     workers = _verify_workers(config)
-    tallies = {v: _Tally([0.0] * config.levels) for v in VARIANTS}
-    report.timings = {"backbone": 0.0, **dict.fromkeys(VARIANTS, 0.0)}
-    for _, outcomes, timings in sorted(_run_seeds(config, workers), key=lambda s: s[0]):
-        for stage, seconds in timings.items():
-            report.timings[stage] += seconds
-        for variant, outcome in outcomes.items():
-            tallies[variant].fold(*outcome)
-    for variant, tally in tallies.items():
-        if not tally.finite:
+    seeds = sorted(_run_seeds(config, workers), key=lambda s: s[0])
+    report.timings = {stage: sum(timings[stage] for *_, timings in seeds)
+                      for stage in ("backbone", *VARIANTS)}
+    for variant in VARIANTS:
+        summary = report.results[variant] = _summary(
+            config, variant, [outcomes[variant] for _, outcomes, _ in seeds])
+        if not summary["finite"]:
             report.non_finite = True
-            report.results[variant] = {"finite": False}
             report.verdicts[f"{variant} finite"] = False
-            continue
-        summary = report.results[variant] = _summary(config, variant, tally)
-        if not summary["must_break"]:
+        elif not summary["must_break"]:
             report.verdicts[f"{variant} equivariant (<= {config.pass_threshold:g})"] = (
                 summary["worst"] <= config.pass_threshold
             )
@@ -859,6 +810,7 @@ def run_demo(config: HarnessConfig, out_dir) -> Report:
     if not _finite(*levels):
         report.non_finite = True
         report.verdicts["pyramid outputs finite"] = False
+        report.timings["total"] = time.perf_counter() - start
         return report
     out = save_feature_maps(levels, config.orientations, out_dir, extra={
         "command": "demo",

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -491,6 +493,64 @@ def test_run_verify_split_non_finite_seed_in_a_worker(monkeypatch):
     assert split.verdicts == serial.verdicts
 
 
+@pytest.mark.parametrize("n", [2, 4], ids=["n2", "n4"])
+def test_run_verify_one_variant_non_finite(monkeypatch, n):
+    # PlusIAFF's heads are NaN on seed 1, in the child's share when split;
+    # the other variants and PlusIAFF's other seeds are untouched
+    cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3}).validate()
+    clean = _verify_with_workers(monkeypatch, cfg, 1)
+    poisoned_seed = Rng(cfg.seed).derive("verify/1").derive("params").seed
+    real = pyramid.build_pyramid
+
+    def poisoned(laterals, params):
+        levels = real(laterals, params)
+        if (params.config.variant, params.config.seed) != ("PlusIAFF", poisoned_seed):
+            return levels
+        return [Tensor(np.full(fm.shape, np.nan)) for fm in levels]
+
+    monkeypatch.setattr(harness, "build_pyramid", poisoned)
+    serial = _verify_with_workers(monkeypatch, cfg, 1)
+    split = _verify_with_workers(monkeypatch, cfg, 2)
+    for report in (serial, split):
+        assert report.exit_code == 3 and report.non_finite
+        assert report.results["PlusIAFF"] == {"finite": False}
+        assert [name for name, ok in report.verdicts.items() if not ok] == ["PlusIAFF finite"]
+        for variant in VARIANTS:
+            if variant != "PlusIAFF":
+                assert report.results[variant] == clean.results[variant], variant
+    assert split.results == serial.results
+    assert split.verdicts == serial.verdicts
+
+
+def test_draw_residuals_frees_each_head_before_the_next(monkeypatch):
+    # Traced memory as each head starts on the identity's laterals: a head
+    # whose two pyramids outlive its residuals (held by a loop variable, say)
+    # adds 2.58 level-0 maps to the next variant's entry; released, the five
+    # entries lie within 0.07 maps of each other.
+    entries, level0 = [], []
+    real = pyramid.build_pyramid
+
+    def recorded(laterals, params):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        level0.append(laterals[0].data.nbytes)
+        return real(laterals, params)
+
+    monkeypatch.setattr(harness, "build_pyramid", recorded)
+    cfg = HarnessConfig(**{**TINY, "levels": 3, "kernel_channels": 4, "orientations": 4,
+                           "image_size": 32}).validate()
+    timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
+    tracemalloc.start()
+    try:
+        residuals = harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
+    finally:
+        tracemalloc.stop()
+    assert all(residuals[v] is not None for v in VARIANTS)
+    assert len(entries) == 2 * len(VARIANTS)  # the identity and the generator per head
+    identity = entries[::2]
+    assert max(identity) - min(identity) <= level0[0], [
+        (e - min(identity)) / level0[0] for e in identity]
+
+
 @pytest.mark.parametrize("where", ["worker", "parent"])
 def test_run_verify_split_raises_and_reaps(monkeypatch, where):
     parent = os.getpid()
@@ -550,6 +610,32 @@ def test_run_demo_writes_identical_artifacts(tmp_path):
     assert r1.exit_code == 0 and r2.exit_code == 0
     for name in r1.results["files"]:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_run_demo_non_finite_writes_nothing(monkeypatch, tmp_path):
+    real = pyramid.run_pyramid
+
+    def poisoned(image, params):
+        return [Tensor(np.full(fm.shape, np.nan)) for fm in real(image, params)]
+
+    monkeypatch.setattr(harness, "run_pyramid", poisoned)
+    report = run_demo(HarnessConfig(**TINY).validate(), tmp_path / "out")
+    assert report.exit_code == 3 and report.non_finite
+    assert report.verdicts == {"pyramid outputs finite": False}
+    assert not list(tmp_path.rglob("*.raft"))
+    assert "total" in report.timings
+
+
+def test_import_loads_no_process_machinery():
+    # the fork machinery imports what it needs when verify splits its
+    # seeds, so the other commands do not pay for it at start-up
+    script = ("import sys, reafuse; print(' '.join(sorted({'multiprocessing', 'concurrent', "
+              "'subprocess', 'signal', 'socket'} & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # -- command-line front-end ---------------------------------------------------
