@@ -7,11 +7,16 @@ to write the full report.  ``demo`` additionally requires ``--out <dir>``.
 
 Exit codes: 0 pass, 1 definite failure, 2 invalid config or unusable paths,
 3 non-finite values encountered, 4 breakage demonstration inconclusive.
+
+``main``, the installed ``reafuse`` script and ``python -m reafuse``, first
+sets a fixed glibc allocator policy (``_set_allocator_policy``);
+``entrypoint`` and ``import reafuse`` leave the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -89,7 +94,33 @@ def _emit(report: Report, json_path) -> None:
         print(f"report written to {json_path}")
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_allocator_policy() -> None:
+    """Give map-sized buffers back to the OS as soon as they are freed.
+
+    A buffer of 4 MiB or more (where numpy starts to advise huge pages) gets
+    its own mapping and is unmapped when freed; smaller ones come from the
+    heap, which keeps up to 64 MiB free instead of trimming it and faulting
+    it back in.  Setting both thresholds also turns off glibc's dynamic mmap
+    threshold, which otherwise rises to the size of the largest buffer freed
+    so far and sends later maps to a heap that fragments and never shrinks.
+    A no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 4 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+
+
 def main() -> None:
+    _set_allocator_policy()
     sys.exit(entrypoint())
 
 

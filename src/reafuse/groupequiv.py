@@ -35,7 +35,6 @@ from .tensor import (
     Rng,
     ShapeError,
     Tensor,
-    blockmean2x,
     conv2d,
     reshape,
     rot90,
@@ -143,11 +142,11 @@ def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarra
     return index
 
 
-def _expand_conv(x: Tensor, p: GroupConvParams, n: int) -> Tensor:
+def _expand_conv(x: Tensor, p: GroupConvParams, n: int, blockmean: bool = False) -> Tensor:
     """One gather of the weight into its expanded kernel, applied by one conv2d."""
     k_out, k_in, n_in, kh, _ = p.weight.shape
     big = _gather(p.weight, _kernel_index(k_out, k_in, n_in, n, kh))
-    return conv2d(x, big, _orientation_shared_bias(p.bias, n))
+    return conv2d(x, big, _orientation_shared_bias(p.bias, n), blockmean=blockmean)
 
 
 def lift_conv(x: Tensor, p: GroupConvParams, n: int) -> Tensor:
@@ -184,15 +183,16 @@ def group_conv(x: Tensor, p: GroupConvParams, stride: int = 1) -> Tensor:
     N is the weight's axis 2; ``conv2d`` rejects a map whose channel count is
     not K_in*N.
 
-    stride=2 downsamples by averaging 2x2 blocks of the full-resolution
-    output (requires even H, W).  A strided sampling lattice is NOT used: on
-    an even grid rotation swaps pixel parities, so lattice subsampling cannot
-    commute with rot90, while the 2x2 block partition is rotation-stable.
+    stride=2 downsamples by averaging 2x2 blocks of the output (requires
+    even H, W): ``blockmean2x`` of the stride-1 output, bit for bit, which
+    ``conv2d`` computes band by band without building the full-resolution
+    map.  A strided sampling lattice is NOT used: on an even grid rotation
+    swaps pixel parities, so lattice subsampling cannot commute with rot90,
+    while the 2x2 block partition is rotation-stable.
     """
     if stride not in (1, 2):
         raise ShapeError(f"group_conv: stride {stride} not in (1, 2)")
-    out = _expand_conv(x, p, p.weight.shape[2])
-    return blockmean2x(out) if stride == 2 else out
+    return _expand_conv(x, p, p.weight.shape[2], blockmean=stride == 2)
 
 
 # Uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)): variance 2/fan_in, which keeps

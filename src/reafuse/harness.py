@@ -106,7 +106,7 @@ class ConfigError(ValueError):
 # bounds the values of the level-0 feature map, kernel_channels x
 # orientations x image_size^2 x batch, at the default widths (8 kernel
 # channels x 4 orientations) with the largest input (256 x 256, batch 2): a
-# 32 MB map.  That config peaks at 226 MB of resident memory in ``demo`` of
+# 32 MB map.  That config peaks at 229 MB of resident memory in ``demo`` of
 # ReAFFPN (2-core x86_64, OpenBLAS on one thread).  kernel_channels has its
 # own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000

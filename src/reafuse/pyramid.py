@@ -25,9 +25,10 @@ depends on the variant).  ``init_pyramid`` draws the backbone and lateral
 weights from the seed and the layer name alone, so the variants built from
 one seed share the first two stages: ``verify`` runs the backbone and the
 laterals once per seed for the identity and once for the generator of C_N,
-and hands each of the five heads its own copy of the laterals list.  ``build_pyramid`` consumes the list it
-gets, popping each lateral into its merge, so the maps themselves are only
-read and a lateral that no caller holds is freed before its smoothing conv.
+and hands each of the five heads its own copy of the laterals list.
+``lateral_maps`` and ``build_pyramid`` consume the list they get, popping
+each map into its conv or merge, so the maps themselves are only read and a
+feature map or lateral that no caller holds is freed as soon as it is used.
 
 Baseline, PlusReCA, and ReAFFPN are exactly rotation-equivariant end to end;
 PlusSE and PlusIAFF break equivariance on generic weights.  That five-way
@@ -224,10 +225,18 @@ def toy_backbone(x: Tensor, params: PyramidParams) -> list[Tensor]:
 
 
 def lateral_maps(feats: list[Tensor], params: PyramidParams) -> list[Tensor]:
-    """The 1x1 lateral projection of every backbone level, finest first."""
+    """The 1x1 lateral projection of every backbone level, finest first.
+
+    ``feats`` is consumed: each level is popped off the list into its
+    conv, coarsest first, so the list is empty on return and a feature map
+    nobody else holds is freed as soon as its lateral exists.  A caller that
+    reuses its features passes a copy, ``list(feats)``.
+    """
     if len(feats) != params.config.levels:
         raise ShapeError(f"got {len(feats)} feature maps for {params.config.levels} levels")
-    return [group_conv(f, conv) for f, conv in zip(feats, params.lateral)]
+    laterals = [group_conv(feats.pop(), conv) for conv in reversed(params.lateral)]
+    laterals.reverse()
+    return laterals
 
 
 def build_pyramid(laterals: list[Tensor], params: PyramidParams) -> list[Tensor]:
@@ -280,9 +289,10 @@ def _merge(low: Tensor, upper: Tensor, att, variant: str) -> Tensor:
 def run_pyramid(image: Tensor, params: PyramidParams) -> list[Tensor]:
     """Full forward pass: image -> backbone -> laterals -> pyramid levels.
 
-    The backbone features are released once their laterals exist, before
-    the top-down merges run, and each lateral once its merge has run,
-    before its smoothing conv: ``build_pyramid`` owns the laterals list.
+    Each backbone feature is released once its lateral exists, before the
+    next lateral conv runs (``lateral_maps`` owns the features list), and
+    each lateral once its merge has run, before its smoothing conv
+    (``build_pyramid`` owns the laterals list).
     So the level-0 smoothing conv holds two level-0 maps, the fused map and
     its own output, plus its band buffers.
     """

@@ -124,10 +124,7 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, shape, low: float = -1.0, high: float = 1.0) -> np.ndarray:
-        # the copy adds nothing to the values, yet dropping it made ``verify``
-        # about 10 % slower on glibc (2-core x86_64): it moves malloc's dynamic
-        # mmap and trim thresholds, and the gap closes when both are pinned
-        return self._gen.uniform(low, high, size=shape).astype(np.float64)
+        return self._gen.uniform(low, high, size=shape)
 
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""
@@ -359,6 +356,34 @@ def upsample_nearest2x(a) -> Tensor:
     return _record(Tensor(data), "upsample_nearest2x", (a,), backward)
 
 
+def _block_mean(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean of the 2x2 blocks of the last two axes of a raw array, into ``out``.
+
+    Computed as ((top-left + top-right) + (bottom-left + bottom-right)) * 0.25;
+    the tests check this is bit-identical to
+    reshape(..., h/2, 2, w/2, 2).mean(axis=(-3, -1)), which costs a strided
+    multi-axis reduction.  ``blockmean2x`` and ``conv2d(..., blockmean=True)``
+    both average through here, so they round alike.
+    """
+    out = np.add(x[..., 0::2, 0::2], x[..., 0::2, 1::2], out=out)
+    out += x[..., 1::2, 0::2] + x[..., 1::2, 1::2]
+    out *= 0.25
+    return out
+
+
+def _expand_block_grad(g: np.ndarray) -> np.ndarray:
+    """Backward of the 2x2 block mean: each pixel of a block gets g / 4."""
+    return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
+
+
+def _check_even(op: str, shape) -> None:
+    h, w = shape[2:]
+    if h % 2:
+        raise ShapeError(f"{op}: height axis extent {h} is odd")
+    if w % 2:
+        raise ShapeError(f"{op}: width axis extent {w} is odd")
+
+
 def blockmean2x(a) -> Tensor:
     """Average non-overlapping 2x2 blocks: [B,C,H,W] -> [B,C,H/2,W/2].
 
@@ -370,37 +395,23 @@ def blockmean2x(a) -> Tensor:
     a = _wrap(a)
     if a.ndim != 4:
         raise ShapeError(f"blockmean2x: expected 4 axes, got {a.shape}")
-    b, c, h, w = a.shape
-    if h % 2:
-        raise ShapeError(f"blockmean2x: height axis extent {h} is odd")
-    if w % 2:
-        raise ShapeError(f"blockmean2x: width axis extent {w} is odd")
-    x = a.data
-    # ((top-left + top-right) + (bottom-left + bottom-right)) * 0.25, in
-    # place; the tests check this is bit-identical to
-    # reshape(b, c, h/2, 2, w/2, 2).mean(axis=(3, 5)), which costs a strided
-    # multi-axis reduction
-    data = x[..., 0::2, 0::2] + x[..., 0::2, 1::2]
-    data += x[..., 1::2, 0::2] + x[..., 1::2, 1::2]
-    data *= 0.25
-
-    def backward(g: np.ndarray):
-        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25,)
-
-    return _record(Tensor(data), "blockmean2x", (a,), backward)
+    _check_even("blockmean2x", a.shape)
+    return _record(Tensor(_block_mean(a.data)), "blockmean2x", (a,),
+                   lambda g: (_expand_block_grad(g),))
 
 
 # conv2d's forward runs im2col on bands of about _BAND_PIXELS output pixels,
-# so its column buffer holds k*k*Cin x _BAND_PIXELS float64s, not a whole map.
+# so its column buffer holds k*k*Cin x _BAND_PIXELS float64s, not a whole map:
+# 0.59 MB at Cin = 32, which stays in a 2 MB per-core L2 cache.
 # BLAS takes a GEMM's output columns in blocks (8 in OpenBLAS's Haswell DGEMM)
 # and rounds a narrower leftover block differently, depending on the GEMM's
 # size; so bands start and end on multiples of _BAND_ALIGN pixels, where the
 # whole-map GEMM's blocks start too, and the results stay bit-identical.
-_BAND_PIXELS = 1024
+_BAND_PIXELS = 256
 _BAND_ALIGN = 8
 
 
-def conv2d(x, w, bias=None) -> Tensor:
+def conv2d(x, w, bias=None, blockmean: bool = False) -> Tensor:
     """2-D cross-correlation of [B,Cin,H,W] with [Cout,Cin,k,k], same padding.
 
     The kernel is square and odd; the input is zero-padded by (k-1)/2 on
@@ -415,6 +426,11 @@ def conv2d(x, w, bias=None) -> Tensor:
     ``_BAND_ALIGN``, is one band; a larger one is split into
     ``ceil(H*W / _BAND_PIXELS)`` balanced bands of whole rows.  The output is
     bit-identical to that of one whole-map GEMM.
+
+    ``blockmean=True`` returns ``blockmean2x`` of the biased output, bit for
+    bit, without building the full-resolution map: each band's GEMM output
+    is averaged straight into its rows of the [B,Cout,H/2,W/2] result, and
+    bands start and end on even rows.  H and W must be even.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 4:
@@ -427,6 +443,8 @@ def conv2d(x, w, bias=None) -> Tensor:
         raise ShapeError(f"conv2d: channel axis mismatch, input has {cin}, kernel expects {cin_w}")
     if k != kw or k % 2 == 0:
         raise ShapeError(f"conv2d: kernel must be square and odd, got {k}x{kw}")
+    if blockmean:
+        _check_even("conv2d", x.shape)
     pad = (k - 1) // 2
 
     b_t = _wrap(bias) if bias is not None else None
@@ -439,19 +457,32 @@ def conv2d(x, w, bias=None) -> Tensor:
     wf = w.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
     if k == 1:
         # a 1x1 receptive field is the input itself: no im2col copy
-        out = np.matmul(wf, x.data.reshape(batch, cin, h * wd))
+        out = np.matmul(wf, x.data.reshape(batch, cin, h * wd)).reshape(batch, cout, h, wd)
+        if b_t is not None:
+            out += b_t.data[:, None, None]
+        if blockmean:
+            out = _block_mean(out)
     else:
         # pad and im2col one band of rows of one sample at a time, in
         # documented (kernel-row, kernel-col, in-channel) order, through
-        # band-sized buffers; each band's GEMM writes straight into its rows
-        # of ``out``.  Bands are balanced in steps of ``step`` rows, the
-        # fewest whole rows that span a multiple of _BAND_ALIGN pixels
+        # band-sized buffers.  Each band's GEMM writes straight into its rows
+        # of ``out``, or, under blockmean, into a band buffer that is biased
+        # and averaged into its half as many rows of ``out``.  Bands are
+        # balanced in steps of ``step`` rows, the fewest whole rows (an even
+        # number under blockmean) that span a multiple of _BAND_ALIGN pixels
         step = _BAND_ALIGN // math.gcd(wd, _BAND_ALIGN)
+        if blockmean:
+            step = math.lcm(step, 2)
         steps = -(-h // step)
         nbands = 1 if h * wd % _BAND_ALIGN else min(steps, -(-h * wd // _BAND_PIXELS))
         bounds = [min(h, step * (i * steps // nbands)) for i in range(nbands + 1)]
         rows = max(r1 - r0 for r0, r1 in zip(bounds, bounds[1:]))
-        out = np.empty((batch, cout, h * wd))
+        if blockmean:
+            out = np.empty((batch, cout, h // 2, wd // 2))
+            gemm_buf = np.empty((cout, rows * wd))
+        else:
+            out = np.empty((batch, cout, h, wd))
+            flat = out.reshape(batch, cout, h * wd)
         col_buf = np.empty(k * k * cin * rows * wd)
         # the left and right pad columns are never written and stay zero
         pad_buf = np.zeros((cin, rows + 2 * pad, wd + 2 * pad))
@@ -469,13 +500,16 @@ def conv2d(x, w, bias=None) -> Tensor:
                 for ki in range(k):
                     for kj in range(k):
                         cols[ki * k + kj] = band[:, ki : ki + n, kj : kj + wd]
-                np.matmul(wf, cols.reshape(k * k * cin, n * wd),
-                          out=out[s, :, r0 * wd : r1 * wd])
-    out = out.reshape(batch, cout, h, wd)
-    if b_t is not None:
-        out += b_t.data[:, None, None]
+                dest = gemm_buf[:, : n * wd] if blockmean else flat[s, :, r0 * wd : r1 * wd]
+                np.matmul(wf, cols.reshape(k * k * cin, n * wd), out=dest)
+                if b_t is not None:
+                    dest += b_t.data[:, None]
+                if blockmean:
+                    _block_mean(dest.reshape(cout, n, wd), out=out[s, :, r0 // 2 : r1 // 2])
 
     def backward(g: np.ndarray):
+        if blockmean:
+            g = _expand_block_grad(g)
         if pad:
             xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
             xp[:, :, pad : pad + h, pad : pad + wd] = x.data

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -639,6 +640,41 @@ def test_import_loads_no_process_machinery():
 
 
 # -- command-line front-end ---------------------------------------------------
+
+
+_ALLOCATOR_PROBE = """
+import os
+import numpy as np
+{setup}
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+before = rss()
+for _ in range(3):
+    a = np.ones(2 * 2**20)  # 16 MiB, every page touched
+    del a
+print((rss() - before) / 2**20)
+"""
+
+
+@pytest.mark.skipif(not (os.path.exists("/proc/self/statm")
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="glibc allocator policy, read through /proc/self/statm")
+def test_cli_allocator_policy_gives_freed_maps_back_and_import_leaves_it_alone():
+    # with glibc's defaults the first 16 MiB buffer freed raises the dynamic
+    # mmap threshold to 16 MiB, so the next ones come from the heap, which
+    # keeps them resident; under the policy each one is unmapped when freed
+    def grown_mib(setup):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+            env.pop(name, None)
+        done = subprocess.run([sys.executable, "-c", _ALLOCATOR_PROBE.format(setup=setup)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return float(done.stdout)
+
+    assert grown_mib("from reafuse import cli; cli._set_allocator_policy()") < 2
+    assert grown_mib("import reafuse") > 14
 
 
 def test_cli_verify_and_report_file(tmp_path):

@@ -81,10 +81,12 @@ def _mirrored_half_turn_rotate(config, image, s):
     return ops.take(image, np.arange(image.shape[2])[::-1], axis=2)
 
 
-def _strided_blockmean2x(a):
-    """``blockmean2x`` replaced by sampling the even rows and columns."""
-    h, w = a.shape[2:]
-    return ops.take(ops.take(a, np.arange(0, h, 2), axis=2), np.arange(0, w, 2), axis=3)
+def _strided_block_mean(x, out=None):
+    """The 2x2 block mean replaced by sampling the even rows and columns."""
+    if out is None:
+        return x[..., 0::2, 0::2].copy()
+    out[...] = x[..., 0::2, 0::2]
+    return out
 
 
 def _rolled_upsample_nearest2x(a):
@@ -128,8 +130,9 @@ def test_g_act_shift_sign_mutant_is_caught_by_verify(monkeypatch):
 
 def test_strided_downsampling_mutant_is_caught_by_verify(monkeypatch):
     # on an even grid rot90 swaps pixel parities, so no lattice subsampling
-    # commutes with it; every stride-2 backbone stage feeds every variant
-    monkeypatch.setattr(groupequiv, "blockmean2x", _strided_blockmean2x)
+    # commutes with it; every stride-2 backbone stage feeds every variant.
+    # The one block-mean helper serves blockmean2x and the pooled conv2d
+    monkeypatch.setattr(ops, "_block_mean", _strided_block_mean)
     report = run_verify(CONFIG)
     assert broken_variants(report) == set(EQUIVARIANT_VARIANTS)
     assert report.exit_code == 1

@@ -39,6 +39,7 @@ def test_backbone_and_pyramid_shapes():
     assert [f.shape for f in feats] == [(2, 8, 8, 8), (2, 8, 4, 4)]
     laterals = lateral_maps(feats, params)
     assert [p.shape for p in laterals] == [(2, 8, 8, 8), (2, 8, 4, 4)]
+    assert feats == []  # lateral_maps consumes the list it is given
     coarsest = laterals[-1]
     levels = build_pyramid(laterals, params)
     assert [p.shape for p in levels] == [(2, 8, 8, 8), (2, 8, 4, 4)]
@@ -252,6 +253,29 @@ def _peak_above_output(variant, batch, size):
     assert len(levels) == 3
     assert kept - start >= 1.3 * level0  # the pyramid itself: 1 + 1/4 + 1/16
     return (peak - kept) / level0
+
+
+def test_lateral_maps_frees_each_feature_once_its_lateral_exists():
+    # demo-large's features, [4, 32, 128, 128] and two coarser levels, each
+    # popped into its 1x1 conv: the level-0 conv holds its input, its output
+    # and the coarser laterals, 2.31 level-0 maps in all.  A lateral_maps
+    # that keeps its features list to the end peaks at 2.64.
+    params = init_pyramid(PyramidConfig(levels=3, kernel_channels=8, orientations=4,
+                                        reduction=2, variant="Baseline", seed=0))
+    shapes = [(4, 32, 128 >> l, 128 >> l) for l in range(3)]
+    level0 = 8 * np.prod(shapes[0])
+    rng = Rng(8)
+    rng.uniform((1,))
+    tracemalloc.start()
+    try:
+        feats = [Tensor(rng.uniform(shape)) for shape in shapes]
+        laterals = lateral_maps(feats, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert feats == []
+    assert [t.shape for t in laterals] == shapes
+    assert peak / level0 <= 2.4, peak / level0
 
 
 def test_forward_releases_the_backbone_before_the_merges():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from reafuse import tensor as ops
+from reafuse.autograd import backward, gradcheck
+from reafuse.groupequiv import group_conv, init_group_conv
 from reafuse.naive import naive_conv2d
 from reafuse.tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
 
@@ -122,16 +124,78 @@ def test_banded_conv2d_bit_identical_on_odd_shapes(shape):
 
 
 def test_banded_conv2d_buffers_are_sized_by_the_band():
-    # whole-map im2col would take a 9*32 x 128*128 column buffer (37.7 MB)
+    # whole-map im2col would take a 9*32 x 128*128 column buffer (37.7 MB);
+    # a band of 256 px takes 9*32 x 256 (0.59 MB)
+    x = Tensor(Rng(3).uniform((1, 32, 128, 128)))
+    w = Tensor(Rng(4).uniform((32, 32, 3, 3)))
     tracemalloc.start()
     try:
-        x = Tensor(Rng(3).uniform((1, 32, 128, 128)))
-        w = Tensor(Rng(4).uniform((32, 32, 3, 3)))
         out = ops.conv2d(x, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < x.data.nbytes + out.data.nbytes + 8 * 2**20
+    assert peak < out.data.nbytes + 2**20
+
+
+# 8, 32 and 36: one band, or bands of 2 rows; 128 and 256: many even bands;
+# 34x34 is 1156 px, not a multiple of 8, so one band
+@pytest.mark.parametrize("shape", [(8, 8), (32, 32), (36, 36), (128, 128), (256, 256), (34, 34)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_blockmean_conv2d_bit_identical_to_blockmean_of_conv2d(shape, k, batch, with_bias):
+    r = Rng(shape[1]).derive(f"k{k}/b{batch}")
+    x = Tensor(r.uniform((batch, 3) + shape))
+    w = Tensor(r.uniform((5, 3, k, k)))
+    b = Tensor(r.uniform((5,))) if with_bias else None
+    got = ops.conv2d(x, w, b, blockmean=True).data
+    assert got.shape == (batch, 5, shape[0] // 2, shape[1] // 2)
+    assert np.array_equal(got, ops.blockmean2x(ops.conv2d(x, w, b)).data)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_blockmean_conv2d_gradients(k):
+    r = Rng(30 + k)
+    x = Tensor(r.derive("x").uniform((2, 3, 6, 6)))
+    w = Tensor(r.derive("w").uniform((4, 3, k, k)))
+    b = Tensor(r.derive("b").uniform((4,)))
+
+    def square(out):
+        return ops.tsum(ops.mul(out, out))
+
+    report = gradcheck(lambda: square(ops.conv2d(x, w, b, blockmean=True)), [x, w, b],
+                       r.derive("coords"))
+    assert report.passed, str(report)
+    # the same gradients, bit for bit, as blockmean2x of the stride-1 output
+    pooled = backward(square(ops.conv2d(x, w, b, blockmean=True)))
+    composed = backward(square(ops.blockmean2x(ops.conv2d(x, w, b))))
+    for t in (x, w, b):
+        assert np.array_equal(pooled[id(t)], composed[id(t)])
+
+
+def test_blockmean_conv2d_never_builds_the_full_resolution_map():
+    # a stride-2 group convolution of a [1, 32, 128, 128] map: averaging
+    # each band into the half-resolution output leaves the band buffers as
+    # the only overhead, where the whole-map output alone would be 4.2 MB
+    k, n = 8, 4
+    x = Tensor(Rng(3).uniform((1, k * n, 128, 128)))
+    p = init_group_conv(Rng(4), k, k, n)
+    tracemalloc.start()
+    try:
+        out = group_conv(x, p, stride=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, k * n, 64, 64)
+    assert peak < out.data.nbytes + 1.5 * 2**20
+
+
+def test_blockmean_conv2d_rejects_odd_extents():
+    w = Tensor(np.zeros((1, 1, 3, 3)))
+    for shape in [(1, 1, 5, 6), (1, 1, 6, 5)]:
+        with pytest.raises(ShapeError):
+            ops.conv2d(Tensor(np.zeros(shape)), w, blockmean=True)
 
 
 def _bits(x):
