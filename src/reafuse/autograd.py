@@ -11,6 +11,7 @@ central finite differences on randomly sampled coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -35,11 +36,11 @@ class Tape:
 
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
-        return cls(root=root, nodes=_graph_nodes(root))
+        return cls(root=root, nodes=sorted(_graph_nodes(root), key=attrgetter("seq")))
 
 
 def _graph_nodes(root: Tensor) -> list[Tensor]:
-    """Every op-produced tensor reachable from ``root``, in execution order."""
+    """Every op-produced tensor reachable from ``root``, in no set order."""
     seen: set[int] = set()
     nodes: list[Tensor] = []
     stack = [root]
@@ -50,7 +51,6 @@ def _graph_nodes(root: Tensor) -> list[Tensor]:
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t.parents)
-    nodes.sort(key=lambda t: t.seq)
     return nodes
 
 
@@ -137,7 +137,9 @@ def _relu_inputs(loss: Tensor) -> list[np.ndarray]:
     Copies, because a relu that reads a ``wrt`` leaf directly holds the
     buffer gradcheck perturbs in place.
     """
-    return [node.parents[0].data.copy() for node in _graph_nodes(loss) if node.op == "relu"]
+    relus = sorted((node for node in _graph_nodes(loss) if node.op == "relu"),
+                   key=attrgetter("seq"))
+    return [node.parents[0].data.copy() for node in relus]
 
 
 def gradcheck(

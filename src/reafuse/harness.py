@@ -73,7 +73,9 @@ from .pyramid import (
     EQUIVARIANT_VARIANTS,
     VARIANTS,
     PyramidConfig,
+    PyramidParams,
     build_pyramid,
+    init_attention,
     init_pyramid,
     lateral_maps,
     named_parameters,
@@ -106,9 +108,10 @@ class ConfigError(ValueError):
 # bounds the values of the level-0 feature map, kernel_channels x
 # orientations x image_size^2 x batch, at the default widths (8 kernel
 # channels x 4 orientations) with the largest input (256 x 256, batch 2): a
-# 32 MB map.  That config peaks at 229 MB of resident memory in ``demo`` of
-# ReAFFPN (2-core x86_64, OpenBLAS on one thread).  kernel_channels has its
-# own cap, pyramid.MAX_KERNEL_CHANNELS.
+# 32 MB map.  That config (ReAFFPN, 3 levels) peaks at 213 MB of resident
+# memory in ``demo`` and at 306 MB per process in ``verify``, which runs
+# ``_verify_workers`` such processes at once (2-core x86_64, OpenBLAS on one
+# thread).  kernel_channels has its own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
 # Each reseed is a fresh pyramid draw, made per seed for each variant that
 # must break, so at MAX_SEEDS the cap bounds verify at 2 x 1000 x 100 extra
@@ -340,6 +343,24 @@ def _residuals(config: HarnessConfig, levels: list[list[Tensor]]) -> list[float]
             for got, want in zip(levels[1], levels[0])]
 
 
+def _variant_params(config: HarnessConfig, param_seed: int,
+                    variants: list[str]) -> dict[str, PyramidParams]:
+    """``init_pyramid`` of each of ``variants`` at ``param_seed``, drawing the
+    shared layers once.
+
+    The variants differ only in their attention, so the first variant's
+    parameters are drawn whole and each other variant's are those with its
+    own attention (``init_attention``, the same draw ``init_pyramid`` makes)
+    swapped in.
+    """
+    first = init_pyramid(config.pyramid_config(variants[0], param_seed))
+    params = {variants[0]: first}
+    for v in variants[1:]:
+        pcfg = config.pyramid_config(v, param_seed)
+        params[v] = dataclasses.replace(first, config=pcfg, attention=init_attention(pcfg))
+    return params
+
+
 def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
                     timings: dict) -> dict[str, list[float] | None]:
     """Residuals of each of ``variants`` on one draw from ``rng``.
@@ -350,16 +371,17 @@ def _draw_residuals(config: HarnessConfig, rng: Rng, variants: list[str],
     head on its own copy of each laterals list (the head consumes the list,
     never the maps).  ``init_pyramid`` derives every layer from the
     parameter seed and the layer name, so all variants get the same stem,
-    stage and lateral weights and the laterals are the same for all of
-    them; only the attention weights differ.  A variant's pyramids are
-    built inside its ``_residuals`` call, so they are freed before the next
-    head runs.  Non-finite laterals give None for every variant.
+    stage, lateral and smoothing weights, drawn once (``_variant_params``),
+    and the laterals are the same for all of them; only the attention
+    weights differ.  A variant's pyramids are built inside its
+    ``_residuals`` call, so they are freed before the next head runs.
+    Non-finite laterals give None for every variant.
     Everything built here is released on return.  The draw's stage times
     are added to ``timings`` (``backbone`` and each variant's head).
     """
     t0 = time.perf_counter()
     image, param_seed = _draw(config, rng)
-    params = {v: init_pyramid(config.pyramid_config(v, param_seed)) for v in variants}
+    params = _variant_params(config, param_seed, variants)
     shared = params[variants[0]]
     laterals = [lateral_maps(toy_backbone(_rotate(config, image, s), shared), shared)
                 for s in range(min(2, config.orientations))]

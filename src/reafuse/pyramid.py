@@ -62,6 +62,7 @@ __all__ = [
     "PyramidConfig",
     "PyramidParams",
     "init_pyramid",
+    "init_attention",
     "toy_backbone",
     "lateral_maps",
     "build_pyramid",
@@ -158,7 +159,7 @@ def init_pyramid(config: PyramidConfig) -> PyramidParams:
     Every layer gets a derived rng stream.
     """
     rng = Rng(config.seed)
-    k, n, c, r = config.kernel_channels, config.orientations, config.channels, config.reduction
+    k, n = config.kernel_channels, config.orientations
     stages = tuple(
         (
             init_group_conv(rng.derive(f"stage{l}.conv0"), k, k, n, 3),
@@ -172,6 +173,26 @@ def init_pyramid(config: PyramidConfig) -> PyramidParams:
     smooth = tuple(
         init_group_conv(rng.derive(f"smooth{l}"), k, k, n, 3) for l in range(config.levels - 1)
     )
+    return PyramidParams(
+        config=config,
+        stem=init_group_conv(rng.derive("stem"), k, 3, 1, 3),
+        stages=stages,
+        lateral=lateral,
+        smooth=smooth,
+        attention=init_attention(config),
+    )
+
+
+def init_attention(config: PyramidConfig) -> tuple:
+    """The attention entries of ``init_pyramid(config)``, one per fused level.
+
+    Level l draws from the ``attention{l}`` stream of the config's seed, so a
+    variant's attention can be drawn on its own and swapped into the
+    parameters of another variant built from the same seed, whose other
+    layers are the same.
+    """
+    rng = Rng(config.seed)
+    c, n, r = config.channels, config.orientations, config.reduction
     attention: list = []
     for l in range(config.levels - 1):
         arng = rng.derive(f"attention{l}")
@@ -185,14 +206,7 @@ def init_pyramid(config: PyramidConfig) -> PyramidParams:
             attention.append(init_reaff(arng, c, n, r))
         else:
             attention.append(None)
-    return PyramidParams(
-        config=config,
-        stem=init_group_conv(rng.derive("stem"), k, 3, 1, 3),
-        stages=stages,
-        lateral=lateral,
-        smooth=smooth,
-        attention=tuple(attention),
-    )
+    return tuple(attention)
 
 
 def toy_backbone(x: Tensor, params: PyramidParams) -> list[Tensor]:

@@ -10,6 +10,9 @@ built from the small op set in this module.  Design constraints:
 * deterministic: the same inputs always produce bit-identical outputs.
   conv2d contracts its receptive field in a fixed (kernel-row, kernel-col,
   in-channel) flattening, so repeated runs are reproducible;
+* every op is a primitive: it computes on raw arrays and records at most
+  one graph node with its own backward.  ``batchnorm`` is one too, a node
+  over (x, gamma, beta) with the closed-form batch-norm gradient;
 * rotation convention: positive quarter turns are counter-clockwise in the
   usual matrix-print orientation (row index down, column index right).
   ``rot90([[1,2],[3,4]], 1) == [[2,4],[1,3]]``.  Fixed here, used everywhere.
@@ -43,7 +46,6 @@ __all__ = [
     "matmul",
     "relu",
     "sigmoid",
-    "power",
     "reshape",
     "transpose",
     "take",
@@ -226,13 +228,6 @@ def sigmoid(a) -> Tensor:
     s += 1.0
     s *= 0.5
     return _record(Tensor(s), "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def power(a, exponent: float) -> Tensor:
-    a = _wrap(a)
-    p = float(exponent)
-    data = a.data ** p
-    return _record(Tensor(data), "power", (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def matmul(a, b) -> Tensor:
@@ -541,6 +536,13 @@ def batchnorm(x, gamma, beta) -> Tensor:
 
     Statistics are always the batch statistics of the given tensor (there is
     no running-average mode); ``gamma`` and ``beta`` index axis 1.
+
+    A primitive with its own backward, like ``conv2d``: the forward runs the
+    steps m = sum(x) / count, c = x - m, var = sum(c * c) / count,
+    inv = (var + eps) ** -0.5 and out = c * inv * gamma + beta on raw arrays,
+    and records one node with parents (x, gamma, beta).  The backward is the
+    closed form (Ioffe & Szegedy, arXiv 1502.03167): with x_hat = c * inv and
+    dx_hat = g * gamma, dx = inv * (dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat)).
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
@@ -555,10 +557,22 @@ def batchnorm(x, gamma, beta) -> Tensor:
             f"batchnorm: statistics over a single element (shape {x.shape})"
         )
 
-    m = mul(tsum(x, axis=axes, keepdims=True), 1.0 / count)
-    centered = sub(x, m)
-    var = mul(tsum(mul(centered, centered), axis=axes, keepdims=True), 1.0 / count)
-    inv = power(add(var, _BN_EPS), -0.5)
-    normed = mul(centered, inv)
     bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    return add(mul(normed, reshape(gamma, bshape)), reshape(beta, bshape))
+    # ``normed`` holds c, then x_hat in place: the same bits as c * inv
+    normed = x.data - x.data.sum(axis=axes, keepdims=True) * (1.0 / count)
+    var = (normed * normed).sum(axis=axes, keepdims=True) * (1.0 / count)
+    inv = (var + _BN_EPS) ** -0.5
+    normed *= inv
+    out = normed * gamma.data.reshape(bshape)
+    out += beta.data.reshape(bshape)
+
+    def backward(g: np.ndarray):
+        grad_beta = g.sum(axis=axes)
+        grad_gamma = (g * normed).sum(axis=axes)
+        dn = g * gamma.data.reshape(bshape)
+        grad_x = dn - dn.mean(axis=axes, keepdims=True)
+        grad_x -= normed * (dn * normed).mean(axis=axes, keepdims=True)
+        grad_x *= inv
+        return grad_x, grad_gamma, grad_beta
+
+    return _record(Tensor(out), "batchnorm", (x, gamma, beta), backward)

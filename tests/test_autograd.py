@@ -110,10 +110,9 @@ def test_gradcheck_validates_step_size():
 
 
 def test_gradcheck_raises_on_non_finite():
-    x = Tensor(np.zeros((2,)), requires_grad=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError):
-            gradcheck(lambda: ops.tsum(ops.power(x, -1.0)), [x], Rng(0))
+    x = Tensor(np.ones((2,)), requires_grad=True)
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        gradcheck(lambda: ops.tsum(ops.mul(x, np.inf)), [x], Rng(0))
 
 
 def test_gradcheck_flags_a_wrong_gradient():
@@ -204,6 +203,6 @@ def test_gradcheck_extrapolation_removes_curvature_error():
     central = ((x.data + h) ** 3 - (x.data - h) ** 3) / (2 * h)
     plain_rel = np.abs(central - 3 * x.data ** 2) / np.maximum(np.abs(central), 1.0)
     assert plain_rel.max() > 1e-7
-    report = gradcheck(lambda: ops.tsum(ops.power(x, 3.0)), [x], Rng(0), h=h, tol=1e-9)
+    report = gradcheck(lambda: ops.tsum(ops.mul(ops.mul(x, x), x)), [x], Rng(0), h=h, tol=1e-9)
     assert report.passed, str(report)
     assert report.checked == 3

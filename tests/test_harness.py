@@ -434,6 +434,45 @@ def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch, tmp_p
     assert not reseed_draws["PlusSE"] & reseed_draws["PlusIAFF"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
+def test_verify_builds_each_variants_parameters_as_init_pyramid(n):
+    cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
+    param_seed = 1234
+    params = harness._variant_params(cfg, param_seed, list(VARIANTS))
+    assert list(params) == list(VARIANTS)
+    for variant in VARIANTS:
+        got = pyramid.named_parameters(params[variant])
+        want = pyramid.named_parameters(
+            pyramid.init_pyramid(cfg.pyramid_config(variant, param_seed)))
+        assert params[variant].config == cfg.pyramid_config(variant, param_seed)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            assert np.array_equal(a.data, b.data), (variant, name)
+
+
+def test_verify_runs_init_pyramid_once_per_draw(monkeypatch):
+    calls = []
+    real = pyramid.init_pyramid
+
+    def counted(config):
+        calls.append(config.variant)
+        return real(config)
+
+    monkeypatch.setattr(harness, "init_pyramid", counted)
+    _force_workers(monkeypatch, 1)
+    cfg = HarnessConfig(**TINY).validate()
+    timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
+    harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
+    assert calls == [VARIANTS[0]]
+    # a seed's shared draw, then one draw of its variant per reseed
+    calls.clear()
+    report = run_verify(dataclasses.replace(cfg, fail_threshold=10.0).validate())
+    reseeds = {v: report.results[v]["reseeds_used"] for v in ("PlusSE", "PlusIAFF")}
+    assert calls.count(VARIANTS[0]) == cfg.seeds
+    assert {v: calls.count(v) for v in reseeds} == reseeds
+    assert len(calls) == cfg.seeds + sum(reseeds.values())
+
+
 def test_run_verify_non_finite_backbone_fails_every_variant(monkeypatch):
     real = pyramid.toy_backbone
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reafuse import tensor as ops
-from reafuse.autograd import backward, gradcheck
+from reafuse.autograd import Tape, backward, gradcheck
 from reafuse.groupequiv import group_conv, init_group_conv
 from reafuse.naive import naive_conv2d
 from reafuse.tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
@@ -368,6 +368,57 @@ def test_batchnorm_degenerate_statistics_error():
         ops.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros((3,))))
     with pytest.raises(ShapeError):
         ops.batchnorm(Tensor(np.zeros((4, 3, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros((2,))))
+
+
+def composite_batchnorm(x, gamma, beta):
+    # the reference formula, step by step on raw arrays: batch mean, centre,
+    # biased variance, (var + eps)^-1/2, normalize, scale, shift
+    axes = (0,) + tuple(range(2, x.ndim))
+    count = x.size // x.shape[1]
+    bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    centered = x - x.sum(axis=axes, keepdims=True) * (1.0 / count)
+    var = (centered * centered).sum(axis=axes, keepdims=True) * (1.0 / count)
+    inv = (var + 1e-5) ** -0.5
+    return centered * inv * gamma.reshape(bshape) + beta.reshape(bshape)
+
+
+# [B, C], [B, C, H, W], and the [B, R, N, H, W] view reca._shared_batchnorm takes
+BATCHNORM_SHAPES = [(6, 4), (3, 4, 5, 5), (2, 3, 4, 5, 5)]
+
+
+def _batchnorm_inputs(shape, seed):
+    r = Rng(seed)
+    c = shape[1]
+    return (Tensor(r.derive("x").uniform(shape, -2.0, 3.0)),
+            Tensor(r.derive("gamma").uniform((c,), 0.5, 1.5)),
+            Tensor(r.derive("beta").uniform((c,), -0.5, 0.5)))
+
+
+@pytest.mark.parametrize("shape", BATCHNORM_SHAPES)
+def test_batchnorm_is_bit_identical_to_the_composite_formula(shape):
+    x, gamma, beta = _batchnorm_inputs(shape, 21)
+    want = composite_batchnorm(x.data, gamma.data, beta.data)
+    assert np.array_equal(ops.batchnorm(x, gamma, beta).data, want)
+    x.requires_grad = True  # a recorded forward computes the same bits
+    assert np.array_equal(ops.batchnorm(x, gamma, beta).data, want)
+
+
+@pytest.mark.parametrize("shape", BATCHNORM_SHAPES)
+def test_batchnorm_backward_passes_gradcheck(shape):
+    x, gamma, beta = _batchnorm_inputs(shape, 22)
+    weights = Tensor(Rng(23).uniform(shape))
+    report = gradcheck(lambda: ops.tsum(ops.mul(ops.batchnorm(x, gamma, beta), weights)),
+                       [x, gamma, beta], Rng(24))
+    assert report.passed, str(report)
+    assert report.checked == min(50, x.size) + 2 * shape[1]
+
+
+def test_batchnorm_records_one_node_over_x_gamma_beta():
+    x, gamma, beta = _batchnorm_inputs((2, 3, 4, 4), 25)
+    gamma.requires_grad = True
+    out = ops.batchnorm(x, gamma, beta)
+    assert out.op == "batchnorm" and out.parents == (x, gamma, beta)
+    assert Tape.trace(out).nodes == [out]
 
 
 def test_take_gathers_along_axis_and_checks_range():
