@@ -15,23 +15,33 @@ Four commands, one ``Report`` shape:
                    every differentiable op, up to a full two-level pyramid.
 * ``demo``      -- builds one configured pyramid and serializes its levels;
                    byte-identical on reruns with the same config, seed and
-                   BLAS thread count.
+                   BLAS thread count, whatever the worker count.
 
 Exit codes: 0 all verdicts pass; 1 a verdict definitively fails; 2 invalid
 config or unusable paths; 3 non-finite values; 4 breakage demonstration
 inconclusive after the reseed budget.
 
-``verify``'s seeds are independent draws, so it splits them over forked
-worker processes.  Each seed yields, per variant, its residuals (None if
-non-finite) and the reseeds it used; each variant's report entry is built
-once from those outcomes in seed order, so the results and verdicts are
-those of a serial run, and a variant with any non-finite seed is reported
-non-finite.  There are as many workers as the usable cores hold processes
-of the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
-``OMP_NUM_THREADS``; unset, a process may use every core), at most one per
-seed.  So with the BLAS thread count unset verify runs in one process and
-forks nothing.  The report's ``timings["workers"]`` says how many ran; its
-per-stage timings are summed over them, and ``total`` is wall time.
+``verify`` and ``demo`` split independent work over forked worker
+processes, through one fork path (``_fork_map``): the parent forks one child
+per share, computes none itself, and folds what the children send back.
+There are as many workers as the usable cores hold processes of the BLAS
+thread count (``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``; unset, a
+process may use every core), at most one per task (``_workers``).  So with
+the BLAS thread count unset both run in one process and fork nothing.  The
+report's ``timings["workers"]`` says how many ran.
+
+``verify``'s tasks are its seeds, which are independent draws.  Each seed
+yields, per variant, its residuals (None if non-finite) and the reseeds it
+used; each variant's report entry is built once from those outcomes in seed
+order, so the results and verdicts are those of a serial run, and a variant
+with any non-finite seed is reported non-finite.  Its per-stage timings are
+summed over the workers, and ``total`` is wall time.
+
+``demo``'s tasks are the samples of its batch: the backbone and the laterals
+act on each sample alone, so the workers run them on contiguous shares of
+the batch and write their rows into shared memory, and the parent runs the
+head and the writes on the whole batch.  The artifacts are the same bytes
+for any worker count.
 
 ``verify``, ``oracle`` and ``demo`` only run forward passes over unmarked
 tensors, so they record no autograd graph: a graph is recorded only
@@ -42,13 +52,14 @@ marks its own ``wrt`` tensors, records one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -108,10 +119,13 @@ class ConfigError(ValueError):
 # bounds the values of the level-0 feature map, kernel_channels x
 # orientations x image_size^2 x batch, at the default widths (8 kernel
 # channels x 4 orientations) with the largest input (256 x 256, batch 2): a
-# 32 MB map.  That config (ReAFFPN, 3 levels) peaks at 213 MB of resident
-# memory in ``demo`` and at 306 MB per process in ``verify``, which runs
-# ``_verify_workers`` such processes at once (2-core x86_64, OpenBLAS on one
-# thread).  kernel_channels has its own cap, pyramid.MAX_KERNEL_CHANNELS.
+# 32 MB map.  That config (ReAFFPN, 3 levels), measured on 2-core x86_64
+# with OpenBLAS on one thread, peaks at 212 MB of resident memory in
+# ``demo`` with one worker; with two, the parent peaks at 210 MB, in the
+# head, and each worker at 72 MB.  In ``verify`` (2 seeds) each of
+# ``_workers(seeds)`` processes peaks at 298 MB, at once, and their parent,
+# which only folds their outcomes, at 34 MB.  kernel_channels has its own cap,
+# pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
 # Each reseed is a fresh pyramid draw, made per seed for each variant that
 # must break, so at MAX_SEEDS the cap bounds verify at 2 x 1000 x 100 extra
@@ -445,54 +459,58 @@ def _blas_threads(cores: int) -> int:
     return cores
 
 
-def _verify_workers(config: HarnessConfig) -> int:
-    """How many processes share verify's seeds: as many as the usable cores
-    hold processes of ``_blas_threads`` threads each, at most one per seed,
-    at least one.  With the BLAS thread count unset a process may use every
-    core, so verify runs in one.  Where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, one.
+def _workers(count: int) -> int:
+    """How many processes share ``count`` independent tasks (verify's seeds,
+    demo's samples): as many as the usable cores hold processes of
+    ``_blas_threads`` threads each, at most one per task, at least one.
+    With the BLAS thread count unset a process may use every core, so the
+    tasks run in one.  Where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing, one.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     cores = len(os.sched_getaffinity(0))
-    return max(1, min(config.seeds, cores // _blas_threads(cores)))
+    return max(1, min(count, cores // _blas_threads(cores)))
 
 
-def _run_seeds(config: HarnessConfig, workers: int) -> list[tuple]:
-    """Every seed's ``(index, outcomes, timings)``, split over ``workers``
-    processes, in no particular order.
+def _fork_map(task: Callable, shares: list) -> list:
+    """``task(share)`` for each of ``shares``, in order, each in its own
+    forked child.
 
-    Share k holds seeds k, k + workers, k + 2 workers, ...  The parent forks
-    one child per share but the first, runs share 0 itself, then reads each
-    child's pickled share from its pipe and reaps it.  An exception in a
-    child is raised again in the parent, with its type and message; if
+    The parent forks one child per share and computes none itself; it reads
+    each child's pickled ``(ok, value)`` from its pipe and reaps it.  An
+    exception in a child is raised again in the parent, with its type and
+    message, and a child that exits without reporting is a RuntimeError; if
     anything raises, every child is killed and reaped before it propagates.
-    With one worker nothing is forked.  Each child keeps the parent's BLAS
-    thread setting, so a seed's residuals are those of a serial run.
+    A single share runs in the calling process and forks nothing.  Each
+    child keeps the parent's BLAS thread setting, so its results are those
+    of a serial run.
     """
+    if len(shares) == 1:
+        return [task(shares[0])]
     # imported here: only a split run pays for them, not every command
     import pickle
     import signal
 
     pids, pipes = [], []
     try:
-        for k in range(1, workers):
+        for share in shares:
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(config, range(k, config.seeds, workers), write_end)
+                _child(task, share, write_end)
             os.close(write_end)
             pids.append(pid)
             pipes.append(os.fdopen(read_end, "rb"))
-        seeds = _run_share(config, range(0, config.seeds, workers))
+        values = []
         for pipe in pipes:
             payload = pipe.read()
             if not payload:
-                raise RuntimeError("a verify worker exited without sending its seeds")
+                raise RuntimeError("a worker process exited without reporting")
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value
-            seeds += value
+            values.append(value)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped below
@@ -502,19 +520,20 @@ def _run_seeds(config: HarnessConfig, workers: int) -> list[tuple]:
             pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    return seeds
+    return values
 
 
-def _worker(config: HarnessConfig, indices: range, write_end: int) -> NoReturn:
-    """A forked child's whole life: run one share, write it pickled to
-    ``write_end``, and leave through ``os._exit``, so that no code of the
-    parent's (its stack, atexit handlers, buffered output) runs twice."""
+def _child(task: Callable, share, write_end: int) -> NoReturn:
+    """A forked child's whole life: run ``task`` on one share, write the
+    outcome pickled to ``write_end``, and leave through ``os._exit``, so that
+    no code of the parent's (its stack, atexit handlers, buffered output)
+    runs twice."""
     import pickle  # already loaded by the parent
 
     status = 1
     try:
         try:
-            payload = (True, _run_share(config, indices))
+            payload = (True, task(share))
         except BaseException as exc:  # raised again in the parent
             payload = (False, exc)
         with os.fdopen(write_end, "wb") as pipe:
@@ -555,7 +574,7 @@ def run_verify(config: HarnessConfig) -> Report:
     fixed-backbone ablation, and every variant is still run end to end on
     the input and on its rotation by the generator of C_N; the group laws
     extend a pass at the generator to every element.  The seeds are split
-    over ``_verify_workers`` processes (``timings["workers"]``) and sorted
+    over ``_workers(seeds)`` processes (``timings["workers"]``) and sorted
     back into seed order, and each variant's entry is built once from its
     outcomes on every seed, so the results do not depend on the split.  A
     variant with any non-finite seed is reported non-finite.
@@ -567,8 +586,10 @@ def run_verify(config: HarnessConfig) -> Report:
     """
     report = _new_report("verify", config)
     start = time.perf_counter()
-    workers = _verify_workers(config)
-    seeds = sorted(_run_seeds(config, workers), key=lambda s: s[0])
+    workers = _workers(config.seeds)
+    shares = [range(k, config.seeds, workers) for k in range(workers)]
+    seeds = sorted((seed for share in _fork_map(functools.partial(_run_share, config), shares)
+                    for seed in share), key=lambda s: s[0])
     report.timings = {stage: sum(timings[stage] for *_, timings in seeds)
                       for stage in ("backbone", *VARIANTS)}
     for variant in VARIANTS:
@@ -822,24 +843,83 @@ def run_gradcheck(config: HarnessConfig) -> Report:
 # -- demo --------------------------------------------------------------------------
 
 
+def _batch_shares(batch: int, workers: int) -> list[slice]:
+    """``workers`` contiguous, balanced slices of the batch axis, the empty
+    ones (more workers than samples) dropped."""
+    bounds = [k * batch // workers for k in range(workers + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _split_laterals(image: Tensor, params: PyramidParams, shares: list[slice]) -> list[Tensor]:
+    """``lateral_maps(toy_backbone(image, params), params)``, each of
+    ``shares`` of the batch run in its own forked child.
+
+    Every op of the backbone and the laterals acts on each sample alone (no
+    batch statistics), and ``conv2d`` runs one GEMM per sample or band, so a
+    share's rows are those of the whole batch, bit for bit.  Before it
+    forks, the parent lays each level's full-batch lateral, [B, K*N, S/2^l,
+    S/2^l], on an anonymous shared mapping of its own; each child writes its
+    rows there and sends nothing back through its pipe.  A level's mapping
+    is unmapped when its lateral is freed, so ``build_pyramid`` still frees
+    each lateral before its smoothing conv.  One share runs in the calling
+    process, with no mapping.
+    """
+    if len(shares) == 1:
+        return lateral_maps(toy_backbone(image, params), params)
+    import mmap  # only a split run pays for it
+
+    batch, _, size, _ = image.shape
+    shapes = [(batch, params.config.channels, size >> l, size >> l)
+              for l in range(params.config.levels)]
+    maps = [np.ndarray(shape, np.float64, mmap.mmap(-1, 8 * math.prod(shape)))
+            for shape in shapes]
+
+    def run_share(rows: slice) -> None:
+        laterals = lateral_maps(toy_backbone(Tensor(image.data[rows]), params), params)
+        for shared, lateral in zip(maps, laterals):
+            shared[rows] = lateral.data
+
+    _fork_map(run_share, shares)
+    return [Tensor(shared) for shared in maps]
+
+
 def run_demo(config: HarnessConfig, out_dir) -> Report:
-    """Build one pyramid, serialize its levels, and echo what was written."""
+    """Build one pyramid, serialize its levels, and echo what was written.
+
+    The backbone and the laterals, which act on each sample alone, split the
+    batch over ``_workers(batch)`` forked processes (``_split_laterals``);
+    the parent then runs the head, the finite check and the writes, so the
+    artifacts are the same bytes for any worker count.  ``timings`` gives
+    the wall time of each stage: ``backbone`` (the split, forks and wait
+    included), ``heads`` (``build_pyramid``), ``write``
+    (``save_feature_maps``) and ``total``, and ``workers``, the number of
+    processes the backbone ran in.
+    """
     report = _new_report("demo", config)
     start = time.perf_counter()
     image, param_seed = _draw(config, Rng(config.seed).derive("demo"))
     params = init_pyramid(config.pyramid_config(config.variant, param_seed))
-    levels = run_pyramid(image, params)
+    shares = _batch_shares(config.batch, _workers(config.batch))
+    report.timings["workers"] = len(shares)
+    t0 = time.perf_counter()
+    laterals = _split_laterals(image, params, shares)
+    t1 = time.perf_counter()
+    report.timings["backbone"] = t1 - t0
+    levels = build_pyramid(laterals, params)
+    report.timings["heads"] = time.perf_counter() - t1
     if not _finite(*levels):
         report.non_finite = True
         report.verdicts["pyramid outputs finite"] = False
         report.timings["total"] = time.perf_counter() - start
         return report
+    t0 = time.perf_counter()
     out = save_feature_maps(levels, config.orientations, out_dir, extra={
         "command": "demo",
         "config": dataclasses.asdict(config),
         "variant": config.variant,
         "seed": config.seed,
     })
+    report.timings["write"] = time.perf_counter() - t0
     report.results["out_dir"] = str(out)
     report.results["files"] = sorted(p.name for p in out.iterdir())
     report.results["levels"] = [list(fm.shape) for fm in levels]

@@ -1,11 +1,13 @@
 """Config validation, report/exit-code semantics, and CLI behavior."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -371,7 +373,7 @@ def _count_calls(monkeypatch, tmp_path, stage="toy_backbone"):
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(harness, "_verify_workers", lambda config: workers)
+    monkeypatch.setattr(harness, "_workers", lambda count: workers)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
@@ -501,8 +503,8 @@ def _verify_with_workers(monkeypatch, cfg, workers):
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
 def test_run_verify_split_equals_serial(monkeypatch, n):
-    # three seeds: two workers give the parent two seeds and the child one;
-    # five workers are more than there are seeds, so two shares are empty
+    # three seeds: two workers get two seeds and one; five workers are more
+    # than there are seeds, so two shares are empty
     cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3}).validate()
     serial = _verify_with_workers(monkeypatch, cfg, 1)
     for workers in (2, 3, 5):
@@ -513,7 +515,8 @@ def test_run_verify_split_equals_serial(monkeypatch, n):
 
 
 def test_run_verify_split_non_finite_seed_in_a_worker(monkeypatch):
-    # seed 1 is in the child's share; its backbone is NaN, seeds 0 and 2 are not
+    # seed 1 is in the second worker's share; its backbone is NaN, seeds 0
+    # and 2 are not
     cfg = HarnessConfig(**{**TINY, "seeds": 3}).validate()
     poisoned_seed = Rng(cfg.seed).derive("verify/1").derive("params").seed
     real = pyramid.toy_backbone
@@ -535,7 +538,7 @@ def test_run_verify_split_non_finite_seed_in_a_worker(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 4], ids=["n2", "n4"])
 def test_run_verify_one_variant_non_finite(monkeypatch, n):
-    # PlusIAFF's heads are NaN on seed 1, in the child's share when split;
+    # PlusIAFF's heads are NaN on seed 1, in the second worker's share when split;
     # the other variants and PlusIAFF's other seeds are untouched
     cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3}).validate()
     clean = _verify_with_workers(monkeypatch, cfg, 1)
@@ -591,21 +594,65 @@ def test_draw_residuals_frees_each_head_before_the_next(monkeypatch):
         (e - min(identity)) / level0[0] for e in identity]
 
 
+def _fail_in(monkeypatch, where):
+    """Make a split run fail in a worker (its backbone raises) or in the
+    parent (its fork of the second worker fails, the first one running)."""
+    parent = os.getpid()
+    if where == "worker":
+        real = pyramid.toy_backbone
+
+        def failing(x, params):
+            if os.getpid() != parent:
+                raise ShapeError("raised in the worker")
+            return real(x, params)
+
+        monkeypatch.setattr(harness, "toy_backbone", failing)
+        return ShapeError, "raised in the worker"
+    forks = []
+    real_fork = os.fork
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("raised in the parent")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    return BlockingIOError, "raised in the parent"
+
+
 @pytest.mark.parametrize("where", ["worker", "parent"])
 def test_run_verify_split_raises_and_reaps(monkeypatch, where):
-    parent = os.getpid()
-    real = pyramid.toy_backbone
-
-    def failing(x, params):
-        if (os.getpid() == parent) == (where == "parent"):
-            raise ShapeError(f"raised in the {where}")
-        return real(x, params)
-
-    monkeypatch.setattr(harness, "toy_backbone", failing)
+    error, message = _fail_in(monkeypatch, where)
     _force_workers(monkeypatch, 2)
-    with pytest.raises(ShapeError, match=f"^raised in the {where}$"):
+    with pytest.raises(error, match=f"^{message}$"):
         run_verify(HarnessConfig(**TINY).validate())
     _no_child_left()
+
+
+def test_fork_map_errors_kill_and_reap_every_worker():
+    assert harness._fork_map(lambda share: share * share, [1, 2, 3]) == [1, 4, 9]
+    _no_child_left()
+
+    def vanish(share):
+        if share == 1:
+            os._exit(0)
+        return share
+
+    with pytest.raises(RuntimeError, match="exited without reporting"):
+        harness._fork_map(vanish, [0, 1, 2])
+    _no_child_left()
+
+    def fail_first(share):
+        if share:
+            time.sleep(60)  # killed once the first share's error is read
+        raise ValueError("the first share failed")
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^the first share failed$"):
+        harness._fork_map(fail_first, [0, 1])
+    _no_child_left()
+    assert time.monotonic() - start < 30
 
 
 def test_verify_workers_rule(monkeypatch):
@@ -617,7 +664,7 @@ def test_verify_workers_rule(monkeypatch):
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         try:
-            return harness._verify_workers(HarnessConfig(**{**TINY, "seeds": seeds}))
+            return harness._workers(seeds)
         finally:
             for var in env:
                 monkeypatch.delenv(var)
@@ -634,6 +681,11 @@ def test_verify_workers_rule(monkeypatch):
         assert workers(OPENBLAS_NUM_THREADS=bad, OMP_NUM_THREADS="1") == 4, bad
     assert workers(seeds=3, OPENBLAS_NUM_THREADS="1") == 3
     assert workers(seeds=1, OPENBLAS_NUM_THREADS="1") == 1
+    # demo asks with its batch: with the BLAS thread count unset it forks nothing
+    cfg = HarnessConfig(**{**TINY, "batch": 2})
+    assert harness._batch_shares(cfg.batch, workers(seeds=cfg.batch)) == [slice(0, 2)]
+    assert harness._batch_shares(cfg.batch, workers(seeds=cfg.batch, OMP_NUM_THREADS="1")) == [
+        slice(0, 1), slice(1, 2)]
 
 
 def test_run_oracle_tiny_config():
@@ -653,24 +705,59 @@ def test_run_demo_writes_identical_artifacts(tmp_path):
 
 
 def test_run_demo_non_finite_writes_nothing(monkeypatch, tmp_path):
-    real = pyramid.run_pyramid
+    # the parent builds the pyramid from the laterals, split or not
+    real = pyramid.build_pyramid
 
-    def poisoned(image, params):
-        return [Tensor(np.full(fm.shape, np.nan)) for fm in real(image, params)]
+    def poisoned(laterals, params):
+        return [Tensor(np.full(fm.shape, np.nan)) for fm in real(laterals, params)]
 
-    monkeypatch.setattr(harness, "run_pyramid", poisoned)
-    report = run_demo(HarnessConfig(**TINY).validate(), tmp_path / "out")
-    assert report.exit_code == 3 and report.non_finite
-    assert report.verdicts == {"pyramid outputs finite": False}
-    assert not list(tmp_path.rglob("*.raft"))
-    assert "total" in report.timings
+    monkeypatch.setattr(harness, "build_pyramid", poisoned)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        report = run_demo(HarnessConfig(**TINY).validate(), tmp_path / "out")
+        _no_child_left()
+        assert report.exit_code == 3 and report.non_finite
+        assert report.verdicts == {"pyramid outputs finite": False}
+        assert not list(tmp_path.rglob("*.raft"))
+        assert set(report.timings) == {"workers", "backbone", "heads", "total"}
+
+
+def _digests(out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_demo_split_writes_the_serial_bytes(monkeypatch, tmp_path, variant):
+    # batch 3: two workers get one sample and two; five workers are more
+    # than there are samples, so three processes run the backbone
+    cfg = HarnessConfig(**{**TINY, "batch": 3, "variant": variant}).validate()
+    digests = {}
+    for workers in (1, 2, 3, 5):
+        _force_workers(monkeypatch, workers)
+        report = run_demo(cfg, tmp_path / str(workers))
+        _no_child_left()
+        assert report.exit_code == 0, report.summary_lines()
+        assert report.timings["workers"] == min(workers, cfg.batch)
+        assert set(report.timings) == {"workers", "backbone", "heads", "write", "total"}
+        digests[workers] = _digests(tmp_path / str(workers))
+    assert digests[1] and all(d == digests[1] for d in digests.values()), variant
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+def test_run_demo_split_raises_and_reaps(monkeypatch, tmp_path, where):
+    error, message = _fail_in(monkeypatch, where)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_demo(HarnessConfig(**TINY).validate(), tmp_path / "out")
+    _no_child_left()
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_loads_no_process_machinery():
-    # the fork machinery imports what it needs when verify splits its
-    # seeds, so the other commands do not pay for it at start-up
+    # the fork machinery imports what it needs when verify or demo splits
+    # its work, so no command pays for it at start-up
     script = ("import sys, reafuse; print(' '.join(sorted({'multiprocessing', 'concurrent', "
-              "'subprocess', 'signal', 'socket'} & set(sys.modules))))")
+              "'subprocess', 'signal', 'socket', 'mmap'} & set(sys.modules))))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)

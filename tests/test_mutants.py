@@ -14,7 +14,7 @@ the checks, not of the code.
 import numpy as np
 import pytest
 
-from reafuse import groupequiv, harness, pyramid, reca
+from reafuse import groupequiv, harness, pyramid, reaff, reca
 from reafuse import tensor as ops
 from reafuse.harness import HarnessConfig, run_oracle, run_verify
 from reafuse.pyramid import EQUIVARIANT_VARIANTS, VARIANTS
@@ -108,6 +108,27 @@ def _se_gate(x, p):
     return reca.se_forward(x, se)
 
 
+_CYCLIC_BLOCKS = reca.cyclic_blocks
+
+
+def _anti_circulant_blocks(x, banks):
+    """``reca.cyclic_blocks`` expanding its bank by the (m + i) mod N index."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reca, "_kernel_index", INDEX_MUTANTS["added-orientation"])
+        return _CYCLIC_BLOCKS(x, banks)
+
+
+def _anti_circulant_w_b_logits(x, p, squeeze=True):
+    """``reca.attention_logits`` with the expansion bank ``w_b`` alone
+    expanded by the (m + i) mod N index; ``w_a`` keeps the correct one."""
+    b, c = x.shape[0], x.shape[1]
+    h = ops.reshape(ops.global_avg_pool(x), (b, c)) if squeeze else x
+    h = reca.cyclic_blocks(h, p.w_a)
+    h = ops.relu(reca._shared_batchnorm(h, p.orientations, p.bn_gamma, p.bn_beta))
+    h = _anti_circulant_blocks(h, p.w_b)
+    return ops.reshape(h, (b, c, 1, 1)) if squeeze else h
+
+
 @pytest.mark.parametrize("mutant", INDEX_MUTANTS)
 def test_shared_index_mutant_fails_every_equivariant_verdict(monkeypatch, mutant):
     # lift and group convolutions and both ReCA banks expand their weights
@@ -153,6 +174,32 @@ def test_channel_blind_gate_mutant_is_caught_by_verify(monkeypatch):
     monkeypatch.setattr(pyramid, "reca_forward", _se_gate)
     report = run_verify(CONFIG)
     assert broken_variants(report) == {"PlusReCA"}
+    assert report.exit_code == 1
+
+
+def test_anti_circulant_expansion_bank_is_caught_by_verify(monkeypatch):
+    # an anti-circulant w_b after a circulant w_a re-indexes the output
+    # blocks by (i + s) where the feature channels move by (i - s); both
+    # attention variants run the ReCA logits, PlusReCA as its gate and
+    # ReAFFPN in its fusion masks
+    for module in (reca, reaff):
+        monkeypatch.setattr(module, "attention_logits", _anti_circulant_w_b_logits)
+    report = run_verify(CONFIG)
+    assert broken_variants(report) == {"PlusReCA", "ReAFFPN"}
+    assert report.exit_code == 1
+
+
+def test_anti_circulant_banks_in_both_stages_are_caught_by_oracle_only(monkeypatch):
+    # two anti-circulant stages compose into a circulant: the orientation
+    # reflection the first one applies, the second undoes, and the shared
+    # batch-norm and relu between them commute with it; the oracle compares
+    # one bank with the loop reference, and the shift covariance of one
+    # anti-circulant bank fails wherever 2s != 0 mod N
+    monkeypatch.setattr(reca, "_kernel_index", INDEX_MUTANTS["added-orientation"])
+    assert run_verify(CONFIG).exit_code == 0
+    report = run_oracle(CONFIG)
+    failed = {name.split()[0] for name, passed in report.verdicts.items() if not passed}
+    assert failed == {"cyclic_blocks", "shift_covariance"}
     assert report.exit_code == 1
 
 
