@@ -682,10 +682,10 @@ def test_verify_workers_rule(monkeypatch):
     assert workers(seeds=3, OPENBLAS_NUM_THREADS="1") == 3
     assert workers(seeds=1, OPENBLAS_NUM_THREADS="1") == 1
     # demo asks with its batch: with the BLAS thread count unset it forks nothing
-    cfg = HarnessConfig(**{**TINY, "batch": 2})
-    assert harness._batch_shares(cfg.batch, workers(seeds=cfg.batch)) == [slice(0, 2)]
-    assert harness._batch_shares(cfg.batch, workers(seeds=cfg.batch, OMP_NUM_THREADS="1")) == [
+    assert harness._batch_shares(2, workers(seeds=2)) == [slice(0, 2)]
+    assert harness._batch_shares(2, workers(seeds=2, OMP_NUM_THREADS="1")) == [
         slice(0, 1), slice(1, 2)]
+    assert harness._batch_shares(3, 5) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_run_oracle_tiny_config():

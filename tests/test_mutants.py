@@ -108,14 +108,11 @@ def _se_gate(x, p):
     return reca.se_forward(x, se)
 
 
-_CYCLIC_BLOCKS = reca.cyclic_blocks
-
-
 def _anti_circulant_blocks(x, banks):
     """``reca.cyclic_blocks`` expanding its bank by the (m + i) mod N index."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reca, "_kernel_index", INDEX_MUTANTS["added-orientation"])
-        return _CYCLIC_BLOCKS(x, banks)
+        return reca.cyclic_blocks(x, banks)
 
 
 def _anti_circulant_w_b_logits(x, p, squeeze=True):
