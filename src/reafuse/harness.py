@@ -39,9 +39,11 @@ summed over the workers, and ``total`` is wall time.
 
 ``demo``'s tasks are the samples of its batch: the backbone and the laterals
 act on each sample alone, so the workers run them on contiguous shares of
-the batch and write their rows into shared memory, and the parent runs the
-head and the writes on the whole batch.  The artifacts are the same bytes
-for any worker count.
+the batch and write their rows into shared memory.  A head with no
+attention (Baseline's) acts on each sample alone too, and the workers run
+it as well; any other head couples the samples, and the parent runs it on
+the whole batch.  The parent runs the finite check and the writes.  The
+artifacts are the same bytes for any worker count.
 
 ``verify``, ``oracle`` and ``demo`` only run forward passes over unmarked
 tensors, so they record no autograd graph: a graph is recorded only
@@ -122,10 +124,12 @@ class ConfigError(ValueError):
 # 32 MB map.  That config (ReAFFPN, 3 levels), measured on 2-core x86_64
 # with OpenBLAS on one thread, peaks at 212 MB of resident memory in
 # ``demo`` with one worker; with two, the parent peaks at 210 MB, in the
-# head, and each worker at 72 MB.  In ``verify`` (2 seeds) each of
-# ``_workers(seeds)`` processes peaks at 298 MB, at once, and their parent,
-# which only folds their outcomes, at 34 MB.  kernel_channels has its own cap,
-# pyramid.MAX_KERNEL_CHANNELS.
+# head, and each worker at 72 MB.  Baseline, whose workers run the whole
+# forward, peaks at 116 MB with one worker; with two, the parent, which
+# maps the levels and writes them, peaks at 82 MB and each worker at 72 MB.
+# In ``verify`` (2 seeds) each of ``_workers(seeds)`` processes peaks at
+# 298 MB, at once, and their parent, which only folds their outcomes, at
+# 34 MB.  kernel_channels has its own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
 # Each reseed is a fresh pyramid draw, made per seed for each variant that
 # must break, so at MAX_SEEDS the cap bounds verify at 2 x 1000 x 100 extra
@@ -850,22 +854,38 @@ def _batch_shares(batch: int, workers: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def _split_laterals(image: Tensor, params: PyramidParams, shares: list[slice]) -> list[Tensor]:
-    """``lateral_maps(toy_backbone(image, params), params)``, each of
-    ``shares`` of the batch run in its own forked child.
+def _laterals(image: Tensor, params: PyramidParams) -> list[Tensor]:
+    """The backbone and the laterals: ``run_pyramid`` without its head."""
+    return lateral_maps(toy_backbone(image, params), params)
 
-    Every op of the backbone and the laterals acts on each sample alone (no
-    batch statistics), and ``conv2d`` runs one GEMM per sample or band, so a
-    share's rows are those of the whole batch, bit for bit.  Before it
-    forks, the parent lays each level's full-batch lateral, [B, K*N, S/2^l,
-    S/2^l], on an anonymous shared mapping of its own; each child writes its
-    rows there and sends nothing back through its pipe.  A level's mapping
-    is unmapped when its lateral is freed, so ``build_pyramid`` still frees
-    each lateral before its smoothing conv.  One share runs in the calling
-    process, with no mapping.
+
+def _split_forward(forward: Callable, image: Tensor, params: PyramidParams,
+                   shares: list[slice]) -> list[Tensor]:
+    """``forward(image, params)``, each of ``shares`` of the batch run in its
+    own forked child.
+
+    ``forward`` returns one map per level, [B, K*N, S/2^l, S/2^l], finest
+    first: ``_laterals`` or ``run_pyramid``.  It may be split only if every
+    op in it acts on each sample alone; ``conv2d`` runs one GEMM per sample
+    or band, so a share's rows are then those of the whole batch, bit for
+    bit.  The backbone and the laterals always qualify.  A head qualifies
+    only if every entry of ``params.attention`` is None (Baseline): its
+    merges, upsampling and smoothing convs act on each sample alone.  Every
+    attention block couples the samples.  ReCA and both fusion blocks hold
+    a batch-norm, whose statistics need the whole batch.  Squeeze-excite has
+    none, but ``se_forward``'s two ``matmul``s take the batch as their row
+    count, and OpenBLAS rounds a 2-row product differently from a 4-row one,
+    so a split PlusSE head writes other bytes.
+
+    Before it forks, the parent lays each level's full-batch map on an
+    anonymous shared mapping of its own; each child writes its rows there
+    and sends nothing back through its pipe.  A level's mapping is unmapped
+    when its map is freed, so ``build_pyramid`` still frees each lateral
+    before its smoothing conv.  One share runs in the calling process, with
+    no mapping.
     """
     if len(shares) == 1:
-        return lateral_maps(toy_backbone(image, params), params)
+        return forward(image, params)
     import mmap  # only a split run pays for it
 
     batch, _, size, _ = image.shape
@@ -875,9 +895,8 @@ def _split_laterals(image: Tensor, params: PyramidParams, shares: list[slice]) -
             for shape in shapes]
 
     def run_share(rows: slice) -> None:
-        laterals = lateral_maps(toy_backbone(Tensor(image.data[rows]), params), params)
-        for shared, lateral in zip(maps, laterals):
-            shared[rows] = lateral.data
+        for shared, level in zip(maps, forward(Tensor(image.data[rows]), params)):
+            shared[rows] = level.data
 
     _fork_map(run_share, shares)
     return [Tensor(shared) for shared in maps]
@@ -886,14 +905,18 @@ def _split_laterals(image: Tensor, params: PyramidParams, shares: list[slice]) -
 def run_demo(config: HarnessConfig, out_dir) -> Report:
     """Build one pyramid, serialize its levels, and echo what was written.
 
-    The backbone and the laterals, which act on each sample alone, split the
-    batch over ``_workers(batch)`` forked processes (``_split_laterals``);
-    the parent then runs the head, the finite check and the writes, so the
-    artifacts are the same bytes for any worker count.  ``timings`` gives
-    the wall time of each stage: ``backbone`` (the split, forks and wait
-    included), ``heads`` (``build_pyramid``), ``write``
-    (``save_feature_maps``) and ``total``, and ``workers``, the number of
-    processes the backbone ran in.
+    The batch is split over ``_workers(batch)`` forked processes
+    (``_split_forward``).  If no level has attention, every op of the
+    forward acts on each sample alone and the workers run all of it
+    (``run_pyramid``); otherwise they run the backbone and the laterals, and
+    the parent runs the head (``build_pyramid``) on the whole batch.  The
+    parent runs the finite check and the writes, so the artifacts are the
+    same bytes for any worker count.  ``timings`` gives the wall time of
+    each stage: ``backbone``, the split stage (the whole forward when no
+    level has attention), forks and wait included; ``heads``, the parent's
+    ``build_pyramid`` (0.0 when the workers ran the head); ``write``
+    (``save_feature_maps``) and ``total``; and ``workers``, the number of
+    processes the split stage ran in.
     """
     report = _new_report("demo", config)
     start = time.perf_counter()
@@ -901,12 +924,15 @@ def run_demo(config: HarnessConfig, out_dir) -> Report:
     params = init_pyramid(config.pyramid_config(config.variant, param_seed))
     shares = _batch_shares(config.batch, _workers(config.batch))
     report.timings["workers"] = len(shares)
+    whole = all(att is None for att in params.attention)
     t0 = time.perf_counter()
-    laterals = _split_laterals(image, params, shares)
+    levels = _split_forward(run_pyramid if whole else _laterals, image, params, shares)
     t1 = time.perf_counter()
     report.timings["backbone"] = t1 - t0
-    levels = build_pyramid(laterals, params)
-    report.timings["heads"] = time.perf_counter() - t1
+    report.timings["heads"] = 0.0
+    if not whole:
+        levels = build_pyramid(levels, params)
+        report.timings["heads"] = time.perf_counter() - t1
     if not _finite(*levels):
         report.non_finite = True
         report.verdicts["pyramid outputs finite"] = False

@@ -705,7 +705,7 @@ def test_run_demo_writes_identical_artifacts(tmp_path):
 
 
 def test_run_demo_non_finite_writes_nothing(monkeypatch, tmp_path):
-    # the parent builds the pyramid from the laterals, split or not
+    # ReAFFPN's parent builds the head from the laterals, split or not
     real = pyramid.build_pyramid
 
     def poisoned(laterals, params):
@@ -722,25 +722,102 @@ def test_run_demo_non_finite_writes_nothing(monkeypatch, tmp_path):
         assert set(report.timings) == {"workers", "backbone", "heads", "total"}
 
 
+def test_run_demo_non_finite_in_a_worker_writes_nothing(monkeypatch, tmp_path):
+    # Baseline's workers run the whole forward; only theirs is NaN
+    parent = os.getpid()
+    real = pyramid.build_pyramid
+
+    def poisoned(laterals, params):
+        levels = real(laterals, params)
+        if os.getpid() == parent:
+            return levels
+        return [Tensor(np.full(fm.shape, np.nan)) for fm in levels]
+
+    monkeypatch.setattr(pyramid, "build_pyramid", poisoned)
+    _force_workers(monkeypatch, 2)
+    report = run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}).validate(),
+                      tmp_path / "out")
+    _no_child_left()
+    assert report.exit_code == 3 and report.non_finite
+    assert report.verdicts == {"pyramid outputs finite": False}
+    assert not list(tmp_path.rglob("*.raft"))
+    assert report.timings["workers"] == 2 and report.timings["heads"] == 0.0
+
+
+@pytest.mark.parametrize("variant", ["Baseline", "ReAFFPN"])
+def test_run_demo_runs_the_head_in_the_parent_only_with_attention(monkeypatch, tmp_path,
+                                                                   variant):
+    # every build_pyramid call, in any process, appends its pid to a file
+    # opened with O_APPEND, which a forked worker shares with the parent
+    log = tmp_path / "build_pyramid.pids"
+    real = pyramid.build_pyramid
+
+    def logged(laterals, params):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+        return real(laterals, params)
+
+    monkeypatch.setattr(pyramid, "build_pyramid", logged)
+    monkeypatch.setattr(harness, "build_pyramid", logged)
+    _force_workers(monkeypatch, 2)
+    report = run_demo(HarnessConfig(**{**TINY, "variant": variant}).validate(),
+                      tmp_path / "out")
+    _no_child_left()
+    assert report.exit_code == 0, report.summary_lines()
+    pids = [int(line) for line in log.read_text().split()]
+    if variant == "Baseline":
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert report.timings["heads"] == 0.0
+    else:
+        assert pids == [os.getpid()]
+
+
+@pytest.mark.parametrize("batch", [3, 5])
+@pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
+def test_run_pyramid_without_attention_splits_by_batch(n, batch):
+    # the property demo's whole-forward split rests on: with no attention,
+    # every op acts on each sample alone, so a share's levels are the rows
+    # of the whole batch's, bit for bit
+    params = pyramid.init_pyramid(pyramid.PyramidConfig(
+        levels=3, kernel_channels=8, orientations=n, variant="Baseline", seed=11))
+    assert all(att is None for att in params.attention)
+    image = Rng(batch).uniform((batch, 3, 32, 32))
+    whole = [fm.data for fm in pyramid.run_pyramid(Tensor(image), params)]
+    for workers in range(2, batch + 1):
+        for rows in harness._batch_shares(batch, workers):
+            levels = pyramid.run_pyramid(Tensor(image[rows]), params)
+            for level, want in zip(levels, whole):
+                assert np.array_equal(level.data, want[rows]), (workers, rows)
+
+
 def _digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_demo_split_writes_the_serial_bytes(monkeypatch, tmp_path, variant):
-    # batch 3: two workers get one sample and two; five workers are more
-    # than there are samples, so three processes run the backbone
-    cfg = HarnessConfig(**{**TINY, "batch": 3, "variant": variant}).validate()
-    digests = {}
-    for workers in (1, 2, 3, 5):
-        _force_workers(monkeypatch, workers)
-        report = run_demo(cfg, tmp_path / str(workers))
-        _no_child_left()
-        assert report.exit_code == 0, report.summary_lines()
-        assert report.timings["workers"] == min(workers, cfg.batch)
-        assert set(report.timings) == {"workers", "backbone", "heads", "write", "total"}
-        digests[workers] = _digests(tmp_path / str(workers))
-    assert digests[1] and all(d == digests[1] for d in digests.values()), variant
+    # TINY at batch 3: two workers get one sample and two; five workers are
+    # more than there are samples, so three processes run the split stage.
+    # At TINY's widths a head split wrongly still writes the serial bytes
+    # (PlusSE's matmuls round alike at every row count), so the wider case,
+    # at batch 4, is the one where a split head that couples the samples shows.
+    for size in (dict(batch=3),
+                 dict(levels=3, kernel_channels=8, orientations=4, image_size=32, batch=4)):
+        cfg = HarnessConfig(**{**TINY, **size, "variant": variant}).validate()
+        digests = {}
+        for workers in (1, 2, 3, 5):
+            out = tmp_path / f"{cfg.image_size}-{workers}"
+            _force_workers(monkeypatch, workers)
+            report = run_demo(cfg, out)
+            _no_child_left()
+            assert report.exit_code == 0, report.summary_lines()
+            assert report.timings["workers"] == min(workers, cfg.batch)
+            assert set(report.timings) == {"workers", "backbone", "heads", "write", "total"}
+            digests[workers] = _digests(out)
+        assert digests[1] and all(d == digests[1] for d in digests.values()), (variant, size)
 
 
 @pytest.mark.parametrize("where", ["worker", "parent"])
