@@ -21,29 +21,14 @@ Exit codes: 0 all verdicts pass; 1 a verdict definitively fails; 2 invalid
 config or unusable paths; 3 non-finite values; 4 breakage demonstration
 inconclusive after the reseed budget.
 
-``verify`` and ``demo`` split independent work over forked worker
-processes, through one fork path (``_fork_map``): the parent forks one child
-per share, computes none itself, and folds what the children send back.
-There are as many workers as the usable cores hold processes of the BLAS
-thread count (``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``; unset, a
-process may use every core), at most one per task (``_workers``).  So with
-the BLAS thread count unset both run in one process and fork nothing.  The
-report's ``timings["workers"]`` says how many ran.
-
-``verify``'s tasks are its seeds, which are independent draws.  Each seed
-yields, per variant, its residuals (None if non-finite) and the reseeds it
-used; each variant's report entry is built once from those outcomes in seed
-order, so the results and verdicts are those of a serial run, and a variant
-with any non-finite seed is reported non-finite.  Its per-stage timings are
-summed over the workers, and ``total`` is wall time.
-
-``demo``'s tasks are the samples of its batch: the backbone and the laterals
-act on each sample alone, so the workers run them on contiguous shares of
-the batch and write their rows into shared memory.  A head with no
-attention (Baseline's) acts on each sample alone too, and the workers run
-it as well; any other head couples the samples, and the parent runs it on
-the whole batch.  The parent runs the finite check and the writes.  The
-artifacts are the same bytes for any worker count.
+``verify`` and ``demo`` split independent tasks, verify's seeds and the
+samples of demo's batch, into contiguous shares (``_shares``) over forked
+worker processes (``_fork_map``), as many as the usable cores hold processes
+of the BLAS thread count (``_workers``), and fold the shares' results in
+task order: the results, verdicts and artifacts are those of a serial run.
+``demo`` splits only a pyramid with no attention, the one forward that acts
+on each sample alone; any other runs in one process.  The report's
+``timings["workers"]`` says how many processes ran.
 
 ``verify``, ``oracle`` and ``demo`` only run forward passes over unmarked
 tensors, so they record no autograd graph: a graph is recorded only
@@ -121,15 +106,14 @@ class ConfigError(ValueError):
 # bounds the values of the level-0 feature map, kernel_channels x
 # orientations x image_size^2 x batch, at the default widths (8 kernel
 # channels x 4 orientations) with the largest input (256 x 256, batch 2): a
-# 32 MB map.  That config (ReAFFPN, 3 levels), measured on 2-core x86_64
-# with OpenBLAS on one thread, peaks at 212 MB of resident memory in
-# ``demo`` with one worker; with two, the parent peaks at 210 MB, in the
-# head, and each worker at 72 MB.  Baseline, whose workers run the whole
-# forward, peaks at 116 MB with one worker; with two, the parent, which
-# maps the levels and writes them, peaks at 82 MB and each worker at 72 MB.
-# In ``verify`` (2 seeds) each of ``_workers(seeds)`` processes peaks at
-# 298 MB, at once, and their parent, which only folds their outcomes, at
-# 34 MB.  kernel_channels has its own cap, pyramid.MAX_KERNEL_CHANNELS.
+# 32 MB map.  That config (3 levels), measured on 2-core x86_64 with
+# OpenBLAS on one thread, peaks in ``demo`` at 212 MB of resident memory as
+# ReAFFPN, which runs in one process, and at 116 MB as Baseline in one
+# process; Baseline split over two peaks at 82 MB in the parent, which maps
+# the levels and writes them, and at 72 MB in each worker.  In ``verify``
+# (2 seeds) each of ``_workers(seeds)`` processes peaks at 298 MB, at once,
+# and their parent, which only folds their outcomes, at 34 MB.
+# kernel_channels has its own cap, pyramid.MAX_KERNEL_CHANNELS.
 MAX_SEEDS = 1000
 # Each reseed is a fresh pyramid draw, made per seed for each variant that
 # must break, so at MAX_SEEDS the cap bounds verify at 2 x 1000 x 100 extra
@@ -245,9 +229,10 @@ def load_config(path) -> HarnessConfig:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    # a ValueError for bad syntax or a too-long integer, a RecursionError for deep nesting
     try:
         payload = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -420,8 +405,8 @@ def _must_demonstrate(config: HarnessConfig, variant: str) -> bool:
     return variant not in EQUIVARIANT_VARIANTS and config.orientations > 1
 
 
-def _run_share(config: HarnessConfig, indices: range) -> list[tuple]:
-    """``(index, outcomes, timings)`` of each seed in ``indices``, in order.
+def _run_share(config: HarnessConfig, share: slice) -> list[tuple]:
+    """``(outcomes, timings)`` of each seed in ``range(seeds)[share]``, in order.
 
     A seed runs one shared draw for every variant, then a fresh draw for
     each reseed of a variant that must break.  Its ``outcomes`` map each
@@ -429,8 +414,8 @@ def _run_share(config: HarnessConfig, indices: range) -> list[tuple]:
     non-finite; its ``timings`` hold the seed's stage times.
     """
     master = Rng(config.seed)
-    share = []
-    for idx in indices:
+    seeds = []
+    for idx in range(config.seeds)[share]:
         rng = master.derive(f"verify/{idx}")
         timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
         outcomes = {}
@@ -446,8 +431,8 @@ def _run_share(config: HarnessConfig, indices: range) -> list[tuple]:
                         config, rng.derive(f"reseed/{variant}/{attempt}"), [variant],
                         timings)[variant]
             outcomes[variant] = (residuals, attempt)
-        share.append((idx, outcomes, timings))
-    return share
+        seeds.append((outcomes, timings))
+    return seeds
 
 
 def _blas_threads(cores: int) -> int:
@@ -465,16 +450,23 @@ def _blas_threads(cores: int) -> int:
 
 def _workers(count: int) -> int:
     """How many processes share ``count`` independent tasks (verify's seeds,
-    demo's samples): as many as the usable cores hold processes of
-    ``_blas_threads`` threads each, at most one per task, at least one.
-    With the BLAS thread count unset a process may use every core, so the
-    tasks run in one.  Where ``os.fork`` or ``os.sched_getaffinity`` is
-    missing, one.
+    or demo's samples when its forward acts on each sample alone): as many
+    as the usable cores hold processes of ``_blas_threads`` threads each, at
+    most one per task, at least one.  With the BLAS thread count unset a
+    process may use every core, so the tasks run in one.  Where ``os.fork``
+    or ``os.sched_getaffinity`` is missing, one.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     cores = len(os.sched_getaffinity(0))
     return max(1, min(count, cores // _blas_threads(cores)))
+
+
+def _shares(count: int, workers: int) -> list[slice]:
+    """``workers`` contiguous, balanced slices of ``count`` tasks, the empty
+    ones (more workers than tasks) dropped: one per process that runs."""
+    bounds = [k * count // workers for k in range(workers + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _fork_map(task: Callable, shares: list) -> list:
@@ -500,12 +492,14 @@ def _fork_map(task: Callable, shares: list) -> list:
     try:
         for share in shares:
             read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(task, share, write_end)
-            os.close(write_end)
-            pids.append(pid)
             pipes.append(os.fdopen(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(task, share, write_end)
+            finally:
+                os.close(write_end)  # the child's copy, if forked, is its only writer
+            pids.append(pid)
         values = []
         for pipe in pipes:
             payload = pipe.read()
@@ -578,10 +572,10 @@ def run_verify(config: HarnessConfig) -> Report:
     fixed-backbone ablation, and every variant is still run end to end on
     the input and on its rotation by the generator of C_N; the group laws
     extend a pass at the generator to every element.  The seeds are split
-    over ``_workers(seeds)`` processes (``timings["workers"]``) and sorted
-    back into seed order, and each variant's entry is built once from its
-    outcomes on every seed, so the results do not depend on the split.  A
-    variant with any non-finite seed is reported non-finite.
+    in contiguous shares over ``_workers(seeds)`` processes
+    (``timings["workers"]``), so their outcomes come back in seed order, and
+    each variant's entry is built once from them: the results do not depend
+    on the split.  A variant with any non-finite seed is reported non-finite.
     ``timings[variant]`` is that variant's head time, reseeds included;
     ``timings["backbone"]`` is every draw's parameter set-up, backbone
     forwards and laterals, reseeds included.  Both are summed over the
@@ -590,15 +584,14 @@ def run_verify(config: HarnessConfig) -> Report:
     """
     report = _new_report("verify", config)
     start = time.perf_counter()
-    workers = _workers(config.seeds)
-    shares = [range(k, config.seeds, workers) for k in range(workers)]
-    seeds = sorted((seed for share in _fork_map(functools.partial(_run_share, config), shares)
-                    for seed in share), key=lambda s: s[0])
-    report.timings = {stage: sum(timings[stage] for *_, timings in seeds)
+    shares = _shares(config.seeds, _workers(config.seeds))
+    seeds = [seed for share in _fork_map(functools.partial(_run_share, config), shares)
+             for seed in share]
+    report.timings = {stage: sum(timings[stage] for _, timings in seeds)
                       for stage in ("backbone", *VARIANTS)}
     for variant in VARIANTS:
         summary = report.results[variant] = _summary(
-            config, variant, [outcomes[variant] for _, outcomes, _ in seeds])
+            config, variant, [outcomes[variant] for outcomes, _ in seeds])
         if not summary["finite"]:
             report.non_finite = True
             report.verdicts[f"{variant} finite"] = False
@@ -616,7 +609,7 @@ def run_verify(config: HarnessConfig) -> Report:
                 report.inconclusive = True
                 summary["inconclusive"] = True
     report.timings["total"] = time.perf_counter() - start
-    report.timings["workers"] = workers
+    report.timings["workers"] = len(shares)
     return report
 
 
@@ -847,45 +840,23 @@ def run_gradcheck(config: HarnessConfig) -> Report:
 # -- demo --------------------------------------------------------------------------
 
 
-def _batch_shares(batch: int, workers: int) -> list[slice]:
-    """``workers`` contiguous, balanced slices of the batch axis, the empty
-    ones (more workers than samples) dropped."""
-    bounds = [k * batch // workers for k in range(workers + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
-def _laterals(image: Tensor, params: PyramidParams) -> list[Tensor]:
-    """The backbone and the laterals: ``run_pyramid`` without its head."""
-    return lateral_maps(toy_backbone(image, params), params)
-
-
-def _split_forward(forward: Callable, image: Tensor, params: PyramidParams,
+def _split_pyramid(image: Tensor, params: PyramidParams,
                    shares: list[slice]) -> list[Tensor]:
-    """``forward(image, params)``, each of ``shares`` of the batch run in its
-    own forked child.
+    """``run_pyramid(image, params)``, each of ``shares`` of the batch run in
+    its own forked child.
 
-    ``forward`` returns one map per level, [B, K*N, S/2^l, S/2^l], finest
-    first: ``_laterals`` or ``run_pyramid``.  It may be split only if every
-    op in it acts on each sample alone; ``conv2d`` runs one GEMM per sample
-    or band, so a share's rows are then those of the whole batch, bit for
-    bit.  The backbone and the laterals always qualify.  A head qualifies
-    only if every entry of ``params.attention`` is None (Baseline): its
-    merges, upsampling and smoothing convs act on each sample alone.  Every
-    attention block couples the samples.  ReCA and both fusion blocks hold
-    a batch-norm, whose statistics need the whole batch.  Squeeze-excite has
-    none, but ``se_forward``'s two ``matmul``s take the batch as their row
-    count, and OpenBLAS rounds a 2-row product differently from a 4-row one,
-    so a split PlusSE head writes other bytes.
-
+    Only a pyramid with no attention may be split: then every op of the
+    forward acts on each sample alone (``conv2d`` runs one GEMM per sample
+    or band), so a share's rows are those of the whole batch, bit for bit.
+    Every attention block couples the samples: through a batch-norm, or
+    squeeze-excite's matmuls, which round by their row count.
     Before it forks, the parent lays each level's full-batch map on an
     anonymous shared mapping of its own; each child writes its rows there
-    and sends nothing back through its pipe.  A level's mapping is unmapped
-    when its map is freed, so ``build_pyramid`` still frees each lateral
-    before its smoothing conv.  One share runs in the calling process, with
-    no mapping.
+    and sends nothing back through its pipe.  One share runs in the calling
+    process, with no mapping.
     """
     if len(shares) == 1:
-        return forward(image, params)
+        return run_pyramid(image, params)
     import mmap  # only a split run pays for it
 
     batch, _, size, _ = image.shape
@@ -895,7 +866,7 @@ def _split_forward(forward: Callable, image: Tensor, params: PyramidParams,
             for shape in shapes]
 
     def run_share(rows: slice) -> None:
-        for shared, level in zip(maps, forward(Tensor(image.data[rows]), params)):
+        for shared, level in zip(maps, run_pyramid(Tensor(image.data[rows]), params)):
             shared[rows] = level.data
 
     _fork_map(run_share, shares)
@@ -905,34 +876,23 @@ def _split_forward(forward: Callable, image: Tensor, params: PyramidParams,
 def run_demo(config: HarnessConfig, out_dir) -> Report:
     """Build one pyramid, serialize its levels, and echo what was written.
 
-    The batch is split over ``_workers(batch)`` forked processes
-    (``_split_forward``).  If no level has attention, every op of the
-    forward acts on each sample alone and the workers run all of it
-    (``run_pyramid``); otherwise they run the backbone and the laterals, and
-    the parent runs the head (``build_pyramid``) on the whole batch.  The
+    A pyramid with no attention runs split by batch over ``_workers(batch)``
+    forked processes (``_split_pyramid``), any other in one process.  The
     parent runs the finite check and the writes, so the artifacts are the
-    same bytes for any worker count.  ``timings`` gives the wall time of
-    each stage: ``backbone``, the split stage (the whole forward when no
-    level has attention), forks and wait included; ``heads``, the parent's
-    ``build_pyramid`` (0.0 when the workers ran the head); ``write``
-    (``save_feature_maps``) and ``total``; and ``workers``, the number of
-    processes the split stage ran in.
+    same bytes for any worker count.  ``timings`` holds ``workers``, the
+    number of processes the forward ran in, and the wall times ``forward``
+    (``run_pyramid``, forks and wait included), ``write`` and ``total``.
     """
     report = _new_report("demo", config)
     start = time.perf_counter()
     image, param_seed = _draw(config, Rng(config.seed).derive("demo"))
     params = init_pyramid(config.pyramid_config(config.variant, param_seed))
-    shares = _batch_shares(config.batch, _workers(config.batch))
+    per_sample = all(att is None for att in params.attention)
+    shares = _shares(config.batch, _workers(config.batch) if per_sample else 1)
     report.timings["workers"] = len(shares)
-    whole = all(att is None for att in params.attention)
     t0 = time.perf_counter()
-    levels = _split_forward(run_pyramid if whole else _laterals, image, params, shares)
-    t1 = time.perf_counter()
-    report.timings["backbone"] = t1 - t0
-    report.timings["heads"] = 0.0
-    if not whole:
-        levels = build_pyramid(levels, params)
-        report.timings["heads"] = time.perf_counter() - t1
+    levels = _split_pyramid(image, params, shares)
+    report.timings["forward"] = time.perf_counter() - t0
     if not _finite(*levels):
         report.non_finite = True
         report.verdicts["pyramid outputs finite"] = False

@@ -236,6 +236,16 @@ def test_load_config_rejects_undecodable_files(tmp_path):
             load_config(p)
 
 
+def test_load_config_rejects_too_deep_nesting(tmp_path, capsys):
+    # the decoder raises RecursionError here, which is not a ValueError
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000)
+    with pytest.raises(ConfigError, match="is not valid JSON"):
+        load_config(p)
+    assert cli.entrypoint(["verify", "--config", str(p)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
 def test_shipped_configs_within_caps():
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
     assert configs
@@ -497,14 +507,14 @@ def _verify_with_workers(monkeypatch, cfg, workers):
     _force_workers(monkeypatch, workers)
     report = run_verify(cfg)
     _no_child_left()
-    assert report.timings["workers"] == workers
+    assert report.timings["workers"] == min(workers, cfg.seeds)
     return report
 
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
 def test_run_verify_split_equals_serial(monkeypatch, n):
-    # three seeds: two workers get two seeds and one; five workers are more
-    # than there are seeds, so two shares are empty
+    # three seeds: two workers get one seed and two; five workers are more
+    # than there are seeds, so three processes run
     cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3}).validate()
     serial = _verify_with_workers(monkeypatch, cfg, 1)
     for workers in (2, 3, 5):
@@ -606,7 +616,9 @@ def _fail_in(monkeypatch, where):
                 raise ShapeError("raised in the worker")
             return real(x, params)
 
+        # verify calls the harness's name, demo's run_pyramid the pyramid's
         monkeypatch.setattr(harness, "toy_backbone", failing)
+        monkeypatch.setattr(pyramid, "toy_backbone", failing)
         return ShapeError, "raised in the worker"
     forks = []
     real_fork = os.fork
@@ -621,13 +633,22 @@ def _fail_in(monkeypatch, where):
     return BlockingIOError, "raised in the parent"
 
 
+def _open_fds():
+    """How many descriptors this process holds open; None where
+    ``/proc/self/fd`` is missing."""
+    fds = Path("/proc/self/fd")
+    return len(list(fds.iterdir())) if fds.is_dir() else None
+
+
 @pytest.mark.parametrize("where", ["worker", "parent"])
 def test_run_verify_split_raises_and_reaps(monkeypatch, where):
     error, message = _fail_in(monkeypatch, where)
     _force_workers(monkeypatch, 2)
+    fds = _open_fds()
     with pytest.raises(error, match=f"^{message}$"):
         run_verify(HarnessConfig(**TINY).validate())
     _no_child_left()
+    assert _open_fds() == fds  # every pipe is closed, the failed fork's too
 
 
 def test_fork_map_errors_kill_and_reap_every_worker():
@@ -681,11 +702,14 @@ def test_verify_workers_rule(monkeypatch):
         assert workers(OPENBLAS_NUM_THREADS=bad, OMP_NUM_THREADS="1") == 4, bad
     assert workers(seeds=3, OPENBLAS_NUM_THREADS="1") == 3
     assert workers(seeds=1, OPENBLAS_NUM_THREADS="1") == 1
-    # demo asks with its batch: with the BLAS thread count unset it forks nothing
-    assert harness._batch_shares(2, workers(seeds=2)) == [slice(0, 2)]
-    assert harness._batch_shares(2, workers(seeds=2, OMP_NUM_THREADS="1")) == [
+    # verify's seeds and demo's samples share one rule: contiguous, balanced
+    # shares, one per process that runs; with the BLAS thread count unset,
+    # one share
+    assert harness._shares(2, workers(seeds=2)) == [slice(0, 2)]
+    assert harness._shares(2, workers(seeds=2, OMP_NUM_THREADS="1")) == [
         slice(0, 1), slice(1, 2)]
-    assert harness._batch_shares(3, 5) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert harness._shares(3, 5) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert harness._shares(20, 3) == [slice(0, 6), slice(6, 13), slice(13, 20)]
 
 
 def test_run_oracle_tiny_config():
@@ -705,21 +729,23 @@ def test_run_demo_writes_identical_artifacts(tmp_path):
 
 
 def test_run_demo_non_finite_writes_nothing(monkeypatch, tmp_path):
-    # ReAFFPN's parent builds the head from the laterals, split or not
+    # Baseline's forward, in one process or split over two, is NaN in all
     real = pyramid.build_pyramid
 
     def poisoned(laterals, params):
         return [Tensor(np.full(fm.shape, np.nan)) for fm in real(laterals, params)]
 
-    monkeypatch.setattr(harness, "build_pyramid", poisoned)
+    monkeypatch.setattr(pyramid, "build_pyramid", poisoned)
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
-        report = run_demo(HarnessConfig(**TINY).validate(), tmp_path / "out")
+        report = run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}).validate(),
+                          tmp_path / "out")
         _no_child_left()
         assert report.exit_code == 3 and report.non_finite
         assert report.verdicts == {"pyramid outputs finite": False}
         assert not list(tmp_path.rglob("*.raft"))
-        assert set(report.timings) == {"workers", "backbone", "heads", "total"}
+        assert report.timings["workers"] == workers
+        assert set(report.timings) == {"workers", "forward", "total"}
 
 
 def test_run_demo_non_finite_in_a_worker_writes_nothing(monkeypatch, tmp_path):
@@ -741,38 +767,45 @@ def test_run_demo_non_finite_in_a_worker_writes_nothing(monkeypatch, tmp_path):
     assert report.exit_code == 3 and report.non_finite
     assert report.verdicts == {"pyramid outputs finite": False}
     assert not list(tmp_path.rglob("*.raft"))
-    assert report.timings["workers"] == 2 and report.timings["heads"] == 0.0
+    assert report.timings["workers"] == 2
 
 
-@pytest.mark.parametrize("variant", ["Baseline", "ReAFFPN"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_run_demo_runs_the_head_in_the_parent_only_with_attention(monkeypatch, tmp_path,
                                                                    variant):
-    # every build_pyramid call, in any process, appends its pid to a file
-    # opened with O_APPEND, which a forked worker shares with the parent
-    log = tmp_path / "build_pyramid.pids"
-    real = pyramid.build_pyramid
+    # every toy_backbone and build_pyramid call, in any process, appends its
+    # stage and pid to a file opened with O_APPEND, which a forked worker
+    # shares with the parent
+    log = tmp_path / "stages.pids"
 
-    def logged(laterals, params):
-        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        try:
-            os.write(fd, f"{os.getpid()}\n".encode())
-        finally:
-            os.close(fd)
-        return real(laterals, params)
+    def logged(stage):
+        real = getattr(pyramid, stage)
 
-    monkeypatch.setattr(pyramid, "build_pyramid", logged)
-    monkeypatch.setattr(harness, "build_pyramid", logged)
+        def call(x, params):
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{stage} {os.getpid()}\n".encode())
+            finally:
+                os.close(fd)
+            return real(x, params)
+
+        return call
+
+    for stage in ("toy_backbone", "build_pyramid"):
+        monkeypatch.setattr(pyramid, stage, logged(stage))
     _force_workers(monkeypatch, 2)
     report = run_demo(HarnessConfig(**{**TINY, "variant": variant}).validate(),
                       tmp_path / "out")
     _no_child_left()
     assert report.exit_code == 0, report.summary_lines()
-    pids = [int(line) for line in log.read_text().split()]
-    if variant == "Baseline":
-        assert len(pids) == 2 and os.getpid() not in pids
-        assert report.timings["heads"] == 0.0
-    else:
-        assert pids == [os.getpid()]
+    calls = [line.split() for line in log.read_text().splitlines()]
+    for stage in ("toy_backbone", "build_pyramid"):
+        pids = [int(pid) for name, pid in calls if name == stage]
+        if variant == "Baseline":  # no attention: the two workers run it all
+            assert len(set(pids)) == 2 and os.getpid() not in pids, stage
+        else:  # attention couples the samples: one process, no fork
+            assert pids == [os.getpid()], stage
+    assert report.timings["workers"] == (2 if variant == "Baseline" else 1)
 
 
 @pytest.mark.parametrize("batch", [3, 5])
@@ -787,7 +820,7 @@ def test_run_pyramid_without_attention_splits_by_batch(n, batch):
     image = Rng(batch).uniform((batch, 3, 32, 32))
     whole = [fm.data for fm in pyramid.run_pyramid(Tensor(image), params)]
     for workers in range(2, batch + 1):
-        for rows in harness._batch_shares(batch, workers):
+        for rows in harness._shares(batch, workers):
             levels = pyramid.run_pyramid(Tensor(image[rows]), params)
             for level, want in zip(levels, whole):
                 assert np.array_equal(level.data, want[rows]), (workers, rows)
@@ -800,10 +833,11 @@ def _digests(out_dir):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_demo_split_writes_the_serial_bytes(monkeypatch, tmp_path, variant):
     # TINY at batch 3: two workers get one sample and two; five workers are
-    # more than there are samples, so three processes run the split stage.
-    # At TINY's widths a head split wrongly still writes the serial bytes
-    # (PlusSE's matmuls round alike at every row count), so the wider case,
-    # at batch 4, is the one where a split head that couples the samples shows.
+    # more than there are samples, so three processes run Baseline's forward.
+    # A pyramid with attention runs in one process whatever the worker count.
+    # At TINY's widths an attention head split wrongly still writes the serial
+    # bytes (PlusSE's matmuls round alike at every row count), so the wider
+    # case, at batch 4, is the one where a split that couples the samples shows.
     for size in (dict(batch=3),
                  dict(levels=3, kernel_channels=8, orientations=4, image_size=32, batch=4)):
         cfg = HarnessConfig(**{**TINY, **size, "variant": variant}).validate()
@@ -814,19 +848,24 @@ def test_run_demo_split_writes_the_serial_bytes(monkeypatch, tmp_path, variant):
             report = run_demo(cfg, out)
             _no_child_left()
             assert report.exit_code == 0, report.summary_lines()
-            assert report.timings["workers"] == min(workers, cfg.batch)
-            assert set(report.timings) == {"workers", "backbone", "heads", "write", "total"}
+            assert report.timings["workers"] == (
+                min(workers, cfg.batch) if variant == "Baseline" else 1)
+            assert set(report.timings) == {"workers", "forward", "write", "total"}
             digests[workers] = _digests(out)
         assert digests[1] and all(d == digests[1] for d in digests.values()), (variant, size)
 
 
 @pytest.mark.parametrize("where", ["worker", "parent"])
 def test_run_demo_split_raises_and_reaps(monkeypatch, tmp_path, where):
+    # Baseline's is the forward demo splits
     error, message = _fail_in(monkeypatch, where)
     _force_workers(monkeypatch, 2)
+    fds = _open_fds()
     with pytest.raises(error, match=f"^{message}$"):
-        run_demo(HarnessConfig(**TINY).validate(), tmp_path / "out")
+        run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}).validate(),
+                 tmp_path / "out")
     _no_child_left()
+    assert _open_fds() == fds  # every pipe is closed, the failed fork's too
     assert not (tmp_path / "out").exists()
 
 
