@@ -170,13 +170,23 @@ def gradcheck(
     pre-activation can move.  Each evaluation's relu pre-activations are
     read from the graph that evaluation records; a relu that no ``wrt``
     tensor feeds is not recorded, and its input does not move.
+
+    A non-finite loss, at the unperturbed point or any perturbed one, or a
+    non-finite analytic gradient of a ``wrt`` tensor raises
+    ``FloatingPointError``: no relative error can be judged against it.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"gradcheck: step h={h} outside [1e-7, 1e-3]")
     wrt = list(wrt)
     for t in wrt:
         t.requires_grad = True
-    analytic = backward(fn(), wrt=wrt)
+    loss = fn()
+    if not np.isfinite(loss.data).all():
+        raise FloatingPointError("gradcheck: non-finite loss at the unperturbed point")
+    analytic = backward(loss, wrt=wrt)
+    for t_index, t in enumerate(wrt):
+        if not np.isfinite(analytic[id(t)]).all():
+            raise FloatingPointError(f"gradcheck: non-finite analytic gradient of wrt[{t_index}]")
     window = max(1e-6, h)
     steps = (h, -h, 0.5 * h, -0.5 * h)
 

@@ -3,10 +3,10 @@
 Every subcommand takes ``--config <path>`` (JSON, schema in
 ``harness.HarnessConfig``; a commented sample lives in the README) and
 optionally ``--seed <u64>`` to override the config seed and ``--json <path>``
-to write the full report.  ``demo`` additionally requires ``--out <dir>``.
+to write the full report.  ``demo`` alone takes ``--out <dir>``, and requires it.
 
-Exit codes: 0 pass, 1 definite failure, 2 invalid config or unusable paths,
-3 non-finite values encountered, 4 breakage demonstration inconclusive.
+Exit codes: 0 pass, 1 definite failure, 2 invalid config, usage or unusable
+paths, 3 non-finite values encountered, 4 breakage demonstration inconclusive.
 
 ``main``, the installed ``reafuse`` script and ``python -m reafuse``, first
 sets a fixed glibc allocator policy (``_set_allocator_policy``);
@@ -51,12 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, metavar="<path>",
                          help="JSON config file")
-        cmd.add_argument("--out", metavar="<dir>",
-                         help="output directory (required for demo)")
         cmd.add_argument("--seed", type=int, metavar="<u64>",
                          help="override the config seed")
         cmd.add_argument("--json", metavar="<path>",
                          help="write the full JSON report here")
+        if name == "demo":
+            cmd.add_argument("--out", required=True, metavar="<dir>",
+                             help="output directory")
     return parser
 
 
@@ -65,10 +66,8 @@ def entrypoint(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed).validate()
+            config = dataclasses.replace(config, seed=args.seed)
         if args.command == "demo":
-            if not args.out:
-                raise ConfigError("demo requires --out <dir>")
             report = run_demo(config, args.out)
         elif args.command == "verify":
             report = run_verify(config)

@@ -128,7 +128,9 @@ MAX_LEVEL0_VALUES = 8 * 4 * 256 * 256 * 2
 class HarnessConfig:
     """Schema of the JSON config consumed by every command.
 
-    The README's "Configuration" section walks through each knob.
+    Checked as it is built, from a file or from Python (``dataclasses.replace``
+    too): a bad value raises ``ConfigError`` naming the field.  The README's
+    "Configuration" section walks through each knob.
     """
 
     seed: int = 20240814
@@ -148,9 +150,9 @@ class HarnessConfig:
     gradcheck_tolerance: float = 1e-6
     gradcheck_step: float = 1e-5
 
-    def validate(self) -> "HarnessConfig":
-        # Runs before the pyramid checks: the image cap implies the pyramid's
-        # levels cap, and a too-deep pyramid is a spatial-size error here.
+    def __post_init__(self):
+        # The image check runs before the pyramid checks: the image cap implies
+        # the pyramid's levels cap, and a too-deep pyramid is a spatial-size error here.
         # bit_length() < levels means image_size < 2^(levels-1); checked
         # first, so that a huge levels never has its power computed.
         if isinstance(self.levels, int) and self.levels >= 2 and (
@@ -192,8 +194,14 @@ class HarnessConfig:
         if self.reseeds > MAX_RESEEDS:
             raise ConfigError(f"reseeds {self.reseeds} above the cap of {MAX_RESEEDS}")
         for name, kind in _field_types().items():
+            if kind is not float:
+                continue
             value = getattr(self, name)
-            if kind is float and isinstance(value, float) and not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ConfigError(f"{name} is an integer too large for a float") from None
+            if not finite:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("pass_threshold", "fail_threshold", "oracle_tolerance",
                      "gradcheck_tolerance"):
@@ -205,7 +213,6 @@ class HarnessConfig:
             raise ConfigError(
                 f"gradcheck_step {self.gradcheck_step} outside [1e-7, 1e-3]"
             )
-        return self
 
     def pyramid_config(self, variant: str, seed: int) -> PyramidConfig:
         return PyramidConfig(
@@ -224,7 +231,8 @@ def _field_types() -> dict[str, type]:
 
 
 def load_config(path) -> HarnessConfig:
-    """Parse and validate a JSON config; unknown keys are errors."""
+    """Parse a JSON config into a ``HarnessConfig``, which checks itself;
+    unknown keys, wrong types and non-integral integers are errors here."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -250,7 +258,7 @@ def load_config(path) -> HarnessConfig:
             if not value.is_integer():
                 raise ConfigError(f"config key {key} must be an integer, got {value!r}")
             payload[key] = int(value)
-    return HarnessConfig(**payload).validate()
+    return HarnessConfig(**payload)
 
 
 @dataclass
@@ -697,7 +705,12 @@ def _oracle_shift_covariance(rng: Rng) -> float:
 
 
 def run_oracle(config: HarnessConfig) -> Report:
-    """Fast paths against straight-line references, max-abs deviations."""
+    """Fast paths against straight-line references, max-abs deviations.
+
+    Each check is judged by its own trials alone.  A check whose deviation
+    is non-finite stops there and is reported as ``{"finite": False}`` with
+    a "<name> finite" False verdict (exit 3); the other checks still run.
+    """
     report = _new_report("oracle", config)
     start = time.perf_counter()
     checks = {
@@ -715,12 +728,15 @@ def run_oracle(config: HarnessConfig) -> Report:
             dev = check(master.derive(f"{name}/{trial}"))
             if not np.isfinite(dev):
                 report.non_finite = True
+                report.results[name] = {"finite": False}
+                report.verdicts[f"{name} finite"] = False
                 break
             worst = max(worst, dev)
-        report.results[name] = {"max_abs_deviation": worst, "trials": config.trials}
-        report.verdicts[f"{name} matches reference (<= {config.oracle_tolerance:g})"] = (
-            worst <= config.oracle_tolerance and not report.non_finite
-        )
+        else:
+            report.results[name] = {"max_abs_deviation": worst, "trials": config.trials}
+            report.verdicts[f"{name} matches reference (<= {config.oracle_tolerance:g})"] = (
+                worst <= config.oracle_tolerance
+            )
         report.timings[name] = time.perf_counter() - t0
     report.timings["total"] = time.perf_counter() - start
     return report

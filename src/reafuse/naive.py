@@ -36,18 +36,17 @@ def naive_rot90(m: np.ndarray, quarter_turns: int) -> np.ndarray:
     return out
 
 
-def naive_conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> np.ndarray:
-    """Cross-correlation by direct summation over every output coordinate."""
+def naive_conv2d(x, w, bias=None) -> np.ndarray:
+    """Stride-1 "same" cross-correlation by direct summation over every output coordinate."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     batch, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    if pad is None:
-        pad = (kh - 1) // 2
+    pad = (kh - 1) // 2
     xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + wd] = x
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (wd + 2 * pad - kw) // stride + 1
+    out_h = h + 2 * pad - kh + 1
+    out_w = wd + 2 * pad - kw + 1
     out = np.zeros((batch, cout, out_h, out_w))
     for b in range(batch):
         for co in range(cout):
@@ -57,8 +56,7 @@ def naive_conv2d(x, w, bias=None, stride: int = 1, pad: int | None = None) -> np
                     for ki in range(kh):
                         for kj in range(kw):
                             for ci in range(cin):
-                                acc += (w[co, ci, ki, kj]
-                                        * xp[b, ci, oi * stride + ki, oj * stride + kj])
+                                acc += w[co, ci, ki, kj] * xp[b, ci, oi + ki, oj + kj]
                     out[b, co, oi, oj] = acc
             if bias is not None:
                 out[b, co] += bias[co]

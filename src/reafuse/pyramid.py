@@ -97,7 +97,7 @@ class PyramidConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the one place these fields are checked; HarnessConfig.validate
+        # the one place these fields are checked; building a HarnessConfig
         # reports the same messages as config errors
         for name in ("levels", "kernel_channels", "orientations", "reduction", "seed"):
             value = getattr(self, name)

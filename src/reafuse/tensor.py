@@ -287,16 +287,11 @@ def take(a, indices, axis: int) -> Tensor:
     return _record(Tensor(data), "take", (a,), backward)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every entry, a 0-d tensor."""
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g: np.ndarray):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _record(Tensor(data), "sum", (a,), backward)
+    return _record(Tensor(a.data.sum()), "sum", (a,),
+                   lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 # -- spatial ops -------------------------------------------------------------------

@@ -35,7 +35,7 @@ def report_line(capsys, number, passed, detail):
 
 
 def test_criterion_1_equivariance_matrix(capsys):
-    cfg = HarnessConfig().validate()
+    cfg = HarnessConfig()
     assert (cfg.orientations, cfg.kernel_channels, cfg.reduction) == (4, 8, 2)
     assert (cfg.image_size, cfg.levels, cfg.seeds) == (32, 3, 20)
     start = time.perf_counter()
@@ -58,7 +58,7 @@ def test_criterion_1_equivariance_matrix(capsys):
 
 
 def test_criterion_2_convolution_oracles(capsys):
-    cfg = HarnessConfig().validate()
+    cfg = HarnessConfig()
     assert cfg.trials == 100
     start = time.perf_counter()
     report = run_oracle(cfg)
@@ -129,7 +129,7 @@ def test_criterion_4_trivial_group_collapse(capsys):
 
 
 def test_criterion_5_gradient_checks(capsys):
-    cfg = HarnessConfig().validate()
+    cfg = HarnessConfig()
     assert cfg.gradcheck_step == 1e-5 and cfg.gradcheck_tolerance == 1e-6
     start = time.perf_counter()
     report = run_gradcheck(cfg)
@@ -169,7 +169,7 @@ def test_criterion_6_fusing_equal_inputs_is_identity(capsys):
 
 
 def test_criterion_7_demo_determinism(capsys, tmp_path):
-    cfg = HarnessConfig().validate()
+    cfg = HarnessConfig()
     r1 = run_demo(cfg, tmp_path / "first")
     r2 = run_demo(cfg, tmp_path / "second")
     files = sorted(r1.results["files"])

@@ -25,6 +25,7 @@ from reafuse.harness import (
     _gradcheck_cases,
     load_config,
     run_demo,
+    run_gradcheck,
     run_oracle,
     run_verify,
 )
@@ -45,7 +46,7 @@ def write_config(tmp_path, **overrides):
 
 
 def test_defaults_validate():
-    cfg = HarnessConfig().validate()
+    cfg = HarnessConfig()
     assert cfg.variant == "ReAFFPN" and cfg.orientations == 4
 
 
@@ -76,10 +77,17 @@ def test_load_config_rejects_bad_types(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["pass_threshold", "fail_threshold", "oracle_tolerance",
                                  "gradcheck_tolerance", "gradcheck_step"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_load_config_rejects_non_finite_floats(tmp_path, key, value):
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   pytest.param(10**400, id="int-too-large-for-a-float")])
+def test_load_config_rejects_non_finite_floats(tmp_path, capsys, key, value):
+    p = write_config(tmp_path, **{key: value})
     with pytest.raises(ConfigError, match=key):
-        load_config(write_config(tmp_path, **{key: value}))
+        load_config(p)
+    with pytest.raises(ConfigError, match=key):
+        HarnessConfig(**{**TINY, key: value})
+    assert cli.entrypoint(["oracle" if key == "oracle_tolerance" else "verify",
+                           "--config", str(p)]) == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("seed", 7.9), ("levels", 2.7), ("kernel_channels", 2.5),
@@ -123,16 +131,16 @@ def test_load_config_caps_reseeds(tmp_path, capsys):
     assert cli.entrypoint(["verify", "--config", str(p)]) == 2
     assert "reseeds" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="reseeds 1000000000000 above the cap"):
-        HarnessConfig(reseeds=10**12).validate()
+        HarnessConfig(reseeds=10**12)
 
 
 def test_pyramid_levels_cap_is_the_deepest_the_image_cap_allows():
     deepest = pyramid.MAX_LEVELS
     # the smallest image of that depth, at the smallest batch, fills the image cap
     assert 2 ** (deepest - 1) * 2 == harness.MAX_IMAGE_SIZE_X_BATCH
-    assert HarnessConfig(levels=deepest, image_size=256, batch=2).validate().levels == deepest
+    assert HarnessConfig(levels=deepest, image_size=256, batch=2).levels == deepest
     with pytest.raises(ConfigError, match="spatial size not divisible"):
-        HarnessConfig(levels=deepest + 1, image_size=256, batch=2).validate()
+        HarnessConfig(levels=deepest + 1, image_size=256, batch=2)
 
 
 def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
@@ -151,18 +159,18 @@ def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
 def test_load_config_caps_level0_activations(tmp_path, capsys):
     # the cap is the default width (8 x 4) at the largest input, 256 x 256, batch 2
     cap = harness.MAX_LEVEL0_VALUES
-    assert HarnessConfig(image_size=256, batch=2).validate().image_size == 256
+    assert HarnessConfig(image_size=256, batch=2).image_size == 256
     configs = Path(__file__).resolve().parents[1] / "configs"
     for path in sorted(configs.glob("*.json")):
         cfg = load_config(path)
         assert cfg.kernel_channels * cfg.orientations * cfg.image_size ** 2 * cfg.batch <= cap
     # demo-large: configs/default.json as Baseline at 128 x 128, batch 4, half the cap
     large = dataclasses.replace(load_config(configs / "default.json"), variant="Baseline",
-                                image_size=128, batch=4).validate()
+                                image_size=128, batch=4)
     assert large.kernel_channels * large.orientations * 128 ** 2 * 4 == 2_097_152 == cap // 2
     with pytest.raises(ConfigError, match=r"kernel_channels x orientations x image_size\^2 "
                                           r"x batch = 64 x 4 x 256\^2 x 2 = 33554432 above"):
-        HarnessConfig(kernel_channels=64, image_size=256, batch=2).validate()
+        HarnessConfig(kernel_channels=64, image_size=256, batch=2)
     for k, n, size, batch in ((12, 4, 256, 2), (64, 2, 128, 4), (64, 1, 256, 2)):
         p = write_config(tmp_path, kernel_channels=k, orientations=n, reduction=2,
                          image_size=size, batch=batch)
@@ -186,7 +194,7 @@ def test_load_config_caps_kernel_channels(tmp_path, capsys):
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="kernel_channels"):
-            HarnessConfig(kernel_channels=4096, reduction=2).validate()
+            HarnessConfig(kernel_channels=4096, reduction=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -218,7 +226,7 @@ def test_load_config_loads_or_raises_config_error(tmp_path, payload):
         cfg = load_config(p)
     except ConfigError:
         return
-    assert cfg == cfg.validate()
+    assert dataclasses.replace(cfg) == cfg  # rebuilding runs the same checks
 
 
 def test_load_config_rejects_huge_levels_without_computing_the_power(tmp_path):
@@ -275,17 +283,26 @@ def test_indivisible_spatial_size_is_a_config_error(tmp_path):
 
 def test_threshold_and_range_validation():
     with pytest.raises(ConfigError):
-        HarnessConfig(pass_threshold=1e-2, fail_threshold=1e-10).validate()
+        HarnessConfig(pass_threshold=1e-2, fail_threshold=1e-10)
     with pytest.raises(ConfigError):
-        HarnessConfig(batch=1).validate()
+        HarnessConfig(batch=1)
     with pytest.raises(ConfigError, match="orientations must be 1, 2 or 4, got 3"):
-        HarnessConfig(orientations=3).validate()
+        HarnessConfig(orientations=3)
     with pytest.raises(ConfigError):
-        HarnessConfig(gradcheck_step=1e-9).validate()
+        HarnessConfig(gradcheck_step=1e-9)
     with pytest.raises(ConfigError):
-        HarnessConfig(seed=2**64).validate()
+        HarnessConfig(seed=2**64)
     with pytest.raises(ConfigError):
-        HarnessConfig(kernel_channels=8, reduction=3).validate()
+        HarnessConfig(kernel_channels=8, reduction=3)
+    # a config checks itself as it is built, so no caller can skip the checks
+    with pytest.raises(ConfigError, match="pass_threshold must be below"):
+        HarnessConfig(pass_threshold=1.0)
+    with pytest.raises(ConfigError, match="seeds and trials must be positive"):
+        HarnessConfig(seeds=0)
+    with pytest.raises(ConfigError, match="seeds 1001 above the cap"):
+        HarnessConfig(seeds=1001)
+    with pytest.raises(ConfigError, match="does not fit in u64"):
+        dataclasses.replace(HarnessConfig(), seed=2**64)
 
 
 def test_exit_code_precedence():
@@ -311,7 +328,7 @@ def test_report_json_is_self_contained():
 
 
 def test_run_verify_tiny_config():
-    report = run_verify(HarnessConfig(**TINY).validate())
+    report = run_verify(HarnessConfig(**TINY))
     assert report.exit_code == 0, report.summary_lines()
     assert set(report.results) == {"Baseline", "PlusSE", "PlusReCA", "PlusIAFF", "ReAFFPN"}
     for variant in ("Baseline", "PlusReCA", "ReAFFPN"):
@@ -326,22 +343,22 @@ def test_rotate_composition_law_exhaustive():
     # _rotate is an action of C_N, bit for bit
     image = Rng(23).uniform((2, 3, 8, 8))
     for n in (1, 2, 4):
-        cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
+        cfg = HarnessConfig(**{**TINY, "orientations": n})
         assert action_law_failures(lambda a, s: harness._rotate(cfg, Tensor(a), s).data,
                                    image, n) == []
 
 
 def test_run_verify_trivial_group_is_vacuous():
-    report = run_verify(HarnessConfig(**{**TINY, "orientations": 1}).validate())
+    report = run_verify(HarnessConfig(**{**TINY, "orientations": 1}))
     assert report.exit_code == 0
     assert report.results["PlusSE"].get("vacuous") is True
     assert report.results["Baseline"]["worst"] == 0.0
 
 
 @pytest.mark.parametrize("cfg", [
-    HarnessConfig(**{**TINY, "orientations": 1}).validate(),
-    HarnessConfig(**TINY).validate(),
-    HarnessConfig(**{**TINY, "orientations": 4}).validate(),
+    HarnessConfig(**{**TINY, "orientations": 1}),
+    HarnessConfig(**TINY),
+    HarnessConfig(**{**TINY, "orientations": 4}),
     load_config(Path(__file__).resolve().parents[1] / "configs" / "small.json"),
 ], ids=["tiny-n1", "tiny", "tiny-n4", "small.json"])
 def test_run_verify_shared_backbone_equals_full_forward_passes(cfg):
@@ -389,7 +406,7 @@ def _force_workers(monkeypatch, workers):
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
 def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch, tmp_path, n):
     calls = _count_calls(monkeypatch, tmp_path)
-    cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
+    cfg = HarnessConfig(**{**TINY, "orientations": n})
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
     # one backbone forward per seed for the identity and one for the
@@ -401,7 +418,7 @@ def test_run_verify_runs_the_backbone_once_per_seed_and_element(monkeypatch, tmp
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
 def test_run_verify_runs_the_laterals_once_per_seed_and_element(monkeypatch, tmp_path, n):
     calls = _count_calls(monkeypatch, tmp_path, "lateral_maps")
-    cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
+    cfg = HarnessConfig(**{**TINY, "orientations": n})
     report = run_verify(cfg)
     reseeds = sum(r.get("reseeds_used", 0) for r in report.results.values())
     # the five heads of a seed share one set of laterals per element checked
@@ -420,7 +437,7 @@ def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
         return laterals
 
     monkeypatch.setattr(harness, "lateral_maps", recorded)
-    cfg = HarnessConfig(**TINY).validate()
+    cfg = HarnessConfig(**TINY)
     timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
     residuals = harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
     assert all(residuals[v] is not None for v in VARIANTS)
@@ -435,7 +452,7 @@ def test_draw_residuals_leaves_the_shared_laterals_untouched(monkeypatch):
 def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch, tmp_path):
     calls = _count_calls(monkeypatch, tmp_path)
     # no draw breaks by 10: every must-break seed spends its whole reseed budget
-    cfg = HarnessConfig(**{**TINY, "fail_threshold": 10.0}).validate()
+    cfg = HarnessConfig(**{**TINY, "fail_threshold": 10.0})
     report = run_verify(cfg)
     assert report.exit_code == 4 and report.inconclusive
     reseeds = {v: report.results[v]["reseeds_used"] for v in ("PlusSE", "PlusIAFF")}
@@ -448,7 +465,7 @@ def test_run_verify_reseeds_run_one_variant_with_its_own_draw(monkeypatch, tmp_p
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids=["n1", "n2", "n4"])
 def test_verify_builds_each_variants_parameters_as_init_pyramid(n):
-    cfg = HarnessConfig(**{**TINY, "orientations": n}).validate()
+    cfg = HarnessConfig(**{**TINY, "orientations": n})
     param_seed = 1234
     params = harness._variant_params(cfg, param_seed, list(VARIANTS))
     assert list(params) == list(VARIANTS)
@@ -472,13 +489,13 @@ def test_verify_runs_init_pyramid_once_per_draw(monkeypatch):
 
     monkeypatch.setattr(harness, "init_pyramid", counted)
     _force_workers(monkeypatch, 1)
-    cfg = HarnessConfig(**TINY).validate()
+    cfg = HarnessConfig(**TINY)
     timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
     harness._draw_residuals(cfg, Rng(7), list(VARIANTS), timings)
     assert calls == [VARIANTS[0]]
     # a seed's shared draw, then one draw of its variant per reseed
     calls.clear()
-    report = run_verify(dataclasses.replace(cfg, fail_threshold=10.0).validate())
+    report = run_verify(dataclasses.replace(cfg, fail_threshold=10.0))
     reseeds = {v: report.results[v]["reseeds_used"] for v in ("PlusSE", "PlusIAFF")}
     assert calls.count(VARIANTS[0]) == cfg.seeds
     assert {v: calls.count(v) for v in reseeds} == reseeds
@@ -492,7 +509,7 @@ def test_run_verify_non_finite_backbone_fails_every_variant(monkeypatch):
         return [Tensor(np.full(f.shape, np.nan)) for f in real(x, params)]
 
     monkeypatch.setattr(harness, "toy_backbone", poisoned)
-    report = run_verify(HarnessConfig(**TINY).validate())
+    report = run_verify(HarnessConfig(**TINY))
     assert report.exit_code == 3 and report.non_finite
     assert report.results == {v: {"finite": False} for v in VARIANTS}
     assert report.verdicts == {f"{v} finite": False for v in VARIANTS}
@@ -515,7 +532,7 @@ def _verify_with_workers(monkeypatch, cfg, workers):
 def test_run_verify_split_equals_serial(monkeypatch, n):
     # three seeds: two workers get one seed and two; five workers are more
     # than there are seeds, so three processes run
-    cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3}).validate()
+    cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3})
     serial = _verify_with_workers(monkeypatch, cfg, 1)
     for workers in (2, 3, 5):
         split = _verify_with_workers(monkeypatch, cfg, workers)
@@ -527,7 +544,7 @@ def test_run_verify_split_equals_serial(monkeypatch, n):
 def test_run_verify_split_non_finite_seed_in_a_worker(monkeypatch):
     # seed 1 is in the second worker's share; its backbone is NaN, seeds 0
     # and 2 are not
-    cfg = HarnessConfig(**{**TINY, "seeds": 3}).validate()
+    cfg = HarnessConfig(**{**TINY, "seeds": 3})
     poisoned_seed = Rng(cfg.seed).derive("verify/1").derive("params").seed
     real = pyramid.toy_backbone
 
@@ -550,7 +567,7 @@ def test_run_verify_split_non_finite_seed_in_a_worker(monkeypatch):
 def test_run_verify_one_variant_non_finite(monkeypatch, n):
     # PlusIAFF's heads are NaN on seed 1, in the second worker's share when split;
     # the other variants and PlusIAFF's other seeds are untouched
-    cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3}).validate()
+    cfg = HarnessConfig(**{**TINY, "orientations": n, "seeds": 3})
     clean = _verify_with_workers(monkeypatch, cfg, 1)
     poisoned_seed = Rng(cfg.seed).derive("verify/1").derive("params").seed
     real = pyramid.build_pyramid
@@ -590,7 +607,7 @@ def test_draw_residuals_frees_each_head_before_the_next(monkeypatch):
 
     monkeypatch.setattr(harness, "build_pyramid", recorded)
     cfg = HarnessConfig(**{**TINY, "levels": 3, "kernel_channels": 4, "orientations": 4,
-                           "image_size": 32}).validate()
+                           "image_size": 32})
     timings = dict.fromkeys(("backbone", *VARIANTS), 0.0)
     tracemalloc.start()
     try:
@@ -646,7 +663,7 @@ def test_run_verify_split_raises_and_reaps(monkeypatch, where):
     _force_workers(monkeypatch, 2)
     fds = _open_fds()
     with pytest.raises(error, match=f"^{message}$"):
-        run_verify(HarnessConfig(**TINY).validate())
+        run_verify(HarnessConfig(**TINY))
     _no_child_left()
     assert _open_fds() == fds  # every pipe is closed, the failed fork's too
 
@@ -713,14 +730,49 @@ def test_verify_workers_rule(monkeypatch):
 
 
 def test_run_oracle_tiny_config():
-    report = run_oracle(HarnessConfig(**TINY).validate())
+    report = run_oracle(HarnessConfig(**TINY))
     assert report.exit_code == 0
     for name, outcome in report.results.items():
         assert outcome["max_abs_deviation"] <= 1e-12, name
 
 
+def test_run_oracle_judges_each_check_by_its_own_trials(monkeypatch):
+    cfg = HarnessConfig(**TINY)
+    clean = run_oracle(cfg)
+    monkeypatch.setattr(harness, "_oracle_lift_conv", lambda rng: float("nan"))
+    poisoned = run_oracle(cfg)
+    assert poisoned.exit_code == 3 and poisoned.non_finite
+    assert poisoned.results.pop("lift_conv") == {"finite": False}
+    assert poisoned.verdicts.pop("lift_conv finite") is False
+    del clean.results["lift_conv"]
+    del clean.verdicts[f"lift_conv matches reference (<= {cfg.oracle_tolerance:g})"]
+    assert poisoned.results == clean.results
+    assert poisoned.verdicts == clean.verdicts and all(clean.verdicts.values())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_run_gradcheck_reports_non_finite_gradients(monkeypatch, bad):
+    from reafuse import tensor as ops
+    from reafuse.tensor import _record
+
+    def cases(config, rng):
+        x = Tensor(np.ones((3,)))
+        yield "square", lambda: ops.tsum(ops.mul(x, x)), [x]
+        y = Tensor(np.ones((3,)))
+        yield "poisoned", lambda: ops.tsum(_record(Tensor(y.data * 2.0), "poisoned", (y,),
+                                                   lambda g: (g * bad,))), [y]
+
+    monkeypatch.setattr(harness, "_gradcheck_cases", cases)
+    report = run_gradcheck(HarnessConfig(**TINY))
+    assert report.exit_code == 3 and report.non_finite
+    assert report.verdicts["poisoned gradients finite"] is False
+    assert report.verdicts[f"square grad matches finite differences "
+                           f"(<= {report.config['gradcheck_tolerance']:g})"] is True
+    assert set(report.results) == {"square"}
+
+
 def test_run_demo_writes_identical_artifacts(tmp_path):
-    cfg = HarnessConfig(**TINY).validate()
+    cfg = HarnessConfig(**TINY)
     r1 = run_demo(cfg, tmp_path / "one")
     r2 = run_demo(cfg, tmp_path / "two")
     assert r1.exit_code == 0 and r2.exit_code == 0
@@ -738,7 +790,7 @@ def test_run_demo_non_finite_writes_nothing(monkeypatch, tmp_path):
     monkeypatch.setattr(pyramid, "build_pyramid", poisoned)
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
-        report = run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}).validate(),
+        report = run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}),
                           tmp_path / "out")
         _no_child_left()
         assert report.exit_code == 3 and report.non_finite
@@ -761,7 +813,7 @@ def test_run_demo_non_finite_in_a_worker_writes_nothing(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pyramid, "build_pyramid", poisoned)
     _force_workers(monkeypatch, 2)
-    report = run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}).validate(),
+    report = run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}),
                       tmp_path / "out")
     _no_child_left()
     assert report.exit_code == 3 and report.non_finite
@@ -794,7 +846,7 @@ def test_run_demo_runs_the_head_in_the_parent_only_with_attention(monkeypatch, t
     for stage in ("toy_backbone", "build_pyramid"):
         monkeypatch.setattr(pyramid, stage, logged(stage))
     _force_workers(monkeypatch, 2)
-    report = run_demo(HarnessConfig(**{**TINY, "variant": variant}).validate(),
+    report = run_demo(HarnessConfig(**{**TINY, "variant": variant}),
                       tmp_path / "out")
     _no_child_left()
     assert report.exit_code == 0, report.summary_lines()
@@ -840,7 +892,7 @@ def test_run_demo_split_writes_the_serial_bytes(monkeypatch, tmp_path, variant):
     # case, at batch 4, is the one where a split that couples the samples shows.
     for size in (dict(batch=3),
                  dict(levels=3, kernel_channels=8, orientations=4, image_size=32, batch=4)):
-        cfg = HarnessConfig(**{**TINY, **size, "variant": variant}).validate()
+        cfg = HarnessConfig(**{**TINY, **size, "variant": variant})
         digests = {}
         for workers in (1, 2, 3, 5):
             out = tmp_path / f"{cfg.image_size}-{workers}"
@@ -862,7 +914,7 @@ def test_run_demo_split_raises_and_reaps(monkeypatch, tmp_path, where):
     _force_workers(monkeypatch, 2)
     fds = _open_fds()
     with pytest.raises(error, match=f"^{message}$"):
-        run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}).validate(),
+        run_demo(HarnessConfig(**{**TINY, "variant": "Baseline"}),
                  tmp_path / "out")
     _no_child_left()
     assert _open_fds() == fds  # every pipe is closed, the failed fork's too
@@ -946,10 +998,36 @@ def test_cli_invalid_config_paths(tmp_path, capsys):
 
 def test_cli_demo_requires_out_and_writable_target(tmp_path):
     cfg = write_config(tmp_path)
-    assert cli.entrypoint(["demo", "--config", str(cfg)]) == 2
+    # --out belongs to demo alone: a usage error, which argparse exits with 2
+    for argv in (["demo", "--config", str(cfg)],
+                 ["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]):
+        with pytest.raises(SystemExit) as exited:
+            cli.entrypoint(argv)
+        assert exited.value.code == 2, argv
     assert cli.entrypoint(["demo", "--config", str(cfg),
                            "--out", "/proc/definitely/not/writable"]) == 2
     assert cli.entrypoint(["demo", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+
+
+def test_python_m_reafuse_runs_the_cli(tmp_path):
+    # the path of the installed script: __main__ -> cli.main -> sys.exit
+    root = Path(__file__).resolve().parents[1]
+    small = str(root / "configs" / "small.json")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "reafuse", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("oracle", "--config", small, "--json", "r.json")
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["command"] == "oracle" and report["passed"] and report["exit_code"] == 0
+    for argv in (["demo", "--config", small], ["verify", "--config", small, "--out", "x"]):
+        done = run(*argv)
+        assert done.returncode == 2, argv
+        assert "usage:" in done.stderr, argv
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_maps_non_finite_to_exit_3(tmp_path, monkeypatch):
@@ -973,7 +1051,7 @@ def test_cli_maps_non_finite_to_exit_3(tmp_path, monkeypatch):
 def test_gradcheck_regression_seeds(seed, case, index):
     # the tensor of each case that failed at the default step and tolerance,
     # checked on every coordinate with the cases the CLI builds for the seed
-    cfg = HarnessConfig(seed=seed).validate()
+    cfg = HarnessConfig(seed=seed)
     cases = {name: (loss, wrt) for name, loss, wrt in
              _gradcheck_cases(cfg, Rng(seed).derive("gradcheck").derive("cases"))}
     loss, wrt = cases[case]

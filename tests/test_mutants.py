@@ -23,7 +23,7 @@ from reafuse.tensor import Rng, Tensor
 from references import action_law_failures, reference_seed_residuals
 
 CONFIG = HarnessConfig(levels=2, kernel_channels=2, orientations=4, reduction=1,
-                       image_size=8, batch=2, seeds=3).validate()
+                       image_size=8, batch=2, seeds=3)
 
 
 def broken_variants(report) -> set[str]:
