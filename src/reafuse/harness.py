@@ -129,8 +129,8 @@ class HarnessConfig:
     """Schema of the JSON config consumed by every command.
 
     Checked as it is built, from a file or from Python (``dataclasses.replace``
-    too): a bad value raises ``ConfigError`` naming the field.  The README's
-    "Configuration" section walks through each knob.
+    too), types first: a bad value raises ``ConfigError`` naming the field.
+    The README's "Configuration" section walks through each knob.
     """
 
     seed: int = 20240814
@@ -151,11 +151,23 @@ class HarnessConfig:
     gradcheck_step: float = 1e-5
 
     def __post_init__(self):
+        # Types first, in PyramidConfig's wording, so that every later check
+        # compares numbers; a float field may hold an int that fits a float.
+        for name, kind in _field_types().items():
+            value = getattr(self, name)
+            accepted, noun = _ACCEPTED[kind]
+            if not isinstance(value, accepted) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+            try:
+                if kind is float and not math.isfinite(value):
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
+            except OverflowError:
+                raise ConfigError(f"{name} is an integer too large for a float") from None
         # The image check runs before the pyramid checks: the image cap implies
         # the pyramid's levels cap, and a too-deep pyramid is a spatial-size error here.
         # bit_length() < levels means image_size < 2^(levels-1); checked
         # first, so that a huge levels never has its power computed.
-        if isinstance(self.levels, int) and self.levels >= 2 and (
+        if self.levels >= 2 and (
                 self.image_size < 1 or self.image_size.bit_length() < self.levels
                 or self.image_size % 2 ** (self.levels - 1)):
             raise ConfigError(
@@ -173,10 +185,11 @@ class HarnessConfig:
             )
         if self.seeds < 1 or self.trials < 1:
             raise ConfigError("seeds and trials must be positive")
-        if self.seeds > MAX_SEEDS:
-            raise ConfigError(f"seeds {self.seeds} above the cap of {MAX_SEEDS}")
-        if self.trials > MAX_TRIALS:
-            raise ConfigError(f"trials {self.trials} above the cap of {MAX_TRIALS}")
+        if self.reseeds < 0:
+            raise ConfigError(f"reseeds must be non-negative, got {self.reseeds}")
+        for name, cap in (("seeds", MAX_SEEDS), ("trials", MAX_TRIALS), ("reseeds", MAX_RESEEDS)):
+            if getattr(self, name) > cap:
+                raise ConfigError(f"{name} {getattr(self, name)} above the cap of {cap}")
         if self.image_size * self.batch > MAX_IMAGE_SIZE_X_BATCH:
             raise ConfigError(
                 f"image_size x batch = {self.image_size} x {self.batch} above the cap "
@@ -189,20 +202,6 @@ class HarnessConfig:
                 f"{self.kernel_channels} x {self.orientations} x {self.image_size}^2 x "
                 f"{self.batch} = {level0} above the cap of {MAX_LEVEL0_VALUES}"
             )
-        if self.reseeds < 0:
-            raise ConfigError(f"reseeds must be non-negative, got {self.reseeds}")
-        if self.reseeds > MAX_RESEEDS:
-            raise ConfigError(f"reseeds {self.reseeds} above the cap of {MAX_RESEEDS}")
-        for name, kind in _field_types().items():
-            if kind is not float:
-                continue
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ConfigError(f"{name} is an integer too large for a float") from None
-            if not finite:
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("pass_threshold", "fail_threshold", "oracle_tolerance",
                      "gradcheck_tolerance"):
             if getattr(self, name) <= 0:
@@ -230,9 +229,14 @@ def _field_types() -> dict[str, type]:
     return {f.name: type(f.default) for f in dataclasses.fields(HarnessConfig)}
 
 
+# What a field of each type accepts (a bool never), and how its error names it.
+_ACCEPTED = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
 def load_config(path) -> HarnessConfig:
-    """Parse a JSON config into a ``HarnessConfig``, which checks itself;
-    unknown keys, wrong types and non-integral integers are errors here."""
+    """Parse a JSON config into a ``HarnessConfig``, which checks every value.
+    Unknown keys are errors here, and an integral float for an integer field
+    (``2.0``: JSON has one number type) becomes that integer."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -249,14 +253,7 @@ def load_config(path) -> HarnessConfig:
     if unknown:
         raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
     for key, value in payload.items():
-        if kinds[key] is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key} must be a string")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"config key {key} must be a number, got {value!r}")
-        elif kinds[key] is int and isinstance(value, float):
-            if not value.is_integer():
-                raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+        if kinds[key] is int and isinstance(value, float) and value.is_integer():
             payload[key] = int(value)
     return HarnessConfig(**payload)
 
@@ -334,6 +331,19 @@ def _rotate(config: HarnessConfig, image: Tensor, s: int) -> Tensor:
     return ops.rot90(image, s * quarter_turns(config.orientations))
 
 
+def _group_laws_hold(config: HarnessConfig) -> bool:
+    """Whether ``_rotate`` and ``g_act``, called by the names verify's residual
+    path calls, are actions of C_N: element 0 is the identity and acting by a
+    then by b is acting by (a + b) mod N, for all N^2 pairs.  Both permute
+    entries, so on arange-valued inputs the comparison is exact."""
+    n = config.orientations
+    x = Tensor(np.arange(48.0 * n).reshape(1, 3 * n, 4, 4))
+    return all(np.array_equal(act(x, 0).data, x.data)
+               and np.array_equal(act(act(x, a), b).data, act(x, (a + b) % n).data)
+               for act in (lambda y, s: _rotate(config, y, s), lambda y, s: g_act(y, s, n))
+               for a in range(n) for b in range(n))
+
+
 def _residuals(config: HarnessConfig, levels: list[list[Tensor]]) -> list[float] | None:
     """Max equivariance residual per pyramid level at the generator.
 
@@ -342,8 +352,8 @@ def _residuals(config: HarnessConfig, levels: list[list[Tensor]]) -> list[float]
     generator, whose levels are compared with ``g_act`` of the identity's.
     C_N is cyclic, so a map that commutes with the generator on every input
     commutes with every g^s; that rests on ``g_act`` and ``_rotate`` being
-    homomorphisms, which the composition-law tests check exactly.  The
-    trivial group has no generator to compare, so its residuals are 0.
+    homomorphisms, which ``run_verify`` checks first (``_group_laws_hold``).
+    The trivial group has no generator to compare, so its residuals are 0.
     Returns None on non-finite levels.
     """
     if not all(_finite(*element) for element in levels):
@@ -578,12 +588,13 @@ def run_verify(config: HarnessConfig) -> Report:
     Seeds are the outer loop and variants the inner one: per seed, all
     variants share the input image, the backbone and the laterals, as in a
     fixed-backbone ablation, and every variant is still run end to end on
-    the input and on its rotation by the generator of C_N; the group laws
-    extend a pass at the generator to every element.  The seeds are split
-    in contiguous shares over ``_workers(seeds)`` processes
-    (``timings["workers"]``), so their outcomes come back in seed order, and
-    each variant's entry is built once from them: the results do not depend
-    on the split.  A variant with any non-finite seed is reported non-finite.
+    the input and on its rotation by the generator of C_N; the group laws,
+    checked first as one verdict, extend a pass at the generator to every
+    element.  The seeds are split in contiguous shares over
+    ``_workers(seeds)`` processes (``timings["workers"]``), so their
+    outcomes come back in seed order, and each variant's entry is built
+    once from them: the results do not depend on the split.  A variant
+    with any non-finite seed is reported non-finite.
     ``timings[variant]`` is that variant's head time, reseeds included;
     ``timings["backbone"]`` is every draw's parameter set-up, backbone
     forwards and laterals, reseeds included.  Both are summed over the
@@ -592,6 +603,8 @@ def run_verify(config: HarnessConfig) -> Report:
     """
     report = _new_report("verify", config)
     start = time.perf_counter()
+    report.verdicts[f"g_act and the input rotation obey the C_{config.orientations} group laws"] = (
+        _group_laws_hold(config))
     shares = _shares(config.seeds, _workers(config.seeds))
     seeds = [seed for share in _fork_map(functools.partial(_run_share, config), shares)
              for seed in share]

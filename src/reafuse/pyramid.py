@@ -97,8 +97,9 @@ class PyramidConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the one place these fields are checked; building a HarnessConfig
-        # reports the same messages as config errors
+        # the one place these fields' ranges are checked; a HarnessConfig
+        # checks their types first in the same wording, then reports these
+        # messages as config errors
         for name in ("levels", "kernel_channels", "orientations", "reduction", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

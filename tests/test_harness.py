@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -305,6 +306,46 @@ def test_threshold_and_range_validation():
         dataclasses.replace(HarnessConfig(), seed=2**64)
 
 
+@pytest.mark.parametrize("overrides,message,integral", [
+    pytest.param({"seeds": 1.5}, "seeds must be an integer, got 1.5", False, id="seeds"),
+    pytest.param({"trials": 2.5}, "trials must be an integer, got 2.5", False, id="trials"),
+    pytest.param({"reseeds": 1.5}, "reseeds must be an integer, got 1.5", False, id="reseeds"),
+    pytest.param({"batch": 2.0}, "batch must be an integer, got 2.0", True, id="batch"),
+    pytest.param({"image_size": 8.0, "levels": 2}, "image_size must be an integer, got 8.0",
+                 True, id="image_size"),
+    pytest.param({"variant": 3}, "variant must be a string, got 3", False, id="variant"),
+    pytest.param({"pass_threshold": "1e-10"}, "pass_threshold must be a number, got '1e-10'",
+                 False, id="pass_threshold"),
+])
+def test_harness_config_checks_types_on_every_route(tmp_path, overrides, message, integral):
+    # built in Python, these ran (seeds, trials, reseeds, batch) or failed
+    # outside ConfigError (image_size) while only load_config checked types
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ConfigError, match=exact):
+        HarnessConfig(**overrides)
+    with pytest.raises(ConfigError, match=exact):
+        dataclasses.replace(HarnessConfig(**TINY), **overrides)
+    p = write_config(tmp_path, **overrides)
+    if integral:
+        # JSON has one number type: a file's 2.0 is the integer 2
+        ints = {k: int(v) for k, v in overrides.items()}
+        assert load_config(p) == HarnessConfig(**{**TINY, **ints})
+    else:
+        with pytest.raises(ConfigError, match=exact):
+            load_config(p)
+
+
+@pytest.mark.parametrize("name", list(HarnessConfig.__dataclass_fields__))
+def test_harness_config_rejects_any_json_value_with_config_error(name):
+    # every value JSON can hold, as Python builds it: a config error or a config
+    for value in (None, True, False, "", "8", "ReAFFPN", [], [8], {}, 0.5, 8.0, -0.0,
+                  float("nan"), float("-inf"), -1, 0, 1, 8, 10**400):
+        try:
+            HarnessConfig(**{name: value})
+        except ConfigError:
+            pass
+
+
 def test_exit_code_precedence():
     base = dict(command="verify", seed=0, config={})
     ok = Report(**base, verdicts={"a": True})
@@ -331,6 +372,7 @@ def test_run_verify_tiny_config():
     report = run_verify(HarnessConfig(**TINY))
     assert report.exit_code == 0, report.summary_lines()
     assert set(report.results) == {"Baseline", "PlusSE", "PlusReCA", "PlusIAFF", "ReAFFPN"}
+    assert report.verdicts["g_act and the input rotation obey the C_2 group laws"] is True
     for variant in ("Baseline", "PlusReCA", "ReAFFPN"):
         assert report.results[variant]["worst"] <= 1e-10
     for variant in ("PlusSE", "PlusIAFF"):
@@ -351,6 +393,7 @@ def test_rotate_composition_law_exhaustive():
 def test_run_verify_trivial_group_is_vacuous():
     report = run_verify(HarnessConfig(**{**TINY, "orientations": 1}))
     assert report.exit_code == 0
+    assert report.verdicts["g_act and the input rotation obey the C_1 group laws"] is True
     assert report.results["PlusSE"].get("vacuous") is True
     assert report.results["Baseline"]["worst"] == 0.0
 
@@ -512,7 +555,8 @@ def test_run_verify_non_finite_backbone_fails_every_variant(monkeypatch):
     report = run_verify(HarnessConfig(**TINY))
     assert report.exit_code == 3 and report.non_finite
     assert report.results == {v: {"finite": False} for v in VARIANTS}
-    assert report.verdicts == {f"{v} finite": False for v in VARIANTS}
+    assert report.verdicts == {"g_act and the input rotation obey the C_2 group laws": True,
+                               **{f"{v} finite": False for v in VARIANTS}}
 
 
 def _no_child_left():

@@ -1,14 +1,15 @@
 """Mutation checks: a deliberately broken fast path must turn a verdict red.
 
 Each test patches one rule of the fast path to a plausible wrong variant and
-asserts which check notices: ``verify`` (an equivariant variant fails) or,
-failing that, ``oracle`` (a fast path departs from its reference), or the
-group-law tests (``g_act`` or the input rotation is not an action of C_N).
-``verify`` compares the generator with the identity only, so a group action
-that is wrong only at some s >= 2 is outside its reach; the composition-law
-tests in test_groupequiv.py and test_harness.py are what license that, and
-they must catch it.  A mutant that no check catches marks a blind spot of
-the checks, not of the code.
+asserts which check notices: ``verify`` (an equivariant variant fails, or
+its group-law verdict does) or, failing that, ``oracle`` (a fast path
+departs from its reference).  ``verify``'s residuals compare the generator
+with the identity only, so a group action that is wrong only at some s >= 2
+is outside their reach; verify's group-law verdict (``g_act`` and the input
+rotation compose as C_N, checked exactly over all N^2 pairs) is what
+licenses that, and it must catch such a mutant, as the composition-law
+tests in test_groupequiv.py and test_harness.py do.  A mutant that no check
+catches marks a blind spot of the checks, not of the code.
 """
 
 import numpy as np
@@ -30,6 +31,10 @@ def broken_variants(report) -> set[str]:
     """The equivariant variants whose verify verdict failed."""
     return {v for name, passed in report.verdicts.items() for v in EQUIVARIANT_VARIANTS
             if name.startswith(f"{v} equivariant") and not passed}
+
+
+def failed_verdicts(report) -> list[str]:
+    return [name for name, passed in report.verdicts.items() if not passed]
 
 
 def _kernel_index_mutant(shift: int, turn: int):
@@ -211,21 +216,26 @@ def test_per_orientation_bias_mutant_is_caught_by_oracle_only(monkeypatch):
     assert report.exit_code == 1
 
 
-def test_g_act_wrong_at_a_half_turn_is_caught_by_the_group_laws_only(monkeypatch):
-    # verify acts by the generator alone, so it never calls g_act(., 2)
+def test_g_act_wrong_at_a_half_turn_is_caught_by_verify(monkeypatch):
+    # verify's residuals act by the generator alone, so they never call
+    # g_act(., 2); its group-law verdict composes every pair of elements
     for module in (groupequiv, harness):
         monkeypatch.setattr(module, "g_act", _unshifted_half_turn_g_act)
-    assert run_verify(CONFIG).exit_code == 0
+    report = run_verify(CONFIG)
+    assert failed_verdicts(report) == ["g_act and the input rotation obey the C_4 group laws"]
+    assert report.exit_code == 1
     n = CONFIG.orientations
     x = Rng(3).uniform((2, CONFIG.kernel_channels * n, 8, 8))
     assert action_law_failures(lambda a, s: groupequiv.g_act(Tensor(a), s, n).data, x, n)
 
 
-def test_rotate_wrong_at_a_half_turn_is_caught_by_the_group_laws_only(monkeypatch):
-    # verify rotates its input by the generator alone, so it never calls
-    # _rotate(., ., 2)
+def test_rotate_wrong_at_a_half_turn_is_caught_by_verify(monkeypatch):
+    # verify's residuals rotate the input by the generator alone, so they
+    # never call _rotate(., ., 2); its group-law verdict composes every pair
     monkeypatch.setattr(harness, "_rotate", _mirrored_half_turn_rotate)
-    assert run_verify(CONFIG).exit_code == 0
+    report = run_verify(CONFIG)
+    assert failed_verdicts(report) == ["g_act and the input rotation obey the C_4 group laws"]
+    assert report.exit_code == 1
     image = Rng(3).uniform((2, 3, 8, 8))
     assert action_law_failures(
         lambda a, s: harness._rotate(CONFIG, Tensor(a), s).data, image, CONFIG.orientations)
