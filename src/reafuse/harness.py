@@ -559,27 +559,29 @@ def _child(task: Callable, share, write_end: int) -> NoReturn:
         os._exit(status)
 
 
-def _summary(config: HarnessConfig, variant: str, outcomes: list[tuple]) -> dict:
-    """One variant's report entry from its ``(residuals, reseeds)`` on
-    every seed; any non-finite seed makes the variant non-finite."""
+def _entry(config: HarnessConfig, variant: str, outcomes: list[tuple]) -> tuple[dict, str, bool]:
+    """One variant's report entry, verdict name and verdict from its
+    ``(residuals, reseeds)`` on every seed.  A non-finite seed makes the
+    variant non-finite, a False verdict; a breakage undemonstrated after the
+    reseeds marks the entry ``inconclusive`` (exit 4), and its verdict stays True."""
     if any(residuals is None for residuals, _ in outcomes):
-        return {"finite": False}
+        return {"finite": False}, f"{variant} finite", False
     per_level = [max(level) for level in zip(*(residuals for residuals, _ in outcomes))]
-    summary = {
-        "finite": True,
-        "per_level": per_level,
-        "worst": max(per_level),
-        "seeds": config.seeds,
-        "must_break": variant not in EQUIVARIANT_VARIANTS,
-    }
-    if _must_demonstrate(config, variant):
-        per_seed = [max(residuals) for residuals, _ in outcomes]
-        summary["weakest"] = min(per_seed)
-        summary["reseeds_used"] = sum(reseeds for _, reseeds in outcomes)
-        summary["undemonstrated_seeds"] = sum(w < config.fail_threshold for w in per_seed)
-    elif summary["must_break"]:
-        summary["vacuous"] = True  # the trivial group cannot be broken
-    return summary
+    entry = {"finite": True, "per_level": per_level, "worst": max(per_level),
+             "seeds": config.seeds, "must_break": variant not in EQUIVARIANT_VARIANTS}
+    if not entry["must_break"]:
+        return (entry, f"{variant} equivariant (<= {config.pass_threshold:g})",
+                entry["worst"] <= config.pass_threshold)
+    if not _must_demonstrate(config, variant):
+        entry["vacuous"] = True  # the trivial group cannot be broken
+        return entry, f"{variant} breakage vacuous for trivial group", True
+    per_seed = [max(residuals) for residuals, _ in outcomes]
+    entry["weakest"] = min(per_seed)
+    entry["reseeds_used"] = sum(reseeds for _, reseeds in outcomes)
+    entry["undemonstrated_seeds"] = sum(w < config.fail_threshold for w in per_seed)
+    if entry["undemonstrated_seeds"]:
+        entry["inconclusive"] = True
+    return entry, f"{variant} breaks equivariance (>= {config.fail_threshold:g})", True
 
 
 def run_verify(config: HarnessConfig) -> Report:
@@ -611,24 +613,10 @@ def run_verify(config: HarnessConfig) -> Report:
     report.timings = {stage: sum(timings[stage] for _, timings in seeds)
                       for stage in ("backbone", *VARIANTS)}
     for variant in VARIANTS:
-        summary = report.results[variant] = _summary(
-            config, variant, [outcomes[variant] for outcomes, _ in seeds])
-        if not summary["finite"]:
-            report.non_finite = True
-            report.verdicts[f"{variant} finite"] = False
-        elif not summary["must_break"]:
-            report.verdicts[f"{variant} equivariant (<= {config.pass_threshold:g})"] = (
-                summary["worst"] <= config.pass_threshold
-            )
-        elif summary.get("vacuous"):
-            report.verdicts[f"{variant} breakage vacuous for trivial group"] = True
-        else:
-            # an undemonstrated breakage is inconclusive (exit 4), never a
-            # definite failure, so the verdict itself stays True
-            report.verdicts[f"{variant} breaks equivariance (>= {config.fail_threshold:g})"] = True
-            if summary["undemonstrated_seeds"]:
-                report.inconclusive = True
-                summary["inconclusive"] = True
+        entry, name, ok = _entry(config, variant, [outcomes[variant] for outcomes, _ in seeds])
+        report.results[variant], report.verdicts[name] = entry, ok
+        report.non_finite |= not entry["finite"]
+        report.inconclusive |= "inconclusive" in entry
     report.timings["total"] = time.perf_counter() - start
     report.timings["workers"] = len(shares)
     return report
@@ -936,7 +924,9 @@ def run_demo(config: HarnessConfig, out_dir) -> Report:
     })
     report.timings["write"] = time.perf_counter() - t0
     report.results["out_dir"] = str(out)
-    report.results["files"] = sorted(p.name for p in out.iterdir())
+    # the files this run wrote, not a listing of out_dir, which may hold stale ones
+    written = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["levels"]
+    report.results["files"] = sorted([level["file"] for level in written] + ["manifest.json"])
     report.results["levels"] = [list(fm.shape) for fm in levels]
     report.verdicts["pyramid outputs finite"] = True
     report.verdicts["channel layout divisible by orientations"] = all(

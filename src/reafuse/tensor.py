@@ -410,12 +410,12 @@ def conv2d(x, w, bias=None, blockmean: bool = False) -> Tensor:
     in-channel) order before the contraction, which fixes the accumulation
     order and makes results reproducible run to run.
 
-    The forward of a k > 1 kernel runs im2col on one band of output rows at
-    a time, so its buffers are sized by the band, not by the map.  A map of at
-    most ``_BAND_PIXELS`` pixels, or whose pixel count is not a multiple of
-    ``_BAND_ALIGN``, is one band; a larger one is split into
-    ``ceil(H*W / _BAND_PIXELS)`` balanced bands of whole rows.  The output is
-    bit-identical to that of one whole-map GEMM.
+    The forward of every kernel, 1x1 included, runs im2col on one band of
+    output rows at a time, so its buffers are sized by the band, not by the
+    map.  A map of at most ``_BAND_PIXELS`` pixels, or whose pixel count is
+    not a multiple of ``_BAND_ALIGN``, is one band; a larger one is split
+    into ``ceil(H*W / _BAND_PIXELS)`` balanced bands of whole rows.  The
+    output is bit-identical to that of one whole-map GEMM.
 
     ``blockmean=True`` returns ``blockmean2x`` of the biased output, bit for
     bit, without building the full-resolution map: each band's GEMM output
@@ -445,66 +445,56 @@ def conv2d(x, w, bias=None, blockmean: bool = False) -> Tensor:
         return src[..., ki : ki + h, kj : kj + wd]
 
     wf = w.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    if k == 1:
-        # a 1x1 receptive field is the input itself: no im2col copy
-        out = np.matmul(wf, x.data.reshape(batch, cin, h * wd)).reshape(batch, cout, h, wd)
-        if b_t is not None:
-            out += b_t.data[:, None, None]
-        if blockmean:
-            out = _block_mean(out)
+    # pad and im2col one band of rows of one sample at a time, in documented
+    # (kernel-row, kernel-col, in-channel) order, through band-sized buffers
+    # (a 1x1 kernel pads by 0, and its band is its own im2col).  Each band's
+    # GEMM writes straight into its rows of ``out``, or, under blockmean, into
+    # a band buffer that is biased and averaged into its half as many rows of
+    # ``out``.  Bands are balanced in steps of ``step`` rows, the fewest whole
+    # rows (an even number under blockmean) that span a multiple of
+    # _BAND_ALIGN pixels
+    step = _BAND_ALIGN // math.gcd(wd, _BAND_ALIGN)
+    if blockmean:
+        step = math.lcm(step, 2)
+    steps = -(-h // step)
+    nbands = 1 if h * wd % _BAND_ALIGN else min(steps, -(-h * wd // _BAND_PIXELS))
+    bounds = [min(h, step * (i * steps // nbands)) for i in range(nbands + 1)]
+    rows = max(r1 - r0 for r0, r1 in zip(bounds, bounds[1:]))
+    if blockmean:
+        out = np.empty((batch, cout, h // 2, wd // 2))
+        gemm_buf = np.empty((cout, rows * wd))
     else:
-        # pad and im2col one band of rows of one sample at a time, in
-        # documented (kernel-row, kernel-col, in-channel) order, through
-        # band-sized buffers.  Each band's GEMM writes straight into its rows
-        # of ``out``, or, under blockmean, into a band buffer that is biased
-        # and averaged into its half as many rows of ``out``.  Bands are
-        # balanced in steps of ``step`` rows, the fewest whole rows (an even
-        # number under blockmean) that span a multiple of _BAND_ALIGN pixels
-        step = _BAND_ALIGN // math.gcd(wd, _BAND_ALIGN)
-        if blockmean:
-            step = math.lcm(step, 2)
-        steps = -(-h // step)
-        nbands = 1 if h * wd % _BAND_ALIGN else min(steps, -(-h * wd // _BAND_PIXELS))
-        bounds = [min(h, step * (i * steps // nbands)) for i in range(nbands + 1)]
-        rows = max(r1 - r0 for r0, r1 in zip(bounds, bounds[1:]))
-        if blockmean:
-            out = np.empty((batch, cout, h // 2, wd // 2))
-            gemm_buf = np.empty((cout, rows * wd))
-        else:
-            out = np.empty((batch, cout, h, wd))
-            flat = out.reshape(batch, cout, h * wd)
-        col_buf = np.empty(k * k * cin * rows * wd)
-        # the left and right pad columns are never written and stay zero
-        pad_buf = np.zeros((cin, rows + 2 * pad, wd + 2 * pad))
-        for s in range(batch):
-            for r0, r1 in zip(bounds, bounds[1:]):
-                n = r1 - r0
-                # input rows r0 - pad .. r1 + pad - 1, zero outside the map
-                lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
-                top, bottom = lo - r0 + pad, hi - r0 + pad
-                band = pad_buf[:, : n + 2 * pad]
-                band[:, :top] = 0.0
-                band[:, top:bottom, pad : pad + wd] = x.data[s, :, lo:hi]
-                band[:, bottom:] = 0.0
-                cols = col_buf[: k * k * cin * n * wd].reshape(k * k, cin, n, wd)
-                for ki in range(k):
-                    for kj in range(k):
-                        cols[ki * k + kj] = band[:, ki : ki + n, kj : kj + wd]
-                dest = gemm_buf[:, : n * wd] if blockmean else flat[s, :, r0 * wd : r1 * wd]
-                np.matmul(wf, cols.reshape(k * k * cin, n * wd), out=dest)
-                if b_t is not None:
-                    dest += b_t.data[:, None]
-                if blockmean:
-                    _block_mean(dest.reshape(cout, n, wd), out=out[s, :, r0 // 2 : r1 // 2])
+        out = np.empty((batch, cout, h, wd))
+        flat = out.reshape(batch, cout, h * wd)
+    col_buf = np.empty(k * k * cin * rows * wd)
+    # the left and right pad columns are never written and stay zero
+    pad_buf = np.zeros((cin, rows + 2 * pad, wd + 2 * pad))
+    for s in range(batch):
+        for r0, r1 in zip(bounds, bounds[1:]):
+            n = r1 - r0
+            # input rows r0 - pad .. r1 + pad - 1, zero outside the map
+            lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
+            top, bottom = lo - r0 + pad, hi - r0 + pad
+            band = pad_buf[:, : n + 2 * pad]
+            band[:, :top] = 0.0
+            band[:, top:bottom, pad : pad + wd] = x.data[s, :, lo:hi]
+            band[:, bottom:] = 0.0
+            cols = col_buf[: k * k * cin * n * wd].reshape(k * k, cin, n, wd)
+            for ki in range(k):
+                for kj in range(k):
+                    cols[ki * k + kj] = band[:, ki : ki + n, kj : kj + wd]
+            dest = gemm_buf[:, : n * wd] if blockmean else flat[s, :, r0 * wd : r1 * wd]
+            np.matmul(wf, cols.reshape(k * k * cin, n * wd), out=dest)
+            if b_t is not None:
+                dest += b_t.data[:, None]
+            if blockmean:
+                _block_mean(dest.reshape(cout, n, wd), out=out[s, :, r0 // 2 : r1 // 2])
 
     def backward(g: np.ndarray):
         if blockmean:
             g = _expand_block_grad(g)
-        if pad:
-            xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
-            xp[:, :, pad : pad + h, pad : pad + wd] = x.data
-        else:
-            xp = x.data
+        xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
+        xp[:, :, pad : pad + h, pad : pad + wd] = x.data
         grad_w = np.empty_like(w.data)
         grad_xp = np.zeros_like(xp)
         for ki in range(k):
@@ -513,8 +503,7 @@ def conv2d(x, w, bias=None, blockmean: bool = False) -> Tensor:
                 grad_w[:, :, ki, kj] = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))
                 spread = np.tensordot(g, w.data[:, :, ki, kj], axes=([1], [0]))
                 tap(grad_xp, ki, kj)[...] += spread.transpose(0, 3, 1, 2)
-        grad_x = grad_xp[:, :, pad : pad + h, pad : pad + wd] if pad else grad_xp
-        grads = [grad_x, grad_w]
+        grads = [grad_xp[:, :, pad : pad + h, pad : pad + wd], grad_w]
         if b_t is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return grads

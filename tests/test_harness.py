@@ -824,6 +824,18 @@ def test_run_demo_writes_identical_artifacts(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+def test_run_demo_reports_only_the_files_it_wrote(tmp_path):
+    # a 3-level demo, then a 2-level one into the same directory: the stale
+    # level2.raft of the first is not one the second wrote
+    run_demo(HarnessConfig(**{**TINY, "levels": 3}), tmp_path)
+    report = run_demo(HarnessConfig(**TINY), tmp_path)
+    assert report.exit_code == 0
+    assert report.results["files"] == ["level0.raft", "level1.raft", "manifest.json"]
+    assert len(report.results["levels"]) == 2
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [level["file"] for level in manifest["levels"]] == ["level0.raft", "level1.raft"]
+
+
 def test_run_demo_non_finite_writes_nothing(monkeypatch, tmp_path):
     # Baseline's forward, in one process or split over two, is NaN in all
     real = pyramid.build_pyramid

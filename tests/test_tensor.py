@@ -82,7 +82,7 @@ def whole_map_conv2d(x, w, b):
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("k", [1, 3])  # 1x1 skips im2col; 3x3 pads and runs im2col
+@pytest.mark.parametrize("k", [1, 3])  # 1x1 pads by 0, so its band is its im2col; 3x3 pads by 1
 def test_conv2d_paths_match_earlier_formula_and_oracle(batch, k):
     r = Rng(100 + 10 * k).derive(f"b{batch}")
     x = r.uniform((batch, 5, 8, 8))
@@ -95,7 +95,7 @@ def test_conv2d_paths_match_earlier_formula_and_oracle(batch, k):
 
 # 8 and 32: one band; 48, 128, 256: equal bands; 96: bands of 10 and 11 rows
 @pytest.mark.parametrize("width", [8, 32, 48, 96, 128, 256])
-@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("with_bias", [False, True])
 def test_banded_conv2d_bit_identical_to_whole_map(width, k, batch, with_bias):
@@ -108,33 +108,36 @@ def test_banded_conv2d_bit_identical_to_whole_map(width, k, batch, with_bias):
 
 
 @pytest.mark.parametrize("shape", [
-    (2, 32, 64, 64, 32),   # the pyramid's layer widths, 4 equal bands
-    (1, 8, 36, 36, 16),    # 36 px wide: bands in steps of 2 rows
-    (1, 4, 34, 34, 8),     # 1156 px, not a multiple of 8: one band
-    (1, 4, 8, 300, 8),     # 2400 px in 8 rows of 300 px
-], ids=["pyramid-64x64", "36x36", "34x34", "8x300"])
+    (2, 32, 64, 64, 32, 3),   # the pyramid's layer widths, 4 equal bands
+    (2, 32, 64, 64, 32, 1),   # a lateral or 1x1 group conv at those widths
+    (1, 8, 36, 36, 16, 3),    # 36 px wide: bands in steps of 2 rows
+    (1, 4, 34, 34, 8, 3),     # 1156 px, not a multiple of 8: one band
+    (1, 4, 8, 300, 8, 3),     # 2400 px in 8 rows of 300 px
+], ids=["pyramid-64x64", "pyramid-64x64-1x1", "36x36", "34x34", "8x300"])
 def test_banded_conv2d_bit_identical_on_odd_shapes(shape):
-    batch, cin, h, wd, cout = shape
-    r = Rng(7).derive(str(shape))
+    batch, cin, h, wd, cout, k = shape
+    r = Rng(7).derive(str((batch, cin, h, wd, cout)))
     x = r.uniform((batch, cin, h, wd))
-    w = r.uniform((cout, cin, 3, 3))
+    w = r.uniform((cout, cin, k, k))
     b = r.uniform((cout,))
     got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
     assert np.array_equal(got, whole_map_conv2d(x, w, b))
 
 
 def test_banded_conv2d_buffers_are_sized_by_the_band():
-    # whole-map im2col would take a 9*32 x 128*128 column buffer (37.7 MB);
-    # a band of 256 px takes 9*32 x 256 (0.59 MB)
+    # whole-map im2col would take a k*k*32 x 128*128 column buffer (37.7 MB
+    # at 3x3, 4.2 MB at 1x1); a band of 256 px takes k*k*32 x 256 (0.59 MB
+    # at 3x3)
     x = Tensor(Rng(3).uniform((1, 32, 128, 128)))
-    w = Tensor(Rng(4).uniform((32, 32, 3, 3)))
-    tracemalloc.start()
-    try:
-        out = ops.conv2d(x, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < out.data.nbytes + 2**20
+    for k in (1, 3):
+        w = Tensor(Rng(4).uniform((32, 32, k, k)))
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + 2**20, f"{k}x{k}"
 
 
 # 8, 32 and 36: one band, or bands of 2 rows; 128 and 256: many even bands;
