@@ -8,30 +8,13 @@ channel attention, a two-stage attentional fusion block, and a feature
 pyramid that wires five variants (equivariant and deliberately broken) for
 side-by-side verification.  Everything is float64 and deterministic from a
 single u64 seed.
+
+The names below are loaded on first use, each from its own module, so
+``import reafuse`` loads no numpy, and neither does a config check through
+``reafuse.load_config`` (``reafuse.config`` runs on the standard library).
 """
 
-from .autograd import backward, gradcheck
-from .groupequiv import (
-    g_act,
-    group_conv,
-    init_group_conv,
-    lift_conv,
-    relative_residual,
-)
-from .harness import (
-    ConfigError,
-    HarnessConfig,
-    load_config,
-    run_demo,
-    run_gradcheck,
-    run_oracle,
-    run_verify,
-)
-from .pyramid import VARIANTS, PyramidConfig, init_pyramid, run_pyramid
-from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward, rem_fuse
-from .reca import attention_logits, cyclic_blocks, init_reca, init_se, reca_forward, se_forward
-from .serialization import FormatError, read_raft, save_feature_maps, write_raft
-from .tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
+import importlib
 
 __version__ = "0.1.0"
 
@@ -49,3 +32,32 @@ __all__ = [
     "run_verify", "run_oracle", "run_gradcheck", "run_demo",
     "__version__",
 ]
+
+_HOMES = {
+    "config": ("ShapeError", "VARIANTS", "PyramidConfig",
+               "ConfigError", "HarnessConfig", "load_config"),
+    "tensor": ("Tensor", "Rng", "DegenerateStatisticsError"),
+    "autograd": ("backward", "gradcheck"),
+    "groupequiv": ("g_act", "lift_conv", "group_conv", "init_group_conv", "relative_residual"),
+    "reca": ("attention_logits", "cyclic_blocks", "reca_forward", "se_forward",
+             "init_reca", "init_se"),
+    "reaff": ("rem_fuse", "reaff_forward", "plain_iaff_forward", "init_reaff",
+              "init_plain_iaff"),
+    "pyramid": ("init_pyramid", "run_pyramid"),
+    "serialization": ("FormatError", "write_raft", "read_raft", "save_feature_maps"),
+    "harness": ("run_verify", "run_oracle", "run_gradcheck", "run_demo"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -16,7 +16,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .tensor import Rng, ShapeError, Tensor
+from .config import ShapeError
+from .tensor import Rng, Tensor
 
 __all__ = ["Tape", "backward", "gradcheck", "GradcheckReport"]
 

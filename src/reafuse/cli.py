@@ -1,12 +1,14 @@
 """Command-line front-end: ``reafuse verify|oracle|gradcheck|demo``.
 
 Every subcommand takes ``--config <path>`` (JSON, schema in
-``harness.HarnessConfig``; a commented sample lives in the README) and
+``config.HarnessConfig``; a commented sample lives in the README) and
 optionally ``--seed <u64>`` to override the config seed and ``--json <path>``
 to write the full report.  ``demo`` alone takes ``--out <dir>``, and requires it.
 
 Exit codes: 0 pass, 1 definite failure, 2 invalid config, usage or unusable
 paths, 3 non-finite values encountered, 4 breakage demonstration inconclusive.
+``entrypoint`` checks the config and the output paths before any work, and
+imports ``harness``, and with it numpy, only once they pass.
 
 ``main``, the installed ``reafuse`` script and ``python -m reafuse``, first
 sets a fixed glibc allocator policy (``_set_allocator_policy``);
@@ -21,15 +23,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import (
-    ConfigError,
-    Report,
-    load_config,
-    run_demo,
-    run_gradcheck,
-    run_oracle,
-    run_verify,
-)
+from .config import ConfigError, load_config
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -67,14 +61,17 @@ def entrypoint(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
+        _check_outputs(args)
+        from . import harness
+
         if args.command == "demo":
-            report = run_demo(config, args.out)
+            report = harness.run_demo(config, args.out)
         elif args.command == "verify":
-            report = run_verify(config)
+            report = harness.run_verify(config)
         elif args.command == "oracle":
-            report = run_oracle(config)
+            report = harness.run_oracle(config)
         else:
-            report = run_gradcheck(config)
+            report = harness.run_gradcheck(config)
         _emit(report, args.json)
         return report.exit_code
     except (ConfigError, OSError) as exc:
@@ -85,7 +82,24 @@ def entrypoint(argv=None) -> int:
         return 3
 
 
-def _emit(report: Report, json_path) -> None:
+def _check_outputs(args) -> None:
+    """Refuse, before any work, output paths the run could not write to."""
+    if args.json:
+        report = Path(args.json)
+        if report.is_dir():
+            raise IsADirectoryError(f"--json {report} is a directory")
+        if not report.parent.is_dir():
+            raise NotADirectoryError(f"--json {report}: no directory {report.parent}")
+    if args.command == "demo":
+        out = Path(args.out)
+        for path in (out, *out.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+                break
+
+
+def _emit(report, json_path) -> None:
     for line in report.summary_lines():
         print(line)
     if json_path:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ShapeError, quarter_turns
 from .tensor import (
     Rng,
-    ShapeError,
     Tensor,
     conv2d,
     reshape,
@@ -43,7 +43,6 @@ from .tensor import (
 
 __all__ = [
     "GroupConvParams",
-    "quarter_turns",
     "g_act",
     "lift_conv",
     "group_conv",
@@ -73,13 +72,6 @@ class GroupConvParams:
             raise ShapeError(f"group kernel must be square and odd, got {kh}x{kw}")
         if self.bias.shape != (k_out,):
             raise ShapeError(f"group bias shape {self.bias.shape} != ({k_out},)")
-
-
-def quarter_turns(n: int) -> int:
-    """Quarter turns of the generator of C_N: the one check that N divides 4."""
-    if n < 1 or 4 % n:
-        raise ShapeError(f"orientations must be 1, 2 or 4, got {n}")
-    return 4 // n
 
 
 def g_act(x: Tensor, s: int, n: int) -> Tensor:

@@ -16,7 +16,10 @@ ReAFFPN    none                        two-stage equiv. fusion
 =========  ==========================  =======================
 
 Every feature map is a Tensor [B, K*N, H, W]; N comes from the layer, each
-group convolution and attention block reading it from its own weights.
+group convolution and attention block reading it from its own weights.  The
+build-time knobs, ``PyramidConfig``, and the variant names (``VARIANTS``,
+``EQUIVARIANT_VARIANTS``) live in ``reafuse.config`` with the other config
+checks.
 
 The forward runs in three stages: ``toy_backbone`` (image to bottom-up
 features), ``lateral_maps`` (one 1x1 group convolution per level) and
@@ -45,21 +48,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .groupequiv import (
-    GroupConvParams,
-    group_conv,
-    init_group_conv,
-    lift_conv,
-    quarter_turns,
-)
+from .config import PyramidConfig, ShapeError
+from .groupequiv import GroupConvParams, group_conv, init_group_conv, lift_conv
 from .reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
 from .reca import init_reca, init_se, reca_forward, se_forward
-from .tensor import Rng, ShapeError, Tensor, add, relu, reshape, upsample_nearest2x
+from .tensor import Rng, Tensor, add, relu, reshape, upsample_nearest2x
 
 __all__ = [
-    "VARIANTS",
-    "EQUIVARIANT_VARIANTS",
-    "PyramidConfig",
     "PyramidParams",
     "init_pyramid",
     "init_attention",
@@ -69,60 +64,6 @@ __all__ = [
     "run_pyramid",
     "named_parameters",
 ]
-
-VARIANTS = ("Baseline", "PlusSE", "PlusReCA", "PlusIAFF", "ReAFFPN")
-EQUIVARIANT_VARIANTS = ("Baseline", "PlusReCA", "ReAFFPN")
-
-# Upper bound on kernel_channels, so that a typo cannot ask for gigabytes of
-# weights: a 3x3 group-conv weight holds (K*N)^2 * 9 float64s, 4.7 MB at the
-# cap with N = 4.  Activations grow linearly with K as well.
-MAX_KERNEL_CHANNELS = 64
-
-# Upper bound on levels, so that a directly built PyramidConfig cannot ask for
-# an arbitrarily deep pyramid.  Nine is the deepest pyramid the harness
-# allows: image_size x batch <= 512 with batch >= 2 caps image_size at
-# 256 = 2^8, and image_size must be a multiple of 2^(levels - 1).
-MAX_LEVELS = 9
-
-
-@dataclass(frozen=True)
-class PyramidConfig:
-    """Build-time knobs: every width is K kernel channels x N orientations."""
-
-    levels: int = 4
-    kernel_channels: int = 8
-    orientations: int = 4
-    reduction: int = 2
-    variant: str = "ReAFFPN"
-    seed: int = 0
-
-    def __post_init__(self):
-        # the one place these fields' ranges are checked; a HarnessConfig
-        # checks their types first in the same wording, then reports these
-        # messages as config errors
-        for name in ("levels", "kernel_channels", "orientations", "reduction", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ShapeError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ShapeError(f"seed {self.seed} does not fit in u64")
-        if not 2 <= self.levels <= MAX_LEVELS:
-            raise ShapeError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
-        quarter_turns(self.orientations)  # the stem and stages rotate pixels
-        if not 1 <= self.kernel_channels <= MAX_KERNEL_CHANNELS:
-            raise ShapeError(
-                f"kernel_channels must be in [1, {MAX_KERNEL_CHANNELS}], got {self.kernel_channels}"
-            )
-        if self.variant not in VARIANTS:
-            raise ShapeError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.reduction < 1 or self.kernel_channels % self.reduction:
-            raise ShapeError(
-                f"reduction {self.reduction} must divide kernel_channels {self.kernel_channels}"
-            )
-
-    @property
-    def channels(self) -> int:
-        return self.kernel_channels * self.orientations
 
 
 @dataclass(frozen=True)

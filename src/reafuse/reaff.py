@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ShapeError
 from .groupequiv import _uniform_init
 from .reca import ReCAParams, attention_logits, init_reca
 from .tensor import (
     Rng,
-    ShapeError,
     Tensor,
     add,
     batchnorm,

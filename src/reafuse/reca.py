@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ShapeError
 from .groupequiv import _gather, _kernel_index, _uniform_init
 from .tensor import (
     Rng,
-    ShapeError,
     Tensor,
     batchnorm,
     conv2d,

@@ -35,10 +35,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import ShapeError
+
 __all__ = [
     "Tensor",
     "Rng",
-    "ShapeError",
     "DegenerateStatisticsError",
     "add",
     "sub",
@@ -57,10 +58,6 @@ __all__ = [
     "conv2d",
     "batchnorm",
 ]
-
-
-class ShapeError(ValueError):
-    """An operand shape violates an operation's contract."""
 
 
 class DegenerateStatisticsError(ValueError):

@@ -9,7 +9,8 @@ import numpy as np
 
 from reafuse import tensor as ops
 from reafuse.groupequiv import g_act, relative_residual
-from reafuse.pyramid import EQUIVARIANT_VARIANTS, init_pyramid, run_pyramid
+from reafuse.config import EQUIVARIANT_VARIANTS
+from reafuse.pyramid import init_pyramid, run_pyramid
 from reafuse.tensor import Rng, Tensor
 
 

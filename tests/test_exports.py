@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,11 +49,11 @@ def test_no_unused_imports():
 
 
 def _group_order_divisions(path: Path) -> list[str]:
-    """Floor divisions with a literal 4 operand outside ``groupequiv.quarter_turns``."""
+    """Floor divisions with a literal 4 operand outside ``config.quarter_turns``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     allowed = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
                if isinstance(f, ast.FunctionDef) and f.name == "quarter_turns"
-               and path.name == "groupequiv.py"]
+               and path.name == "config.py"]
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
@@ -72,8 +73,25 @@ def test_group_order_is_derived_in_one_place():
     # so that the check that N divides 4 cannot be skipped.  naive.py is the
     # independent reference and keeps its own copy of the rule.
     files = sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "naive.py")
-    assert any(p.name == "groupequiv.py" for p in files)
+    assert any(p.name == "config.py" for p in files)
     found = [entry for path in files for entry in _group_order_divisions(path)]
+    assert not found, found
+
+
+def test_config_imports_the_standard_library_alone():
+    # a config check must not load numpy: config.py imports no third-party
+    # module and no other module of the package, which would bring numpy in
+    tree = ast.parse((ROOT / "src" / "reafuse" / "config.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [f"config.py:{node.lineno} {m}" for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names]
     assert not found, found
 
 

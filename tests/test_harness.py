@@ -17,20 +17,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reafuse import cli, harness, pyramid
+import reafuse
+from reafuse import cli, config, harness, pyramid
 from reafuse.autograd import gradcheck
+from reafuse.config import VARIANTS, ConfigError, HarnessConfig, load_config
 from reafuse.harness import (
-    ConfigError,
-    HarnessConfig,
     Report,
     _gradcheck_cases,
-    load_config,
     run_demo,
     run_gradcheck,
     run_oracle,
     run_verify,
 )
-from reafuse.pyramid import VARIANTS
 from reafuse.tensor import Rng, ShapeError, Tensor
 
 from references import action_law_failures, reference_seed_residuals
@@ -124,7 +122,7 @@ def test_load_config_caps_trials(tmp_path, capsys):
 
 
 def test_load_config_caps_reseeds(tmp_path, capsys):
-    cap = harness.MAX_RESEEDS
+    cap = config.MAX_RESEEDS
     assert load_config(write_config(tmp_path, reseeds=cap)).reseeds == cap
     p = write_config(tmp_path, reseeds=cap + 1)
     with pytest.raises(ConfigError, match=f"reseeds {cap + 1} above the cap"):
@@ -136,9 +134,9 @@ def test_load_config_caps_reseeds(tmp_path, capsys):
 
 
 def test_pyramid_levels_cap_is_the_deepest_the_image_cap_allows():
-    deepest = pyramid.MAX_LEVELS
+    deepest = config.MAX_LEVELS
     # the smallest image of that depth, at the smallest batch, fills the image cap
-    assert 2 ** (deepest - 1) * 2 == harness.MAX_IMAGE_SIZE_X_BATCH
+    assert 2 ** (deepest - 1) * 2 == config.MAX_IMAGE_SIZE_X_BATCH
     assert HarnessConfig(levels=deepest, image_size=256, batch=2).levels == deepest
     with pytest.raises(ConfigError, match="spatial size not divisible"):
         HarnessConfig(levels=deepest + 1, image_size=256, batch=2)
@@ -159,7 +157,7 @@ def test_load_config_caps_image_size_times_batch(tmp_path, capsys):
 
 def test_load_config_caps_level0_activations(tmp_path, capsys):
     # the cap is the default width (8 x 4) at the largest input, 256 x 256, batch 2
-    cap = harness.MAX_LEVEL0_VALUES
+    cap = config.MAX_LEVEL0_VALUES
     assert HarnessConfig(image_size=256, batch=2).image_size == 256
     configs = Path(__file__).resolve().parents[1] / "configs"
     for path in sorted(configs.glob("*.json")):
@@ -183,7 +181,7 @@ def test_load_config_caps_level0_activations(tmp_path, capsys):
 
 
 def test_load_config_caps_kernel_channels(tmp_path, capsys):
-    cap = pyramid.MAX_KERNEL_CHANNELS
+    cap = config.MAX_KERNEL_CHANNELS
     assert load_config(write_config(tmp_path, kernel_channels=cap)).kernel_channels == cap
     p = write_config(tmp_path, kernel_channels=4096, reduction=2)
     with pytest.raises(ConfigError, match="kernel_channels must be in"):
@@ -245,10 +243,27 @@ def test_load_config_rejects_undecodable_files(tmp_path):
             load_config(p)
 
 
+def test_load_config_reads_at_most_the_size_cap(tmp_path, capsys):
+    # a file that does not end within the cap is refused, not read to its end
+    cap = config.MAX_CONFIG_BYTES
+    body = json.dumps(TINY)
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_text(body + " " * (cap - len(body)))
+    assert at_cap.stat().st_size == cap
+    assert load_config(at_cap) == HarnessConfig(**TINY)
+    over = tmp_path / "over.json"
+    over.write_text(body + " " * (cap + 1 - len(body)))
+    with pytest.raises(ConfigError, match=f"config {re.escape(str(over))} is longer than {cap}"):
+        load_config(over)
+    assert cli.entrypoint(["verify", "--config", str(over)]) == 2
+    assert f"{over} is longer than {cap} bytes" in capsys.readouterr().err
+
+
 def test_load_config_rejects_too_deep_nesting(tmp_path, capsys):
-    # the decoder raises RecursionError here, which is not a ValueError
+    # the decoder raises RecursionError here, which is not a ValueError; the
+    # file is as long as a config may be
     p = tmp_path / "deep.json"
-    p.write_text("[" * 200_000)
+    p.write_text("[" * config.MAX_CONFIG_BYTES)
     with pytest.raises(ConfigError, match="is not valid JSON"):
         load_config(p)
     assert cli.entrypoint(["verify", "--config", str(p)]) == 2
@@ -989,6 +1004,82 @@ def test_import_loads_no_process_machinery():
     assert done.stdout.split() == []
 
 
+def _python(*argv, path=(), cwd=None):
+    """Run a fresh interpreter on the package sources, ``path`` first."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), str(root / "src")]))
+    return subprocess.run([sys.executable, *argv], cwd=cwd or root, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_load_config_imports_no_numpy():
+    done = _python("-c", "import sys, reafuse; reafuse.load_config('configs/default.json'); "
+                         "print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+def test_cli_refusals_import_no_numpy(tmp_path):
+    # a bad config and an unusable output path exit 2 before numpy is needed;
+    # on this path an ``import numpy`` raises
+    poison = tmp_path / "no_numpy"
+    poison.mkdir()
+    (poison / "numpy.py").write_text("raise ImportError('numpy is not importable here')\n")
+    bad = write_config(tmp_path, image_size=7)
+    small = str(Path(__file__).resolve().parents[1] / "configs" / "small.json")
+    for argv in (["verify", "--config", str(bad)],
+                 ["verify", "--config", str(tmp_path / "missing.json")],
+                 ["oracle", "--config", small, "--json", str(tmp_path / "no" / "r.json")],
+                 ["demo", "--config", small, "--out", str(bad / "out")]):
+        done = _python("-m", "reafuse", *argv, path=[poison], cwd=tmp_path)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stderr.startswith("reafuse: error: "), (argv, done.stderr)
+    # the poison works: a run that gets past the checks needs numpy
+    done = _python("-m", "reafuse", "oracle", "--config", small, path=[poison], cwd=tmp_path)
+    assert done.returncode != 0 and "numpy is not importable here" in done.stderr
+
+
+def test_package_exports_resolve_in_a_fresh_interpreter():
+    script = (
+        "import reafuse\n"
+        "assert 'numpy' not in __import__('sys').modules\n"
+        "names = set(reafuse.__all__)\n"
+        "assert names == {*reafuse._MODULE_OF, '__version__'}, names ^ {*reafuse._MODULE_OF}\n"
+        "assert names <= set(dir(reafuse)), names - set(dir(reafuse))\n"
+        "star = {}\n"
+        "exec('from reafuse import *', star)\n"
+        "assert names <= set(star), names - set(star)\n"
+        "for name, module in reafuse._MODULE_OF.items():\n"
+        "    value = getattr(reafuse, name)\n"
+        "    home = getattr(value, '__module__', 'reafuse.' + module)\n"
+        "    assert home == 'reafuse.' + module, (name, home)\n"
+        "print(len(names))\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(len(reafuse.__all__))]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(reafuse, "no_such_name")
+
+
+def test_cli_refuses_unusable_output_paths_before_any_work(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    for name in ("run_verify", "run_oracle", "run_gradcheck", "run_demo"):
+        monkeypatch.setattr(harness, name, lambda *a, _name=name: pytest.fail(f"{_name} ran"))
+    regular = tmp_path / "file"
+    regular.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for argv in (["oracle", "--json", str(tmp_path / "missing" / "r.json")],
+                 ["verify", "--json", str(regular / "r.json")],
+                 ["gradcheck", "--json", str(tmp_path)],
+                 ["demo", "--out", str(regular), "--json", str(tmp_path / "r.json")],
+                 ["demo", "--out", str(regular / "a" / "b")]):
+        assert cli.entrypoint([*argv, "--config", str(cfg)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("reafuse: error: --") and err.count("\n") == 1, (argv, err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # -- command-line front-end ---------------------------------------------------
 
 
@@ -1092,7 +1183,7 @@ def test_cli_maps_non_finite_to_exit_3(tmp_path, monkeypatch):
     def explode(config):
         raise FloatingPointError("synthetic overflow")
 
-    monkeypatch.setattr(cli, "run_verify", explode)
+    monkeypatch.setattr(harness, "run_verify", explode)
     assert cli.entrypoint(["verify", "--config", str(cfg)]) == 3
 
 

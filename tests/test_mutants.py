@@ -17,8 +17,8 @@ import pytest
 
 from reafuse import groupequiv, harness, pyramid, reaff, reca
 from reafuse import tensor as ops
+from reafuse.config import EQUIVARIANT_VARIANTS, VARIANTS
 from reafuse.harness import HarnessConfig, run_oracle, run_verify
-from reafuse.pyramid import EQUIVARIANT_VARIANTS, VARIANTS
 from reafuse.tensor import Rng, Tensor
 
 from references import action_law_failures, reference_seed_residuals

@@ -9,11 +9,8 @@ import pytest
 from reafuse import tensor as ops
 from reafuse.autograd import backward
 from reafuse.groupequiv import g_act, relative_residual
+from reafuse.config import EQUIVARIANT_VARIANTS, MAX_LEVELS, VARIANTS, PyramidConfig
 from reafuse.pyramid import (
-    EQUIVARIANT_VARIANTS,
-    MAX_LEVELS,
-    VARIANTS,
-    PyramidConfig,
     build_pyramid,
     init_pyramid,
     lateral_maps,
