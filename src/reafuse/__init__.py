@@ -18,21 +18,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# what the demos and tests use; everything else is imported from its module
-__all__ = [
-    "Tensor", "Rng", "ShapeError", "DegenerateStatisticsError",
-    "backward", "gradcheck",
-    "g_act", "lift_conv", "group_conv",
-    "init_group_conv", "relative_residual",
-    "attention_logits", "cyclic_blocks", "reca_forward", "se_forward", "init_reca", "init_se",
-    "rem_fuse", "reaff_forward", "plain_iaff_forward", "init_reaff", "init_plain_iaff",
-    "VARIANTS", "PyramidConfig", "init_pyramid", "run_pyramid",
-    "FormatError", "write_raft", "read_raft", "save_feature_maps",
-    "ConfigError", "HarnessConfig", "load_config",
-    "run_verify", "run_oracle", "run_gradcheck", "run_demo",
-    "__version__",
-]
-
+# what the demos and tests use, each under its home module; everything else
+# is imported from its module
 _HOMES = {
     "config": ("ShapeError", "VARIANTS", "PyramidConfig",
                "ConfigError", "HarnessConfig", "load_config"),
@@ -48,6 +35,7 @@ _HOMES = {
     "harness": ("run_verify", "run_oracle", "run_gradcheck", "run_demo"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name):

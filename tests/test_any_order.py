@@ -9,6 +9,7 @@ layers that rotate pixels by 4/N quarter turns still need N to divide 4.
 import numpy as np
 import pytest
 
+from reafuse.config import ShapeError
 from reafuse.groupequiv import (
     GroupConvParams,
     g_act,
@@ -19,7 +20,7 @@ from reafuse.groupequiv import (
 )
 from reafuse.reaff import init_plain_iaff, init_reaff, plain_iaff_forward, reaff_forward
 from reafuse.reca import cyclic_blocks, init_reca, init_se, reca_forward, se_forward
-from reafuse.tensor import Rng, ShapeError, Tensor
+from reafuse.tensor import Rng, Tensor
 
 ORDERS = (3, 6, 8)
 K = 4

@@ -5,10 +5,11 @@ import pytest
 
 from reafuse import tensor as ops
 from reafuse.autograd import Tape, backward, gradcheck
+from reafuse.config import ShapeError
 from reafuse.groupequiv import g_act, init_group_conv, group_conv
 from reafuse.pyramid import named_parameters
 from reafuse.reca import init_reca, reca_forward
-from reafuse.tensor import Rng, ShapeError, Tensor
+from reafuse.tensor import Rng, Tensor
 
 
 def test_grad_of_sum_is_ones():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from reafuse import groupequiv
 from reafuse import tensor as ops
+from reafuse.config import ShapeError
 from reafuse.groupequiv import (
     GroupConvParams,
     g_act,
@@ -18,7 +19,7 @@ from reafuse.groupequiv import (
     relative_residual,
 )
 from reafuse.naive import naive_group_conv, naive_lift_conv
-from reafuse.tensor import Rng, ShapeError, Tensor
+from reafuse.tensor import Rng, Tensor
 
 from references import action_law_failures
 

@@ -17,8 +17,8 @@ import pytest
 
 from reafuse import groupequiv, harness, pyramid, reaff, reca
 from reafuse import tensor as ops
-from reafuse.config import EQUIVARIANT_VARIANTS, VARIANTS
-from reafuse.harness import HarnessConfig, run_oracle, run_verify
+from reafuse.config import EQUIVARIANT_VARIANTS, VARIANTS, HarnessConfig, quarter_turns
+from reafuse.harness import run_oracle, run_verify
 from reafuse.tensor import Rng, Tensor
 
 from references import action_law_failures, reference_seed_residuals
@@ -43,7 +43,7 @@ def _kernel_index_mutant(shift: int, turn: int):
     correct rule is shift = turn = 1."""
     def index(k_out, k_in, n_in, n, k):
         pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
-        turns = groupequiv.quarter_turns(n) if k > 1 else 0
+        turns = quarter_turns(n) if k > 1 else 0
         copies = [
             np.rot90(pos[:, :, [(m - shift * i) % n_in for m in range(n_in)]],
                      turn * i * turns, axes=(-2, -1))
@@ -61,7 +61,7 @@ INDEX_MUTANTS = {
 
 def _added_g_act(x, s, n):
     """``groupequiv.g_act`` with the orientation shift (m + s) mod N."""
-    rotated = ops.rot90(x, s * groupequiv.quarter_turns(n))
+    rotated = ops.rot90(x, s * quarter_turns(n))
     perm = [k * n + (m + s) % n for k in range(x.shape[1] // n) for m in range(n)]
     return ops.take(rotated, perm, axis=1)
 
@@ -75,7 +75,7 @@ def _unshifted_half_turn_g_act(x, s, n):
     channels in place at s = 2, and is right at every other element."""
     if s != 2:
         return _G_ACT(x, s, n)
-    return ops.rot90(x, 2 * groupequiv.quarter_turns(n))
+    return ops.rot90(x, 2 * quarter_turns(n))
 
 
 def _mirrored_half_turn_rotate(config, image, s):

@@ -8,8 +8,8 @@ import pytest
 
 from reafuse import tensor as ops
 from reafuse.autograd import backward
+from reafuse.config import EQUIVARIANT_VARIANTS, MAX_LEVELS, VARIANTS, PyramidConfig, ShapeError
 from reafuse.groupequiv import g_act, relative_residual
-from reafuse.config import EQUIVARIANT_VARIANTS, MAX_LEVELS, VARIANTS, PyramidConfig
 from reafuse.pyramid import (
     build_pyramid,
     init_pyramid,
@@ -20,7 +20,7 @@ from reafuse.pyramid import (
     toy_backbone,
 )
 from reafuse.reca import reca_forward, se_forward
-from reafuse.tensor import Rng, ShapeError, Tensor
+from reafuse.tensor import Rng, Tensor
 
 
 def small_config(variant="Baseline", levels=2, n=4, seed=0):

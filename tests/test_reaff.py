@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reafuse.config import ShapeError
 from reafuse.groupequiv import g_act, relative_residual
 from reafuse.pyramid import named_parameters
 from reafuse.reaff import (
@@ -17,7 +18,7 @@ from reafuse.reaff import (
     rem_fuse,
 )
 from reafuse.reca import init_reca
-from reafuse.tensor import Rng, ShapeError, Tensor
+from reafuse.tensor import Rng, Tensor
 
 
 def tensors(params):

@@ -5,6 +5,7 @@ import pytest
 
 from reafuse import reca
 from reafuse import tensor as ops
+from reafuse.config import ShapeError
 from reafuse.groupequiv import g_act, relative_residual
 from reafuse.naive import naive_se_with_bn
 from reafuse.reca import (
@@ -17,7 +18,7 @@ from reafuse.reca import (
     reca_forward,
     se_forward,
 )
-from reafuse.tensor import Rng, ShapeError, Tensor
+from reafuse.tensor import Rng, Tensor
 
 
 def double_loop_blocks(x, banks):

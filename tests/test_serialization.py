@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reafuse.pyramid import PyramidConfig, init_pyramid, run_pyramid
+from reafuse.config import PyramidConfig
+from reafuse.pyramid import init_pyramid, run_pyramid
 from reafuse.serialization import FormatError, read_raft, save_feature_maps, write_raft
 from reafuse.tensor import Rng, Tensor
 

@@ -7,9 +7,10 @@ import pytest
 
 from reafuse import tensor as ops
 from reafuse.autograd import Tape, backward, gradcheck
+from reafuse.config import ShapeError
 from reafuse.groupequiv import group_conv, init_group_conv
 from reafuse.naive import naive_conv2d
-from reafuse.tensor import DegenerateStatisticsError, Rng, ShapeError, Tensor
+from reafuse.tensor import DegenerateStatisticsError, Rng, Tensor
 
 
 def loop_conv2d(x, w, b):
