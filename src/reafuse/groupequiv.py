@@ -7,9 +7,10 @@ that needs N reads it from its own weights (a group conv from its weight's
 axis 2), and ``g_act`` takes it as an argument.  The group element ``s``
 acts by rotating the spatial axes ``s * (4/N)`` quarter-turns
 counter-clockwise AND cyclically shifting the orientation index
-``n -> (n + s) mod N`` inside every kernel channel.  Every op in this module
-commutes with that action; the residual helper at the bottom is how all
-equivariance tests measure failure.
+``n -> (n + s) mod N`` inside every kernel channel, as ``_action_index``
+alone states it for feature maps, filters, attention banks and biases.
+Every op in this module commutes with that action; the residual helper at
+the bottom is how all equivariance tests measure failure.
 
 A lift is the group convolution with one input orientation: a plain image
 carries no orientation axis, so its weight is a ``GroupConvParams`` with
@@ -37,7 +38,6 @@ from .tensor import (
     Tensor,
     conv2d,
     reshape,
-    rot90,
     take,
 )
 
@@ -74,13 +74,21 @@ class GroupConvParams:
             raise ShapeError(f"group bias shape {self.bias.shape} != ({k_out},)")
 
 
+def _action_index(channels: int, n: int, size: int, turns: int, s: int) -> np.ndarray:
+    """The flat permutation element ``s`` of C_N applies to a [channels, size, size] array:
+    its pixels turn ``s * turns`` quarter turns, and orientation m of each kernel channel
+    reads orientation (m - s) mod N.  The one statement of the action outside ``naive``."""
+    pos = np.arange(channels * size * size).reshape(channels // n, n, size, size)
+    return np.rot90(np.roll(pos, s, axis=1), s * turns, axes=(2, 3)).reshape(-1)
+
+
 def g_act(x: Tensor, s: int, n: int) -> Tensor:
     """Apply element ``s`` of C_N: spatial rotation plus orientation shift.
 
     The one check of the feature-map layout: 4 axes, square spatial axes,
     and a channel count that is a multiple of N.  Satisfies the composition
     law g_act(g_act(x, a, n), b, n) == g_act(x, (a+b) mod N, n) bit-exactly,
-    because both parts are pure index permutations.
+    because the action is a pure index permutation.
     """
     turns = quarter_turns(n)
     if not 0 <= s < n:
@@ -90,14 +98,9 @@ def g_act(x: Tensor, s: int, n: int) -> Tensor:
             f"feature map shaped {x.shape} is not [B, K*N, H, H] for N = {n}: it needs "
             f"4 axes, square spatial axes and a channel count that is a multiple of N"
         )
-    perm = [k * n + (m - s) % n for k in range(x.shape[1] // n) for m in range(n)]
-    return take(rot90(x, s * turns), perm, axis=1)
-
-
-def _orientation_shared_bias(bias: Tensor, n: int) -> Tensor:
-    """[K] -> [K*N] replicating each kernel channel's bias across orientations."""
-    k_out = bias.shape[0]
-    return take(bias, np.repeat(np.arange(k_out), n), axis=0)
+    b, c, h, _ = x.shape
+    flat = take(reshape(x, (b, c * h * h)), _action_index(c, n, h, turns, s), axis=1)
+    return reshape(flat, x.shape)
 
 
 def _gather(weight: Tensor, index: np.ndarray) -> Tensor:
@@ -113,22 +116,18 @@ def _kernel_index(k_out: int, k_in: int, n_in: int, n: int, k: int) -> np.ndarra
     Entry (k_out*N + i, k_in*n_in + m, a, b) is where
     rot90(weight[k_out, k_in, (m - i) mod n_in], i*(4/N))[a, b] sits in the
     flattened [K_out, K_in, n_in, k, k] weight, the ``GroupConvParams``
-    layout.  A group conv has n_in = N; a lift is the group conv with
-    n_in = 1, since a plain image carries no orientation axis.  A ReCA
-    attention bank is the group conv with k = 1, where every rotation is the
-    identity.  This is the one place outside ``naive`` that encodes the C_N
-    weight-sharing rule (m - i) mod N.  Derived from shapes only,
-    so the cache can never hold stale weights.  A 1x1 filter is its own
-    rotation, so only k > 1 needs N to divide 4; every k needs N >= 1.
+    layout: copy i holds the filters acted on by element i.  A group conv has
+    n_in = N; a lift has n_in = 1, as a plain image has no orientation axis;
+    a ReCA bank has k = 1, and a [K_out] bias is the 1x1 lift with k_in = 1.
+    Derived from shapes only, so the cache can never hold stale weights.
+    A 1x1 filter is its own rotation, so only k > 1 needs N to divide 4;
+    every k needs N >= 1.
     """
     turns = quarter_turns(n) if k > 1 else 0
     if n < 1:
         raise ShapeError(f"orientation count must be at least 1, got {n}")
-    pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
-    copies = [
-        np.rot90(pos[:, :, [(m - i) % n_in for m in range(n_in)]], i * turns, axes=(-2, -1))
-        for i in range(n)
-    ]
+    copies = [_action_index(k_out * k_in * n_in, n_in, k, turns, i).reshape(k_out, -1)
+              for i in range(n)]
     index = np.stack(copies, axis=1).reshape(k_out * n, k_in * n_in, k, k)
     index.flags.writeable = False
     return index
@@ -138,7 +137,8 @@ def _expand_conv(x: Tensor, p: GroupConvParams, n: int, blockmean: bool = False)
     """One gather of the weight into its expanded kernel, applied by one conv2d."""
     k_out, k_in, n_in, kh, _ = p.weight.shape
     big = _gather(p.weight, _kernel_index(k_out, k_in, n_in, n, kh))
-    return conv2d(x, big, _orientation_shared_bias(p.bias, n), blockmean=blockmean)
+    bias = take(p.bias, _kernel_index(k_out, 1, 1, n, 1).reshape(-1), axis=0)
+    return conv2d(x, big, bias, blockmean=blockmean)
 
 
 def lift_conv(x: Tensor, p: GroupConvParams, n: int) -> Tensor:

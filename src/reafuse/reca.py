@@ -148,10 +148,10 @@ def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
     ``x`` is [B, R*N] or [B, R*N, H, W] in feature-map channel order.
     All N orientation copies of a reduced channel share one gamma/beta, so an
     orientation shift (a permutation inside each group of N) permutes the
-    outputs without changing any value.  They also share one mean/var, but
-    that is a design choice, not an equivariance requirement: per-channel
-    statistics permute along with the channels, so they commute with the
-    shift as well.
+    outputs without changing any value.  They also share one mean/var:
+    per-channel statistics would permute along with the channels only when
+    one group element acts on the whole batch, and would break under a
+    per-sample action.
     """
     b, c, *space = x.shape
     return reshape(batchnorm(reshape(x, [b, c // n, n] + space), gamma, beta), x.shape)

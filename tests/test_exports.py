@@ -68,13 +68,35 @@ def _group_order_divisions(path: Path) -> list[str]:
     return found
 
 
+# where src may call rot90: the one statement of the group action, verify's
+# reference rotation of the input image, and the gradcheck case of rot90 itself
+PIXEL_TURNS = {("groupequiv.py", "_action_index"), ("harness.py", "_rotate")}
+
+
+def _pixel_turns(path: Path) -> list[str]:
+    """rot90 calls outside ``PIXEL_TURNS`` and the gradcheck case named for rot90."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and (path.name, node.name) in PIXEL_TURNS
+               or isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)
+               and isinstance(node.value.elts[0], ast.Constant)
+               and str(node.value.elts[0].value).startswith("rot90")]
+    return [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "rot90" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            and not any(node.lineno in lines for lines in allowed)]
+
+
 def test_group_order_is_derived_in_one_place():
     # pixels rotate by 4/N quarter turns; only quarter_turns may work that out,
-    # so that the check that N divides 4 cannot be skipped.  naive.py is the
-    # independent reference and keeps its own copy of the rule.
+    # so that the check that N divides 4 cannot be skipped.  Only the places in
+    # PIXEL_TURNS turn pixels, so feature maps, filters, banks and biases all
+    # follow one statement of the action.  naive.py is the independent
+    # reference and keeps its own copy of the rules; tensor.py defines rot90.
     files = sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "naive.py")
     assert any(p.name == "config.py" for p in files)
     found = [entry for path in files for entry in _group_order_divisions(path)]
+    found += [entry for path in files if path.name != "tensor.py" for entry in _pixel_turns(path)]
     assert not found, found
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reafuse import groupequiv
 from reafuse import tensor as ops
-from reafuse.config import ShapeError
+from reafuse.config import ShapeError, quarter_turns
 from reafuse.groupequiv import (
     GroupConvParams,
     g_act,
@@ -31,6 +31,35 @@ def fm(rng, k, n, size, batch=2):
 def test_g_act_identity_element_is_bit_exact():
     x = fm(Rng(0), 2, 4, 6)
     np.testing.assert_array_equal(g_act(x, 0, 4).data, x.data)
+
+
+@pytest.mark.parametrize("n, sizes", [(1, (1, 3, 5, 8)), (2, (1, 3, 5, 8)), (4, (1, 3, 5, 8)),
+                                      (3, (1,)), (6, (1,)), (8, (1,))])
+def test_action_index_is_an_action_of_cn(n, sizes):
+    # element 0 is the identity and acting by b then by a is acting by
+    # (a + b) mod N; pixels turn only for N dividing 4, orientations for any N
+    turns = quarter_turns(n) if 4 % n == 0 else 0
+    for size in sizes:
+        perm = [groupequiv._action_index(2 * n, n, size, turns, s) for s in range(n)]
+        assert np.array_equal(perm[0], np.arange(2 * n * size * size))
+        for a in range(n):
+            for b in range(n):
+                assert np.array_equal(perm[a][perm[b]], perm[(a + b) % n])
+
+
+def rotate_then_shift(x, s, n):
+    """g_act as two steps: rot90 of the pixels, then a take of the channels
+    that reads orientation (m - s) mod N of each kernel channel."""
+    perm = [k * n + (m - s) % n for k in range(x.shape[1] // n) for m in range(n)]
+    return ops.take(ops.rot90(x, s * (4 // n)), perm, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_g_act_equals_rotate_then_shift(n, size):
+    x = fm(Rng(460 + 10 * n + size), 3, n, size)
+    for s in range(n):
+        assert np.array_equal(g_act(x, s, n).data, rotate_then_shift(x, s, n).data)
 
 
 def test_g_act_pure_orientation_cycle_at_1x1():
@@ -261,6 +290,15 @@ def test_gathered_kernels_equal_rotate_and_stack_expansion(n, k):
     got = group_conv(Tensor(gx), GroupConvParams(gw, Tensor(b))).data
     want = ops.conv2d(Tensor(gx), Tensor(reference_group_kernel(gw, n)), Tensor(bias)).data
     assert np.array_equal(got, want)
+
+    # a bias is the 1x1 lift with one input channel, one copy per orientation
+    assert np.array_equal(groupequiv._kernel_index(3, 1, 1, n, 1).reshape(-1),
+                          np.repeat(np.arange(3), n))
+    if k == 1:  # a 1x1 filter turns no pixels, so attention banks take any N
+        for wide in (3, 6, 8):
+            bw = Tensor(rng.uniform((3, 2, wide, 1, 1)))
+            bank = groupequiv._gather(bw, groupequiv._kernel_index(3, 2, wide, wide, 1)).data
+            assert np.array_equal(bank, reference_group_kernel(bw, wide))
 
 
 def test_gather_index_cache_never_goes_stale():

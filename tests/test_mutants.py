@@ -12,6 +12,8 @@ tests in test_groupequiv.py and test_harness.py do.  A mutant that no check
 catches marks a blind spot of the checks, not of the code.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,16 +39,21 @@ def failed_verdicts(report) -> list[str]:
     return [name for name, passed in report.verdicts.items() if not passed]
 
 
-def _kernel_index_mutant(shift: int, turn: int):
-    """``groupequiv._kernel_index`` reading orientation (m - shift*i) mod N of
-    each filter, rotated by turn*i quarter turns of the generator; the
-    correct rule is shift = turn = 1."""
+def failed_checks(report) -> set[str]:
+    """The checks an ``oracle`` report failed, by name."""
+    return {name.split()[0] for name in failed_verdicts(report)}
+
+
+def _kernel_index_mutant(a: int, b: int, t: int):
+    """``groupequiv._kernel_index`` reading orientation (a*m - b*i) mod N of
+    each filter, rotated by t*i quarter turns of the generator; the correct
+    rule is a = b = t = 1."""
     def index(k_out, k_in, n_in, n, k):
         pos = np.arange(k_out * k_in * n_in * k * k).reshape(k_out, k_in, n_in, k, k)
         turns = quarter_turns(n) if k > 1 else 0
         copies = [
-            np.rot90(pos[:, :, [(m - shift * i) % n_in for m in range(n_in)]],
-                     turn * i * turns, axes=(-2, -1))
+            np.rot90(pos[:, :, [(a * m - b * i) % n_in for m in range(n_in)]],
+                     t * i * turns, axes=(-2, -1))
             for i in range(n)
         ]
         return np.stack(copies, axis=1).reshape(k_out * n, k_in * n_in, k, k)
@@ -54,9 +61,30 @@ def _kernel_index_mutant(shift: int, turn: int):
 
 
 INDEX_MUTANTS = {
-    "added-orientation": _kernel_index_mutant(shift=-1, turn=1),  # (m + i) mod N
-    "clockwise-filters": _kernel_index_mutant(shift=1, turn=-1),
+    "added-orientation": _kernel_index_mutant(a=1, b=-1, t=1),  # (m + i) mod N
+    "clockwise-filters": _kernel_index_mutant(a=1, b=1, t=-1),
 }
+
+
+def _action_index_mutant(shift: int, turn: int):
+    """``groupequiv._action_index`` shifting orientation m to read
+    (m - shift*s) mod N and turning the pixels turn*s*turns quarter turns;
+    the correct action is shift = turn = 1."""
+    def index(channels, n, size, turns, s):
+        pos = np.arange(channels * size * size).reshape(channels // n, n, size, size)
+        return np.rot90(np.roll(pos, shift * s, axis=1), turn * s * turns, axes=(2, 3)).reshape(-1)
+    return index
+
+
+_KERNEL_INDEX = groupequiv._kernel_index
+
+
+def _tiled_bias_index(k_out, k_in, n_in, n, k):
+    """``groupequiv._kernel_index`` with np.tile for np.repeat in the bias
+    expansion, the 1x1 lift with one input channel: a bias per orientation."""
+    if (k_in, n_in, k) != (1, 1, 1):
+        return _KERNEL_INDEX(k_out, k_in, n_in, n, k)
+    return np.tile(np.arange(k_out), n).reshape(k_out * n, 1, 1, 1)
 
 
 def _added_g_act(x, s, n):
@@ -100,11 +128,6 @@ def _rolled_upsample_nearest2x(a):
     return ops.take(up, np.roll(np.arange(up.shape[3]), 1), axis=3)
 
 
-def _tiled_bias(bias, n):
-    """``_orientation_shared_bias`` with np.tile for np.repeat: a bias per orientation."""
-    return ops.take(bias, np.tile(np.arange(bias.shape[0]), n), axis=0)
-
-
 def _se_gate(x, p):
     """``reca_forward`` replaced by a channel-blind squeeze-excite gate whose
     dense weights are the ReCA banks, read as [R, C] and [C, R] matrices."""
@@ -140,6 +163,59 @@ def test_shared_index_mutant_fails_every_equivariant_verdict(monkeypatch, mutant
     report = run_verify(CONFIG)
     assert broken_variants(report) == set(EQUIVARIANT_VARIANTS)
     assert report.exit_code == 1
+
+
+@pytest.fixture
+def fresh_kernel_index():
+    """Empty ``_kernel_index``'s cache around a test that patches what it reads."""
+    groupequiv._kernel_index.cache_clear()
+    yield
+    groupequiv._kernel_index.cache_clear()
+
+
+@pytest.mark.parametrize("shift, turn, oracle_failures", [
+    (-1, 1, {"group_conv", "cyclic_blocks", "shift_covariance"}),
+    (1, -1, {"lift_conv", "group_conv"}),
+    (-1, -1, {"lift_conv", "group_conv", "cyclic_blocks", "shift_covariance"}),
+], ids=["flipped-shift", "flipped-rotation", "both-flipped"])
+def test_action_index_mutant_is_caught_by_verify_and_oracle(
+        monkeypatch, fresh_kernel_index, shift, turn, oracle_failures):
+    # g_act and every expanded kernel, bank and bias read the one helper, so
+    # a wrong action is still an action and moves both sides of verify's
+    # comparison; the lift's filters turn but carry no orientation, and a
+    # 1x1 bank shifts orientations but turns no pixel.  The oracle's shift
+    # covariance check keeps harness's own binding of the correct helper
+    monkeypatch.setattr(groupequiv, "_action_index", _action_index_mutant(shift, turn))
+    report = run_verify(CONFIG)
+    assert broken_variants(report) == set(EQUIVARIANT_VARIANTS)
+    assert report.exit_code == 1
+    report = run_oracle(CONFIG)
+    assert failed_checks(report) == oracle_failures
+    assert report.exit_code == 1
+
+
+def test_every_wrong_index_rule_is_caught(monkeypatch):
+    # the 64 rules (a*m - b*i) mod N with copy i turned t*i times: a rule
+    # with a = b reads a function of m - i, so with t = 1 it is equivariant
+    # by construction, and only the oracle tells a = 0, 2, 3 (tied or
+    # mirrored orientations) from the correct a = 1.  a = 0 ties every
+    # orientation to one filter, which makes the controls equivariant too,
+    # so verify finds their breakage undemonstrated (exit 4)
+    passing = []
+    for a, b, t in itertools.product(range(4), repeat=3):
+        for module in (groupequiv, reca):
+            monkeypatch.setattr(module, "_kernel_index", _kernel_index_mutant(a, b, t))
+        report = run_verify(CONFIG)
+        if broken_variants(report):
+            assert report.exit_code == 1
+        else:
+            passing.append((a, b, t))
+    assert passing == [(a, a, 1) for a in range(4)]
+    for a, b, t in passing:
+        for module in (groupequiv, reca):
+            monkeypatch.setattr(module, "_kernel_index", _kernel_index_mutant(a, b, t))
+        report = run_oracle(CONFIG)
+        assert failed_checks(report) == (set() if a == 1 else {"group_conv", "cyclic_blocks"}), a
 
 
 def test_g_act_shift_sign_mutant_is_caught_by_verify(monkeypatch):
@@ -200,19 +276,17 @@ def test_anti_circulant_banks_in_both_stages_are_caught_by_oracle_only(monkeypat
     monkeypatch.setattr(reca, "_kernel_index", INDEX_MUTANTS["added-orientation"])
     assert run_verify(CONFIG).exit_code == 0
     report = run_oracle(CONFIG)
-    failed = {name.split()[0] for name, passed in report.verdicts.items() if not passed}
-    assert failed == {"cyclic_blocks", "shift_covariance"}
+    assert failed_checks(report) == {"cyclic_blocks", "shift_covariance"}
     assert report.exit_code == 1
 
 
 def test_per_orientation_bias_mutant_is_caught_by_oracle_only(monkeypatch):
     # every bias is initialised to zero, so verify's pyramids never see the
     # bias wiring; the oracle draws random biases for both convolutions
-    monkeypatch.setattr(groupequiv, "_orientation_shared_bias", _tiled_bias)
+    monkeypatch.setattr(groupequiv, "_kernel_index", _tiled_bias_index)
     assert run_verify(CONFIG).exit_code == 0
     report = run_oracle(CONFIG)
-    failed = {name.split()[0] for name, passed in report.verdicts.items() if not passed}
-    assert failed == {"lift_conv", "group_conv"}
+    assert failed_checks(report) == {"lift_conv", "group_conv"}
     assert report.exit_code == 1
 
 

@@ -104,9 +104,10 @@ def test_attention_logits_shift_covariance_with_bn():
 
 
 def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
-    # pooling the statistics over orientations is a design choice: per-channel
-    # statistics permute with the channels, so with gamma/beta still shared by
-    # the N copies of a reduced channel the attention still commutes with g_act
+    # under the joint action, one element acting on the whole batch as here,
+    # per-channel statistics permute with the channels, so with gamma/beta
+    # still shared by the N copies of a reduced channel the attention still
+    # commutes with g_act; a per-sample action would break them
     def per_channel_batchnorm(x, n, gamma, beta):
         spread = np.repeat(np.arange(gamma.shape[0]), n)  # channel r*N + i -> r
         return ops.batchnorm(x, ops.take(gamma, spread, 0), ops.take(beta, spread, 0))
