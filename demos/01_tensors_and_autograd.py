@@ -14,19 +14,22 @@ from reafuse import tensor as ops
 
 # Every leaf that should receive a gradient is marked explicitly: a graph is
 # recorded only downstream of a tensor with requires_grad.
+# x is a [2, 3, 1, 1] map (batch 2, 3 channels, one pixel) and w a 1x1 kernel:
+# conv2d is the one op that contracts channels, and on a one-pixel map it is
+# a matrix-vector product per sample.
 rng = Rng(7)
-x = Tensor(rng.derive("x").uniform((2, 3)), requires_grad=True)
-w = Tensor(rng.derive("w").uniform((3, 3)), requires_grad=True)
+x = Tensor(rng.derive("x").uniform((2, 3, 1, 1)), requires_grad=True)
+w = Tensor(rng.derive("w").uniform((3, 3, 1, 1)), requires_grad=True)
 
 # Ops compose like plain functions; the tape records silently behind them.
-y = ops.relu(ops.matmul(x, w))
+y = ops.relu(ops.conv2d(x, w))
 loss = ops.tsum(ops.mul(y, y))
 print("loss value:", loss.data)
 
 # backward() walks the tape once and returns {id(tensor): gradient array}.
 grads = backward(loss)
 print("dL/dx shape:", grads[id(x)].shape)
-print("dL/dw first row:", grads[id(w)][0])
+print("dL/dw, [out, in]:\n", grads[id(w)][:, :, 0, 0])
 
 # A second loss over the same leaf records a graph of its own.
 value = ops.tsum(ops.sigmoid(x))
@@ -39,7 +42,7 @@ print("sigmoid' at x (should be in (0, 0.25]):", g[id(x)].max())
 # The closure rebuilds the whole expression so each probe re-traces it.
 # gradcheck marks its wrt tensors itself, so unmarked ones work too.
 def f():
-    out = ops.relu(ops.matmul(x, w))
+    out = ops.relu(ops.conv2d(x, w))
     return ops.tsum(ops.mul(out, out))
 
 report = gradcheck(f, [x, w], rng.derive("fd"))

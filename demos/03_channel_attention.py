@@ -36,9 +36,10 @@ lhs = reca_forward(g_act(x, 1, n), p)
 rhs = g_act(reca_forward(x, p), 1, n)
 print("rotation-aware attention residual:", relative_residual(lhs, rhs))
 
-# The per-channel gates are a multiset invariant: rotation only permutes them.
-gates = attention_logits(x, p)
-gates_rot = attention_logits(g_act(x, 1, n), p)
+# The per-channel gates, computed from the pooled [B, C, 1, 1] map, are a
+# multiset invariant: rotation only permutes them.
+gates = attention_logits(ops.global_avg_pool(x), p)
+gates_rot = attention_logits(ops.global_avg_pool(g_act(x, 1, n)), p)
 a = np.sort(ops.sigmoid(gates).data, axis=None)
 b = np.sort(ops.sigmoid(gates_rot).data, axis=None)
 print("sorted gate values match after rotation:", np.allclose(a, b, atol=1e-12))

@@ -515,28 +515,41 @@ def _oracle_cyclic_blocks(rng: Rng) -> float:
     Both ReCA banks are applied by ``cyclic_blocks``, which expands a bank
     as the k = 1 case of the group-conv gather, so this check tests the
     index rule that lift and group convolutions share against
-    ``naive_conv_blocks``.  Orientation block m of a feature-map input is
-    the channel slice ``x[:, m::N]``; the reference takes the N blocks as a
-    list.
+    ``naive_conv_blocks``.  The input is a [b, C, h, h] feature map, h in
+    1..3: h = 1 is the pooled map of the squeezed branches, h > 1 the
+    per-pixel path of ReAFF's local branch.  The reference takes its pixels
+    as rows and orientation block m, the channel slice ``[:, m::N]``, as the
+    m-th entry of a list.
     """
     n = (1, 2, 4)[rng.integer(0, 3)]
     rows = rng.integer(1, 5)
     cols = rng.integer(1, 5)
     b = rng.integer(1, 4)
+    h = rng.integer(1, 4)
     banks = rng.uniform((n, rows, cols))
-    x = rng.uniform((b, cols * n))
-    fast = cyclic_blocks(Tensor(x), Tensor(banks)).data
-    ref = naive_conv_blocks([x[:, m::n] for m in range(n)], banks)
+    x = rng.uniform((b, cols * n, h, h))
+    fast = _pixel_rows(cyclic_blocks(Tensor(x), Tensor(banks)).data)
+    flat = _pixel_rows(x)
+    ref = naive_conv_blocks([flat[:, m::n] for m in range(n)], banks)
     return max(float(np.abs(fast[:, i::n] - want).max()) for i, want in enumerate(ref))
 
 
+def _pixel_rows(x: np.ndarray) -> np.ndarray:
+    """A [B, C, H, W] map as [B*H*W, C]: one row per pixel."""
+    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
+
+
 def _oracle_shift_covariance(rng: Rng) -> float:
-    """An orientation shift of ``cyclic_blocks``'s input shifts its output alike, max-abs."""
+    """An orientation shift of ``cyclic_blocks``'s input shifts its output alike, max-abs.
+
+    The input is a [2, C, h, h] feature map, h in 1..3, as in ``_oracle_cyclic_blocks``.
+    """
     n = (2, 4)[rng.integer(0, 2)]
     rows = rng.integer(1, 4)
     cols = rows * rng.integer(1, 3)
+    h = rng.integer(1, 4)
     banks = Tensor(rng.uniform((n, rows, cols)))
-    x = rng.uniform((2, cols * n))
+    x = rng.uniform((2, cols * n, h, h))
     base = cyclic_blocks(Tensor(x), banks).data
     worst = 0.0
     for s in range(n):
@@ -706,8 +719,9 @@ def _split_pyramid(image: Tensor, params: PyramidParams,
     Only a pyramid with no attention may be split: then every op of the
     forward acts on each sample alone (``conv2d`` runs one GEMM per sample
     or band), so a share's rows are those of the whole batch, bit for bit.
-    Every attention block couples the samples: through a batch-norm, or
-    squeeze-excite's matmuls, which round by their row count.
+    Squeeze-excite's 1x1 conv2ds also run one GEMM per sample, but every
+    other attention block couples the samples through a batch-norm, and
+    only attention-free pyramids are split.
     Before it forks, the parent lays each level's full-batch map on an
     anonymous shared mapping of its own; each child writes its rows there
     and sends nothing back through its pipe.  One share runs in the calling

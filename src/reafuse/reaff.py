@@ -89,12 +89,13 @@ class ReAFFParams:
 def rem_fuse(x: Tensor, p: ReMParams) -> Tensor:
     """Attention map M = sigmoid(local logits + global logits), in (0,1).
 
-    The local branch runs the global branch's pipeline, with its own banks,
-    at every pixel ([B, C, H, W]); the global [B, C, 1, 1] logits broadcast
-    over it.  M permutes with the group action of the input.
+    The global branch runs the banks on the pooled [B, C, 1, 1] map, the
+    local branch the same pipeline, with its own banks, at every pixel
+    ([B, C, H, W]); the global logits broadcast over the local ones.  M
+    permutes with the group action of the input.
     """
-    glob = attention_logits(x, p.global_att, squeeze=True)
-    loc = attention_logits(x, p.local_att, squeeze=False)
+    glob = attention_logits(global_avg_pool(x), p.global_att)
+    loc = attention_logits(x, p.local_att)
     del x  # freed here when the caller passed a temporary
     return sigmoid(add(loc, glob))
 

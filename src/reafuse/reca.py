@@ -22,9 +22,9 @@ A bank is a 1x1 regular C_N group convolution (Cohen & Welling, arXiv
 rotations are all the identity, so its expanded kernel is one
 block-circulant matrix over the whole channel axis.  ``cyclic_blocks``
 expands a bank by the group-conv gather, ``groupequiv._kernel_index``, and
-applies it by a single matmul (squeezed) or 1x1 conv2d (per pixel),
-directly in feature-map channel order.  The index rule above is written
-once, in ``groupequiv``.
+applies it by one 1x1 conv2d, directly in feature-map channel order: to the
+pooled [B, C, 1, 1] map when squeezed, to the [B, C, H, W] map per pixel.
+The index rule above is written once, in ``groupequiv``.
 
 ``se_forward`` is the deliberate control: an ordinary squeeze-excite whose
 full channel-mixing weights ignore orientation structure and therefore break
@@ -45,12 +45,10 @@ from .tensor import (
     batchnorm,
     conv2d,
     global_avg_pool,
-    matmul,
     mul,
     relu,
     reshape,
     sigmoid,
-    transpose,
 )
 
 __all__ = [
@@ -123,29 +121,26 @@ class SEParams:
 
 
 def cyclic_blocks(x: Tensor, banks: Tensor) -> Tensor:
-    """Apply an [N, out, in] bank along the channel axis of ``x``.
+    """Apply an [N, out, in] bank along the channel axis of a [B, in*N, H, W] map.
 
-    ``x`` is [B, in*N] or [B, in*N, H, W] in feature-map channel order
-    (channel k*N + m); the result has out*N channels in the same order.
-    Read as [out, in, N], the bank is the weight of a 1x1 group convolution,
-    so the group-conv gather expands it into the [out*N, in*N, 1, 1] kernel
-    whose entry (r*N + i, k*N + m) is banks[(m - i) mod N, r, k].  That
-    kernel is applied by one 1x1 conv2d to 4-D inputs and, with its 1x1
-    axes reshaped away, by one matmul to 2-D inputs.
+    ``x`` is in feature-map channel order (channel k*N + m); the result has
+    out*N channels in the same order.  Read as [out, in, N], the bank is the
+    weight of a 1x1 group convolution, so the group-conv gather expands it
+    into the [out*N, in*N, 1, 1] kernel whose entry (r*N + i, k*N + m) is
+    banks[(m - i) mod N, r, k], and one 1x1 conv2d applies that kernel.  The
+    gather reads the bank where it is stored, in [N, out, in] order, so the
+    kernel is a pure copy of it and no transpose runs.  A squeezed input is
+    the [B, in*N, 1, 1] map ``global_avg_pool`` returns.
     """
     n, rows, cols = banks.shape
-    kernel = _gather(transpose(banks, (1, 2, 0)), _kernel_index(rows, cols, n, n, 1))
-    if x.ndim == 2:
-        return matmul(x, transpose(reshape(kernel, (rows * n, cols * n)), (1, 0)))
-    if x.ndim == 4:
-        return conv2d(x, kernel)
-    raise ShapeError(f"cyclic_blocks: input must have 2 or 4 axes, got {x.shape}")
+    stored = np.arange(banks.size).reshape(n, rows, cols).transpose(1, 2, 0).reshape(-1)
+    return conv2d(x, _gather(banks, stored[_kernel_index(rows, cols, n, n, 1)]))
 
 
 def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Batch-norm with statistics pooled over batch x orientations (x spatial).
 
-    ``x`` is [B, R*N] or [B, R*N, H, W] in feature-map channel order.
+    ``x`` is [B, R*N, H, W] in feature-map channel order.
     All N orientation copies of a reduced channel share one gamma/beta, so an
     orientation shift (a permutation inside each group of N) permutes the
     outputs without changing any value.  They also share one mean/var:
@@ -157,23 +152,19 @@ def _shared_batchnorm(x: Tensor, n: int, gamma: Tensor, beta: Tensor) -> Tensor:
     return reshape(batchnorm(reshape(x, [b, c // n, n] + space), gamma, beta), x.shape)
 
 
-def attention_logits(x: Tensor, p: ReCAParams, squeeze: bool = True) -> Tensor:
-    """Pre-sigmoid attention logits in feature-map channel layout.
+def attention_logits(x: Tensor, p: ReCAParams) -> Tensor:
+    """Pre-sigmoid attention logits of a [B, C, H, W] map, in its channel layout.
 
-    Pipeline: (squeeze) -> block-circulant matrix of ``w_a`` -> shared
-    batch-norm -> relu -> block-circulant matrix of ``w_b``, each matrix
-    applied to the whole channel axis at once.  With ``squeeze`` the result
-    is [B, C, 1, 1]; without it the same matrices run at every spatial
-    location (1x1 convolutions) and the result is [B, C, H, W].  The first
-    bank's matmul or conv2d rejects a map whose channel count is not the
-    banks' K*N.
+    Pipeline: block-circulant kernel of ``w_a`` -> shared batch-norm -> relu
+    -> block-circulant kernel of ``w_b``, each kernel a 1x1 conv2d over the
+    whole channel axis, so the logits have the input's shape.  ReCA and
+    ReAFF's global branch pass ``global_avg_pool`` of a map ([B, C, 1, 1]);
+    ReAFF's local branch passes the map itself.  The first bank's conv2d
+    rejects a map whose channel count is not the banks' K*N.
     """
-    b, c = x.shape[0], x.shape[1]
-    h = reshape(global_avg_pool(x), (b, c)) if squeeze else x
-    h = cyclic_blocks(h, p.w_a)
+    h = cyclic_blocks(x, p.w_a)
     h = relu(_shared_batchnorm(h, p.orientations, p.bn_gamma, p.bn_beta))
-    h = cyclic_blocks(h, p.w_b)
-    return reshape(h, (b, c, 1, 1)) if squeeze else h
+    return cyclic_blocks(h, p.w_b)
 
 
 def reca_forward(x: Tensor, p: ReCAParams) -> Tensor:
@@ -183,21 +174,18 @@ def reca_forward(x: Tensor, p: ReCAParams) -> Tensor:
     space.  Commutes with g_act; at N=1 it degenerates to a squeeze-excite
     with batch-norm.
     """
-    return mul(x, sigmoid(attention_logits(x, p, squeeze=True)))
+    return mul(x, sigmoid(attention_logits(global_avg_pool(x), p)))
 
 
 def se_forward(x: Tensor, p: SEParams) -> Tensor:
     """Plain squeeze-excite: x * sigmoid(W2 relu(W1 gap(x))).
 
     No orientation structure and no batch-norm; the non-equivariant control.
+    W1 and W2 run as 1x1 conv2ds of the pooled [B, C, 1, 1] map, as the
+    plain-iAFF control's channel MLPs do.
     """
-    b, c = x.shape[0], x.shape[1]
-    if p.w1.shape[1] != c:
-        raise ShapeError(f"SE weights expect {p.w1.shape[1]} channels, input has {c}")
-    pooled = reshape(global_avg_pool(x), (b, c))
-    hidden = relu(matmul(pooled, transpose(p.w1, (1, 0))))
-    gates = sigmoid(matmul(hidden, transpose(p.w2, (1, 0))))
-    return mul(x, reshape(gates, (b, c, 1, 1)))
+    hidden = relu(conv2d(global_avg_pool(x), reshape(p.w1, p.w1.shape + (1, 1))))
+    return mul(x, sigmoid(conv2d(hidden, reshape(p.w2, p.w2.shape + (1, 1)))))
 
 
 def init_reca(rng: Rng, channels: int, n: int, r: int) -> ReCAParams:

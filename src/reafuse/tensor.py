@@ -44,11 +44,9 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "matmul",
     "relu",
     "sigmoid",
     "reshape",
-    "transpose",
     "take",
     "tsum",
     "rot90",
@@ -227,21 +225,6 @@ def sigmoid(a) -> Tensor:
     return _record(Tensor(s), "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected two matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul: inner axis mismatch, {a.shape[1]} (lhs columns) vs {b.shape[0]} (rhs rows)"
-        )
-
-    def backward(g: np.ndarray):
-        return g @ b.data.T, a.data.T @ g
-
-    return _record(Tensor(a.data @ b.data), "matmul", (a, b), backward)
-
-
 # -- structural ops -----------------------------------------------------------------
 
 
@@ -253,16 +236,6 @@ def reshape(a, shape) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
     return _record(Tensor(data), "reshape", (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = _wrap(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _record(
-        Tensor(np.transpose(a.data, axes)), "transpose", (a,),
-        lambda g: (np.transpose(g, inverse),),
-    )
 
 
 def take(a, indices, axis: int) -> Tensor:

@@ -82,7 +82,7 @@ def test_criterion_3_shift_covariance(capsys):
         p = init_reca(rng.derive("params"), k * n, n, r)
         for name, bank, width in (("w_a", p.w_a, k), ("w_b", p.w_b, k // r)):
             # channel j*N + m of the input is orientation m of channel j
-            x = rng.derive(name).uniform((3, width * n))
+            x = rng.derive(name).uniform((3, width * n, 1, 1))
             base = cyclic_blocks(Tensor(x), bank).data
             for s in range(n):
                 shifted = x[:, [j * n + (m - s) % n for j in range(width) for m in range(n)]]

@@ -104,4 +104,4 @@ def test_1x1_layers_need_at_least_one_orientation():
         with pytest.raises(ShapeError, match=f"orientation count must be at least 1, got {n}"):
             lift_conv(image, lift, n)
     with pytest.raises(ShapeError, match="orientation count must be at least 1, got 0"):
-        cyclic_blocks(Tensor(np.ones((2, 0))), Tensor(np.zeros((0, 2, 2))))
+        cyclic_blocks(Tensor(np.ones((2, 0, 1, 1))), Tensor(np.zeros((0, 2, 2))))

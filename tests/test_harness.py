@@ -965,9 +965,11 @@ def test_run_demo_split_writes_the_serial_bytes(monkeypatch, tmp_path, variant):
     # TINY at batch 3: two workers get one sample and two; five workers are
     # more than there are samples, so three processes run Baseline's forward.
     # A pyramid with attention runs in one process whatever the worker count.
-    # At TINY's widths an attention head split wrongly still writes the serial
-    # bytes (PlusSE's matmuls round alike at every row count), so the wider
-    # case, at batch 4, is the one where a split that couples the samples shows.
+    # At TINY's widths an attention head split wrongly can still write the
+    # serial bytes, so the wider case, at batch 4, is the one where a split
+    # that couples the samples shows.  PlusSE's 1x1 convs run one GEMM per
+    # sample, so it alone would split cleanly; it runs in one process all the
+    # same, as demo splits only attention-free pyramids.
     for size in (dict(batch=3),
                  dict(levels=3, kernel_channels=8, orientations=4, image_size=32, batch=4)):
         cfg = HarnessConfig(**{**TINY, **size, "variant": variant})
@@ -1213,3 +1215,20 @@ def test_gradcheck_regression_seeds(seed, case, index):
     assert report.passed, report.failures
     assert report.checked + report.skipped_kinks == tensor.size
     assert report.skipped_kinks == (1 if case.startswith("pyramid") else 0)
+
+
+def test_every_tensor_op_is_recorded_by_a_gradcheck_case():
+    # an op that no case records would have a backward that gradcheck never checks
+    import inspect
+
+    from reafuse import tensor as ops
+    from reafuse.autograd import Tape
+
+    exported = {name for name in ops.__all__ if inspect.isfunction(getattr(ops, name))}
+    recorded = set()
+    for _, loss, wrt in _gradcheck_cases(HarnessConfig(), Rng(0)):
+        for t in wrt:
+            t.requires_grad = True
+        recorded |= {node.op for node in Tape.trace(loss()).nodes}
+    recorded = {"tsum" if op == "sum" else op for op in recorded}  # tsum records "sum"
+    assert exported and exported <= recorded, sorted(exported - recorded)

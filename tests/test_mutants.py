@@ -143,15 +143,12 @@ def _anti_circulant_blocks(x, banks):
         return reca.cyclic_blocks(x, banks)
 
 
-def _anti_circulant_w_b_logits(x, p, squeeze=True):
+def _anti_circulant_w_b_logits(x, p):
     """``reca.attention_logits`` with the expansion bank ``w_b`` alone
     expanded by the (m + i) mod N index; ``w_a`` keeps the correct one."""
-    b, c = x.shape[0], x.shape[1]
-    h = ops.reshape(ops.global_avg_pool(x), (b, c)) if squeeze else x
-    h = reca.cyclic_blocks(h, p.w_a)
+    h = reca.cyclic_blocks(x, p.w_a)
     h = ops.relu(reca._shared_batchnorm(h, p.orientations, p.bn_gamma, p.bn_beta))
-    h = _anti_circulant_blocks(h, p.w_b)
-    return ops.reshape(h, (b, c, 1, 1)) if squeeze else h
+    return _anti_circulant_blocks(h, p.w_b)
 
 
 @pytest.mark.parametrize("mutant", INDEX_MUTANTS)

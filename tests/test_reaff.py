@@ -18,7 +18,7 @@ from reafuse.reaff import (
     rem_fuse,
 )
 from reafuse.reca import init_reca
-from reafuse.tensor import Rng, Tensor
+from reafuse.tensor import Rng, Tensor, global_avg_pool
 
 
 def tensors(params):
@@ -106,8 +106,8 @@ def test_spatially_constant_input_collapses_local_to_global():
     base = rng.derive("v").uniform((2, k * n, 1, 1))
     x = Tensor(np.broadcast_to(base, (2, k * n, 5, 5)).copy())
     from reafuse.reca import attention_logits
-    local = attention_logits(x, p.local_att, squeeze=False).data
-    glob = attention_logits(x, p.global_att, squeeze=True).data
+    local = attention_logits(x, p.local_att).data
+    glob = attention_logits(global_avg_pool(x), p.global_att).data
     assert np.abs(local - glob).max() <= 1e-12  # broadcast comparison
 
 
@@ -168,9 +168,9 @@ def test_shape_mismatch_rejected():
     y = Tensor(np.zeros((2, 8, 6, 6)))
     with pytest.raises(ShapeError, match="cannot fuse maps of shape"):
         reaff_forward(x, y, p)
-    # a pair that is not K*N = 8 channels wide: the first bank's matmul rejects it
+    # a pair that is not K*N = 8 channels wide: the first bank's conv2d rejects it
     z = Tensor(np.zeros((2, 12, 4, 4)))
-    with pytest.raises(ShapeError, match="inner axis mismatch, 12"):
+    with pytest.raises(ShapeError, match="channel axis mismatch, input has 12"):
         reaff_forward(z, z, p)
 
 

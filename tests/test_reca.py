@@ -36,20 +36,25 @@ def double_loop_blocks(x, banks):
     return out
 
 
+def pooled(x):
+    """A [B, C] array as the [B, C, 1, 1] map ``global_avg_pool`` returns."""
+    return x.reshape(x.shape + (1, 1))
+
+
 def test_cyclic_blocks_n1_is_plain_reduction():
     rng = Rng(0)
     p = init_reca(rng, 6, 1, 2)
-    x = Tensor(rng.derive("b").uniform((3, 6)))
-    out = cyclic_blocks(x, p.w_a)
-    np.testing.assert_allclose(out.data, x.data @ p.w_a.data[0].T, atol=1e-14)
+    x = rng.derive("b").uniform((3, 6))
+    out = cyclic_blocks(Tensor(pooled(x)), p.w_a)
+    np.testing.assert_allclose(out.data, pooled(x @ p.w_a.data[0].T), atol=1e-14)
 
 
 def test_conv_blocks_zero_weights_give_zero():
     p = ReCAParams(w_a=Tensor(np.zeros((4, 2, 4))), w_b=Tensor(np.zeros((4, 4, 2))),
                    bn_gamma=Tensor(np.ones((2,))), bn_beta=Tensor(np.zeros((2,))))
-    x = Tensor(Rng(0).uniform((2, 4 * 4)))
+    x = Tensor(pooled(Rng(0).uniform((2, 4 * 4))))
     out = cyclic_blocks(x, p.w_a)
-    assert out.shape == (2, 2 * 4)
+    assert out.shape == (2, 2 * 4, 1, 1)
     assert np.all(out.data == 0.0)
 
 
@@ -63,12 +68,12 @@ def test_shift_covariance_against_double_loop():
             cols = rows * r
             banks = rng.uniform((n, rows, cols))
             x = rng.uniform((2, cols * n))
-            base = cyclic_blocks(Tensor(x), Tensor(banks)).data
+            base = cyclic_blocks(Tensor(pooled(x)), Tensor(banks)).data[:, :, 0, 0]
             for i, want in enumerate(double_loop_blocks(x, banks)):
                 worst = max(worst, np.abs(base[:, i::n] - want).max())
             for s in range(n):
                 shifted = x[:, [k * n + (m - s) % n for k in range(cols) for m in range(n)]]
-                moved = cyclic_blocks(Tensor(shifted), Tensor(banks)).data
+                moved = cyclic_blocks(Tensor(pooled(shifted)), Tensor(banks)).data[:, :, 0, 0]
                 for i in range(n):
                     dev = np.abs(moved[:, i::n] - base[:, (i - s) % n::n]).max()
                     worst = max(worst, dev)
@@ -82,7 +87,7 @@ def test_identity_wiring_recovers_input():
     eye[0] = np.eye(k)
     p = ReCAParams(w_a=Tensor(eye), w_b=Tensor(eye.copy()),
                    bn_gamma=Tensor(np.ones((k,))), bn_beta=Tensor(np.zeros((k,))))
-    x = Tensor(np.abs(Rng(40).uniform((2, k * n))))
+    x = Tensor(pooled(np.abs(Rng(40).uniform((2, k * n)))))
     out = cyclic_blocks(ops.relu(cyclic_blocks(x, p.w_a)), p.w_b)
     np.testing.assert_allclose(out.data, x.data, atol=1e-14)
 
@@ -95,9 +100,9 @@ def test_attention_logits_shift_covariance_with_bn():
         k = 4
         p = init_reca(rng.derive("p"), k * n, n, 2)
         x = Tensor(rng.derive("x").uniform((3, k * n, 5, 5)))
-        base = attention_logits(x, p)
+        base = attention_logits(ops.global_avg_pool(x), p)
         for s in range(1, n):
-            moved = attention_logits(g_act(x, s, n), p)
+            moved = attention_logits(ops.global_avg_pool(g_act(x, s, n)), p)
             want = g_act(base, s, n)
             worst = max(worst, relative_residual(moved, want))
     assert worst <= 1e-10
@@ -119,16 +124,16 @@ def test_per_channel_bn_statistics_keep_equivariance(monkeypatch):
                    bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                    bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
     x = Tensor(rng.derive("x").uniform((3, k * n, 5, 5)))
-    pooled = attention_logits(x, p, squeeze=False).data
+    shared = attention_logits(x, p).data
     monkeypatch.setattr(reca, "_shared_batchnorm", per_channel_batchnorm)
-    base_logits = attention_logits(x, p, squeeze=False)
-    assert np.abs(base_logits.data - pooled).max() > 1e-3  # the patch is live
+    base_logits = attention_logits(x, p)
+    assert np.abs(base_logits.data - shared).max() > 1e-3  # the patch is live
     base_gated = reca_forward(x, p)
     worst = 0.0
     for s in range(1, n):
         moved = g_act(x, s, n)
         worst = max(worst,
-                    relative_residual(attention_logits(moved, p, squeeze=False),
+                    relative_residual(attention_logits(moved, p),
                                       g_act(base_logits, s, n)),
                     relative_residual(reca_forward(moved, p), g_act(base_gated, s, n)))
     assert worst <= 1e-12
@@ -163,9 +168,9 @@ def test_reca_gate_multiset_invariant_under_group_action():
     n, k = 4, 2
     p = init_reca(rng.derive("p"), k * n, n, 1)
     x = Tensor(rng.derive("x").uniform((2, k * n, 4, 4)))
-    base = np.sort(attention_logits(x, p).data, axis=None)
+    base = np.sort(attention_logits(ops.global_avg_pool(x), p).data, axis=None)
     for s in range(1, n):
-        moved = np.sort(attention_logits(g_act(x, s, n), p).data, axis=None)
+        moved = np.sort(attention_logits(ops.global_avg_pool(g_act(x, s, n)), p).data, axis=None)
         assert np.abs(moved - base).max() <= 1e-12
 
 
@@ -226,8 +231,10 @@ def test_init_validation():
                    bn_gamma=Tensor(np.ones((3,))), bn_beta=Tensor(np.zeros((3,))))
     p = init_reca(Rng(0), 8, 4, 2)
     x = Tensor(np.zeros((2, 12, 4, 4)))  # 12 channels against banks for K*N = 8
-    with pytest.raises(ShapeError, match="inner axis mismatch, 12"):
-        reca_forward(x, p)  # the first bank's matmul rejects it
+    with pytest.raises(ShapeError, match="channel axis mismatch, input has 12"):
+        reca_forward(x, p)  # the first bank's conv2d rejects it
+    with pytest.raises(ShapeError, match="channel axis mismatch, input has 12"):
+        se_forward(x, init_se(Rng(0), 8, 2))  # and so does SE's first 1x1 conv2d
 
 
 def interleave(block_major, n, rows, cols):
@@ -252,7 +259,7 @@ def bank_matrix(banks):
     matrix transposed, exactly.
     """
     n, _, cols = banks.shape
-    return cyclic_blocks(Tensor(np.eye(cols * n)), Tensor(banks)).data.T
+    return cyclic_blocks(Tensor(pooled(np.eye(cols * n))), Tensor(banks)).data[:, :, 0, 0].T
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -315,14 +322,14 @@ def test_attention_logits_match_split_blocks_reference(squeeze):
                        bn_gamma=Tensor(rng.derive("g").uniform((k // r,), 0.5, 1.5)),
                        bn_beta=Tensor(rng.derive("b").uniform((k // r,))))
         x = Tensor(rng.derive("x").uniform((3, k * n, 5, 5)))
-        got = attention_logits(x, p, squeeze=squeeze).data
+        got = attention_logits(ops.global_avg_pool(x) if squeeze else x, p).data
         want = split_blocks_reference_logits(x, p, squeeze)
         assert got.shape == want.shape
         worst = max(worst, np.abs(got - want).max())
     assert worst <= 1e-13
 
 
-@pytest.mark.parametrize("spatial", [(), (3, 3)])
+@pytest.mark.parametrize("spatial", [(1, 1), (3, 3)])
 def test_cyclic_blocks_matches_loop_reference(spatial):
     for n in (1, 2, 4):
         rng = Rng(160 + n)

@@ -433,12 +433,6 @@ def test_take_gathers_along_axis_and_checks_range():
         ops.take(x, [5], axis=1)
 
 
-def test_matmul_matches_numpy():
-    a = np.random.default_rng(10).normal(size=(3, 4))
-    b = np.random.default_rng(11).normal(size=(4, 5))
-    np.testing.assert_allclose(ops.matmul(Tensor(a), Tensor(b)).data, a @ b)
-
-
 def test_rng_determinism_and_derivation_independence():
     a = Rng(123).uniform((4, 4))
     b = Rng(123).uniform((4, 4))
