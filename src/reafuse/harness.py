@@ -691,6 +691,7 @@ def run_gradcheck(config: HarnessConfig) -> Report:
             )
         except FloatingPointError:
             report.non_finite = True
+            report.results[name] = {"finite": False}
             report.verdicts[f"{name} gradients finite"] = False
             report.timings[name] = time.perf_counter() - t0
             continue

@@ -8,8 +8,8 @@ built from the small op set in this module.  Design constraints:
   an AST scan in the tests fails on any write into ``.data[...]`` in the package
   (gradcheck's perturb-and-restore through a flat view is the one exception);
 * deterministic: the same inputs always produce bit-identical outputs.
-  conv2d contracts its receptive field in a fixed (kernel-row, kernel-col,
-  in-channel) flattening, so repeated runs are reproducible;
+  conv2d's forward and backward run the same im2col bands, flattened in a
+  fixed (kernel-row, kernel-col, in-channel) order, so runs are reproducible;
 * every op is a primitive: it computes on raw arrays and records at most
   one graph node with its own backward.  ``batchnorm`` is one too, a node
   over (x, gamma, beta) with the closed-form batch-norm gradient;
@@ -241,6 +241,9 @@ def reshape(a, shape) -> Tensor:
 def take(a, indices, axis: int) -> Tensor:
     """Gather along ``axis``; duplicate indices accumulate in the gradient."""
     a = _wrap(a)
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"take: axis {axis} is out of range for {a.ndim} axes")
+    axis %= a.ndim
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"take: indices must be 1-D, got shape {idx.shape}")
@@ -360,8 +363,8 @@ def blockmean2x(a) -> Tensor:
                    lambda g: (_expand_block_grad(g),))
 
 
-# conv2d's forward runs im2col on bands of about _BAND_PIXELS output pixels,
-# so its column buffer holds k*k*Cin x _BAND_PIXELS float64s, not a whole map:
+# conv2d runs im2col on bands of about _BAND_PIXELS output pixels, so its
+# column buffer holds k*k*Cin x _BAND_PIXELS float64s, not a whole map:
 # 0.59 MB at Cin = 32, which stays in a 2 MB per-core L2 cache.
 # BLAS takes a GEMM's output columns in blocks (8 in OpenBLAS's Haswell DGEMM)
 # and rounds a narrower leftover block differently, depending on the GEMM's
@@ -369,6 +372,44 @@ def blockmean2x(a) -> Tensor:
 # whole-map GEMM's blocks start too, and the results stay bit-identical.
 _BAND_PIXELS = 256
 _BAND_ALIGN = 8
+
+
+def _im2col(x: np.ndarray, k: int, even: bool):
+    """Yield ``(s, r0, r1, cols)`` per sample s and band of output rows r0:r1.
+
+    ``cols`` is the [k*k*Cin, (r1-r0)*W] im2col of a band of the [B,Cin,H,W]
+    ``x``, zero-padded by (k-1)/2, in (kernel-row, kernel-col, in-channel)
+    order: a view of one band-sized buffer, overwritten by the next yield.
+    Bands are balanced in steps of the fewest whole rows (an even number if
+    ``even``) that span a multiple of _BAND_ALIGN pixels.
+    """
+    batch, cin, h, wd = x.shape
+    pad = (k - 1) // 2
+    step = _BAND_ALIGN // math.gcd(wd, _BAND_ALIGN)
+    if even:
+        step = math.lcm(step, 2)
+    steps = -(-h // step)
+    nbands = 1 if h * wd % _BAND_ALIGN else min(steps, -(-h * wd // _BAND_PIXELS))
+    bounds = [min(h, step * (i * steps // nbands)) for i in range(nbands + 1)]
+    rows = max(r1 - r0 for r0, r1 in zip(bounds, bounds[1:]))
+    col_buf = np.empty(k * k * cin * rows * wd)
+    # the left and right pad columns are never written and stay zero
+    pad_buf = np.zeros((cin, rows + 2 * pad, wd + 2 * pad))
+    for s in range(batch):
+        for r0, r1 in zip(bounds, bounds[1:]):
+            n = r1 - r0
+            # input rows r0 - pad .. r1 + pad - 1, zero outside the map
+            lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
+            top, bottom = lo - r0 + pad, hi - r0 + pad
+            band = pad_buf[:, : n + 2 * pad]
+            band[:, :top] = 0.0
+            band[:, top:bottom, pad : pad + wd] = x[s, :, lo:hi]
+            band[:, bottom:] = 0.0
+            cols = col_buf[: k * k * cin * n * wd].reshape(k * k, cin, n, wd)
+            for ki in range(k):
+                for kj in range(k):
+                    cols[ki * k + kj] = band[:, ki : ki + n, kj : kj + wd]
+            yield s, r0, r1, cols.reshape(k * k * cin, n * wd)
 
 
 def conv2d(x, w, bias=None, blockmean: bool = False) -> Tensor:
@@ -380,12 +421,16 @@ def conv2d(x, w, bias=None, blockmean: bool = False) -> Tensor:
     in-channel) order before the contraction, which fixes the accumulation
     order and makes results reproducible run to run.
 
-    The forward of every kernel, 1x1 included, runs im2col on one band of
-    output rows at a time, so its buffers are sized by the band, not by the
-    map.  A map of at most ``_BAND_PIXELS`` pixels, or whose pixel count is
-    not a multiple of ``_BAND_ALIGN``, is one band; a larger one is split
-    into ``ceil(H*W / _BAND_PIXELS)`` balanced bands of whole rows.  The
-    output is bit-identical to that of one whole-map GEMM.
+    Every kernel, 1x1 included, runs one GEMM per sample and band of output
+    rows over the columns ``_im2col`` lays out, so its buffers are sized by
+    the band, not by the map.  A map of at most ``_BAND_PIXELS`` pixels, or
+    whose pixel count is not a multiple of ``_BAND_ALIGN``, is one band; a
+    larger one is split into ``ceil(H*W / _BAND_PIXELS)`` balanced bands of
+    whole rows.  The output is bit-identical to that of one whole-map GEMM.
+    The backward runs the same bands: the input gradient is conv2d of the
+    output gradient with the kernel turned half a turn and its channel axes
+    swapped, and the kernel gradient sums each band's gradient times its
+    columns.
 
     ``blockmean=True`` returns ``blockmean2x`` of the biased output, bit for
     bit, without building the full-resolution map: each band's GEMM output
@@ -405,75 +450,28 @@ def conv2d(x, w, bias=None, blockmean: bool = False) -> Tensor:
         raise ShapeError(f"conv2d: kernel must be square and odd, got {k}x{kw}")
     if blockmean:
         _check_even("conv2d", x.shape)
-    pad = (k - 1) // 2
 
     b_t = _wrap(bias) if bias is not None else None
     if b_t is not None and b_t.shape != (cout,):
         raise ShapeError(f"conv2d: bias axis shape {b_t.shape} != ({cout},)")
 
-    def tap(src: np.ndarray, ki: int, kj: int) -> np.ndarray:
-        return src[..., ki : ki + h, kj : kj + wd]
-
     wf = w.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    # pad and im2col one band of rows of one sample at a time, in documented
-    # (kernel-row, kernel-col, in-channel) order, through band-sized buffers
-    # (a 1x1 kernel pads by 0, and its band is its own im2col).  Each band's
-    # GEMM writes straight into its rows of ``out``, or, under blockmean, into
-    # a band buffer that is biased and averaged into its half as many rows of
-    # ``out``.  Bands are balanced in steps of ``step`` rows, the fewest whole
-    # rows (an even number under blockmean) that span a multiple of
-    # _BAND_ALIGN pixels
-    step = _BAND_ALIGN // math.gcd(wd, _BAND_ALIGN)
-    if blockmean:
-        step = math.lcm(step, 2)
-    steps = -(-h // step)
-    nbands = 1 if h * wd % _BAND_ALIGN else min(steps, -(-h * wd // _BAND_PIXELS))
-    bounds = [min(h, step * (i * steps // nbands)) for i in range(nbands + 1)]
-    rows = max(r1 - r0 for r0, r1 in zip(bounds, bounds[1:]))
-    if blockmean:
-        out = np.empty((batch, cout, h // 2, wd // 2))
-        gemm_buf = np.empty((cout, rows * wd))
-    else:
-        out = np.empty((batch, cout, h, wd))
-        flat = out.reshape(batch, cout, h * wd)
-    col_buf = np.empty(k * k * cin * rows * wd)
-    # the left and right pad columns are never written and stay zero
-    pad_buf = np.zeros((cin, rows + 2 * pad, wd + 2 * pad))
-    for s in range(batch):
-        for r0, r1 in zip(bounds, bounds[1:]):
-            n = r1 - r0
-            # input rows r0 - pad .. r1 + pad - 1, zero outside the map
-            lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
-            top, bottom = lo - r0 + pad, hi - r0 + pad
-            band = pad_buf[:, : n + 2 * pad]
-            band[:, :top] = 0.0
-            band[:, top:bottom, pad : pad + wd] = x.data[s, :, lo:hi]
-            band[:, bottom:] = 0.0
-            cols = col_buf[: k * k * cin * n * wd].reshape(k * k, cin, n, wd)
-            for ki in range(k):
-                for kj in range(k):
-                    cols[ki * k + kj] = band[:, ki : ki + n, kj : kj + wd]
-            dest = gemm_buf[:, : n * wd] if blockmean else flat[s, :, r0 * wd : r1 * wd]
-            np.matmul(wf, cols.reshape(k * k * cin, n * wd), out=dest)
-            if b_t is not None:
-                dest += b_t.data[:, None]
-            if blockmean:
-                _block_mean(dest.reshape(cout, n, wd), out=out[s, :, r0 // 2 : r1 // 2])
+    out = np.empty((batch, cout, h // 2, wd // 2) if blockmean else (batch, cout, h, wd))
+    flat = out.reshape(batch, cout, -1)
+    for s, r0, r1, cols in _im2col(x.data, k, blockmean):
+        dest = np.matmul(wf, cols, out=None if blockmean else flat[s, :, r0 * wd : r1 * wd])
+        if b_t is not None:
+            dest += b_t.data[:, None]
+        if blockmean:
+            _block_mean(dest.reshape(cout, r1 - r0, wd), out=out[s, :, r0 // 2 : r1 // 2])
 
     def backward(g: np.ndarray):
         if blockmean:
             g = _expand_block_grad(g)
-        xp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
-        xp[:, :, pad : pad + h, pad : pad + wd] = x.data
-        grad_w = np.empty_like(w.data)
-        grad_xp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                xs = tap(xp, ki, kj)
-                grad_w[:, :, ki, kj] = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))
-                spread = np.tensordot(g, w.data[:, :, ki, kj], axes=([1], [0]))
-                tap(grad_xp, ki, kj)[...] += spread.transpose(0, 3, 1, 2)
-        grads = [grad_xp[:, :, pad : pad + h, pad : pad + wd], grad_w]
+        grad_x = conv2d(g, np.flip(w.data, (2, 3)).transpose(1, 0, 2, 3)).data
+        grad_wf = sum(g[s, :, r0:r1].reshape(cout, -1) @ cols.T
+                      for s, r0, r1, cols in _im2col(x.data, k, False))
+        grads = [grad_x, grad_wf.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)]
         if b_t is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return grads

@@ -100,6 +100,47 @@ def test_group_order_is_derived_in_one_place():
     assert not found, found
 
 
+CONTRACTIONS = {"tensordot", "einsum", "dot", "inner"}
+
+
+def _contractions(path: Path) -> tuple[list[str], list[str]]:
+    """(contractions outside ``tensor.conv2d``, matmuls inside it) in one file.
+
+    A contraction is a ``tensordot``, ``einsum``, ``dot``, ``inner`` or
+    ``matmul`` attribute (``np.dot``, ``a.dot``, ...) or an ``@`` operator.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "conv2d"
+               and path.name == "tensor.py"]
+    found, seam = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in CONTRACTIONS:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
+        elif (isinstance(node, ast.Attribute) and node.attr == "matmul"
+              or isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.MatMult)):
+            where = f"{path.relative_to(ROOT)}:{node.lineno} matmul"
+            inside = any(node.lineno in lines for lines in allowed)
+            (seam if inside else found).append(where)
+    return found, seam
+
+
+def test_conv2d_gemm_is_the_one_contraction():
+    # one contraction seam (ROADMAP item 10): every channel contraction, the
+    # conv input gradient included, runs conv2d's banded GEMM; naive.py is the
+    # independent reference and keeps its own products
+    files = sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "naive.py")
+    found, seam = [], []
+    for path in files:
+        outside, inside = _contractions(path)
+        found += outside
+        seam += inside
+    assert not found, found
+    # the forward GEMM and the kernel gradient's; the scan does see them
+    assert len(seam) == 2, seam
+
+
 def test_config_imports_the_standard_library_alone():
     # a config check must not load numpy: config.py imports no third-party
     # module and no other module of the package, which would bring numpy in

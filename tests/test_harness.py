@@ -834,7 +834,8 @@ def test_run_gradcheck_reports_non_finite_gradients(monkeypatch, bad):
     assert report.verdicts["poisoned gradients finite"] is False
     assert report.verdicts[f"square grad matches finite differences "
                            f"(<= {report.config['gradcheck_tolerance']:g})"] is True
-    assert set(report.results) == {"square"}
+    assert set(report.results) == {"square", "poisoned"}
+    assert report.results["poisoned"] == {"finite": False}
 
 
 def test_run_demo_writes_identical_artifacts(tmp_path):

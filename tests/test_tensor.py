@@ -195,6 +195,69 @@ def test_blockmean_conv2d_never_builds_the_full_resolution_map():
     assert peak < out.data.nbytes + 1.5 * 2**20
 
 
+def per_tap_conv2d_grads(x, w, g, with_bias, blockmean):
+    # reference of the earlier backward: pad the whole map once, then per tap
+    # one contraction for the kernel gradient and one scatter-add of the
+    # output gradient into the padded input gradient
+    if blockmean:
+        g = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
+    h, wd = x.shape[2:]
+    k = w.shape[2]
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    grad_w = np.empty_like(w)
+    grad_xp = np.zeros_like(xp)
+    for ki in range(k):
+        for kj in range(k):
+            tap = (Ellipsis, slice(ki, ki + h), slice(kj, kj + wd))
+            grad_w[:, :, ki, kj] = np.tensordot(g, xp[tap], axes=([0, 2, 3], [0, 2, 3]))
+            spread = np.tensordot(g, w[:, :, ki, kj], axes=([1], [0]))
+            grad_xp[tap] += spread.transpose(0, 3, 1, 2)
+    grads = [grad_xp[..., p:p + h, p:p + wd], grad_w]
+    return grads + [g.sum(axis=(0, 2, 3))] if with_bias else grads
+
+
+# 8x8: one band; 128x128: equal bands of 2 rows; 96x96: bands of 2 and 3
+# rows (of 2 and 4 under blockmean); 34x34 is 1156 px, not a multiple of 8,
+# so one band
+@pytest.mark.parametrize("width", [8, 34, 96, 128])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("blockmean", [False, True])
+def test_banded_conv2d_backward_matches_per_tap_backward(width, k, batch, with_bias, blockmean):
+    r = Rng(width).derive(f"grad/k{k}/b{batch}/{with_bias}/{blockmean}")
+    x = Tensor(r.uniform((batch, 3, width, width)), requires_grad=True)
+    w = Tensor(r.uniform((4, 3, k, k)), requires_grad=True)
+    b = Tensor(r.uniform((4,)), requires_grad=True) if with_bias else None
+    out = ops.conv2d(x, w, b, blockmean=blockmean)
+    g = r.uniform(out.shape)
+    got = out.backward_fn(g)
+    want = per_tap_conv2d_grads(x.data, w.data, g, with_bias, blockmean)
+    assert len(got) == len(want)
+    for name, a, e in zip(("x", "w", "bias"), got, want):
+        assert a.shape == e.shape, name
+        assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), name
+
+
+def test_banded_conv2d_backward_buffers_are_sized_by_the_band():
+    # the per-tap backward padded the whole map and its gradient (40.6 MiB
+    # peak here); the banded one needs grad_x and band-sized buffers
+    r = Rng(5)
+    x = Tensor(r.derive("x").uniform((2, 32, 128, 128)), requires_grad=True)
+    w = Tensor(r.derive("w").uniform((32, 32, 3, 3)), requires_grad=True)
+    b = Tensor(r.derive("b").uniform((32,)), requires_grad=True)
+    out = ops.conv2d(x, w, b)
+    g = r.derive("g").uniform(out.shape)
+    tracemalloc.start()
+    try:
+        grad_x = out.backward_fn(g)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grad_x.nbytes + 1.5 * 2**20
+
+
 def test_blockmean_conv2d_rejects_odd_extents():
     w = Tensor(np.zeros((1, 1, 3, 3)))
     for shape in [(1, 1, 5, 6), (1, 1, 6, 5)]:
@@ -431,6 +494,22 @@ def test_take_gathers_along_axis_and_checks_range():
         np.testing.assert_array_equal(ops.take(x, [c], axis=1).data, x.data[:, [c]])
     with pytest.raises(ShapeError):
         ops.take(x, [5], axis=1)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2, 4, 3)])
+def test_take_negative_axis_is_the_same_axis(shape):
+    # on a square input a gradient along the wrong axis keeps the right shape
+    a = Tensor(Rng(15).uniform(shape), requires_grad=True)
+    g = Rng(16).uniform(shape[:-1] + (3,))
+    neg, pos = (ops.take(a, [2, 0, 2], axis=axis) for axis in (-1, len(shape) - 1))
+    assert np.array_equal(neg.data, pos.data)
+    assert np.array_equal(neg.backward_fn(g)[0], pos.backward_fn(g)[0])
+
+
+@pytest.mark.parametrize("axis", [2, -3])
+def test_take_rejects_an_axis_out_of_range(axis):
+    with pytest.raises(ShapeError, match=f"axis {axis} "):
+        ops.take(Tensor(np.zeros((2, 3))), [0], axis=axis)
 
 
 def test_rng_determinism_and_derivation_independence():
